@@ -6,23 +6,12 @@ verifies them against a central finite-difference oracle, and diagnoses the
 structural gradient pathologies the closed forms expose.
 """
 
-from .diagnostics import NodeDiagnosis, closed_form_gap, diagnose
-from .fdcheck import (
-    FdConfig,
-    FdGradient,
-    GradCheckReport,
-    LossSpec,
-    ParamCheck,
-    compare_gradients,
-    evaluate_loss,
-    fd_gradient,
-)
+from .diagnostics import closed_form_gap, diagnose
+from .fdcheck import FdConfig, compare_gradients, fd_gradient
 from .gen import generate_instance
 from .grads import (
-    PARAM_KEYS,
     GradientSet,
     backward_chain,
-    centered_total,
     grad_att,
     grad_bias,
     grad_theta_l,
@@ -30,7 +19,6 @@ from .grads import (
     grad_theta_r_sum,
     gradient_set_to_json_dict,
     leaky_relu_slopes,
-    projection_total,
     projection_totals,
     relative_error,
     softmax_jacobian,
@@ -39,19 +27,16 @@ from .graph import Graph, augment, load_graph, save_graph
 from .layer import (
     ForwardTrace,
     LayerParams,
-    attention_score,
     forward_with_trace,
     leaky_relu,
     load_params,
     neighbor_softmax,
     save_params,
-    update_node,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PARAM_KEYS",
     "Graph",
     "augment",
     "load_graph",
@@ -59,9 +44,7 @@ __all__ = [
     "LayerParams",
     "ForwardTrace",
     "leaky_relu",
-    "attention_score",
     "neighbor_softmax",
-    "update_node",
     "forward_with_trace",
     "load_params",
     "save_params",
@@ -69,9 +52,7 @@ __all__ = [
     "relative_error",
     "leaky_relu_slopes",
     "softmax_jacobian",
-    "projection_total",
     "projection_totals",
-    "centered_total",
     "grad_theta_r_sum",
     "grad_theta_r_pairwise",
     "grad_theta_l",
@@ -79,15 +60,9 @@ __all__ = [
     "grad_att",
     "backward_chain",
     "gradient_set_to_json_dict",
-    "LossSpec",
     "FdConfig",
-    "FdGradient",
-    "ParamCheck",
-    "GradCheckReport",
-    "evaluate_loss",
     "fd_gradient",
     "compare_gradients",
-    "NodeDiagnosis",
     "closed_form_gap",
     "diagnose",
     "generate_instance",

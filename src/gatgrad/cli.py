@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .diagnostics import closed_form_gap, diagnose
-from .fdcheck import FdConfig, LossSpec, compare_gradients, fd_gradient
+from .fdcheck import FdConfig, compare_gradients, fd_gradient
 from .gen import generate_instance
 from .grads import (
     GradientSet,
@@ -28,16 +28,10 @@ from .grads import (
     grad_theta_r_sum,
     gradient_set_to_json_dict,
 )
-from .graph import load_graph, save_graph
+from .graph import _numbers, _write_json, load_graph, save_graph
 from .layer import forward_with_trace, load_params, save_params
 
 __all__ = ["main", "run"]
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
@@ -81,11 +75,12 @@ def _upstream_vector(mode: str, out_dim: int, rng: np.random.Generator) -> np.nd
     if mode == "random":
         return rng.standard_normal(out_dim)
     if mode.startswith("file:"):
-        with open(mode[5:], "r", encoding="utf-8") as fh:
-            vec = np.asarray(json.load(fh), dtype=np.float64)
+        path = mode[5:]
+        with open(path, "r", encoding="utf-8") as fh:
+            vec = _numbers(json.load(fh), f"upstream file {path}", 1)
         if vec.shape != (out_dim,):
             raise ValueError(
-                f"upstream file has shape {vec.shape}, expected ({out_dim},)"
+                f"upstream file {path} has shape {vec.shape}, expected ({out_dim},)"
             )
         return vec
     raise ValueError(f"unknown upstream mode {mode!r}")
@@ -139,9 +134,7 @@ def cmd_gradcheck(args) -> int:
         trace = forward_with_trace(params, graph, features, node)
         upstream = _upstream_vector(args.upstream, params.out_dim, rng)
         chain = backward_chain(trace, params, upstream)
-        numeric = fd_gradient(
-            params, graph, features, node, LossSpec.dot(upstream), config
-        )
+        numeric = fd_gradient(params, graph, features, node, upstream, config)
         report = compare_gradients(chain, numeric, config)
         node_passed = report.passed
         entry = {
@@ -197,7 +190,7 @@ def cmd_diagnose(args) -> int:
         nodes = None  # default: every node with at least one neighbor
     else:
         nodes = _select_nodes(args, graph)
-    report = diagnose(params, graph, features, nodes, LossSpec.dot(upstream))
+    report = diagnose(params, graph, features, nodes, upstream)
     payload = {
         "upstream_mode": mode,
         "upstream": upstream.tolist(),

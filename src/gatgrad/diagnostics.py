@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdcheck import LossSpec, evaluate_loss
 from .grads import (
     GradientSet,
     backward_chain,
@@ -29,7 +28,7 @@ from .grads import (
 from .graph import Graph
 from .layer import ForwardTrace, LayerParams, forward_with_trace
 
-__all__ = ["NodeDiagnosis", "closed_form_gap", "diagnose"]
+__all__ = ["closed_form_gap", "diagnose"]
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,13 @@ def _dead_rows(trace: ForwardTrace, params: LayerParams) -> np.ndarray:
 
 
 def _entropy(alpha: np.ndarray) -> float:
+    """Shannon entropy of the attention weights, taking 0 log 0 = 0.
+
+    A weight underflows to exactly 0 when one score dominates by a wide margin.
+    """
     if alpha.size == 0:
         return 0.0
+    alpha = alpha[alpha > 0.0]
     return float(-(alpha * np.log(alpha)).sum())
 
 
@@ -92,22 +96,21 @@ def diagnose(
     graph: Graph,
     features: np.ndarray,
     nodes: list[int] | None = None,
-    spec: LossSpec | None = None,
+    upstream: np.ndarray | None = None,
 ) -> tuple[NodeDiagnosis, ...]:
     """Diagnose a set of target nodes; defaults to every node with neighbors.
 
-    The upstream gradient entering closed_form_gap comes from the loss spec
-    (uniform upstream when omitted). Isolated nodes, if explicitly requested,
-    report vacuously dead rows and zero entropy.
+    upstream is the gradient entering closed_form_gap (all ones when
+    omitted). Isolated nodes, if explicitly requested, report vacuously dead
+    rows and zero entropy.
     """
     if nodes is None:
         nodes = [i for i in range(graph.num_nodes) if graph.neighbors(i)]
-    if spec is None:
-        spec = LossSpec.dot(np.ones(params.out_dim))
+    if upstream is None:
+        upstream = np.ones(params.out_dim)
     results = []
     for node in nodes:
         trace = forward_with_trace(params, graph, features, node)
-        _, upstream = evaluate_loss(trace.h_out, spec)
         dead = _dead_rows(trace, params)
         results.append(
             NodeDiagnosis(

@@ -1,5 +1,8 @@
 """Independent central finite-difference oracle for the layer gradients.
 
+The loss is upstream . h_out for one target node, so its gradient with
+respect to h_out is the upstream vector itself.
+
 Every scalar parameter entry is perturbed in place, including the bias
 columns of the weight matrices, so the oracle differentiates exactly the
 parameterization the analytic code does. Entries whose perturbed evaluation
@@ -17,76 +20,19 @@ noise and carries no information.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grads import PARAM_KEYS, GradientSet, relative_error
+from .grads import PARAM_KEYS, GradientSet, _check_upstream, relative_error
 from .graph import Graph
-from .layer import LayerParams, forward_with_trace
+from .layer import LayerParams, _propagate, forward_with_trace
 
-__all__ = [
-    "LossSpec",
-    "FdConfig",
-    "FdGradient",
-    "ParamCheck",
-    "GradCheckReport",
-    "evaluate_loss",
-    "fd_gradient",
-    "compare_gradients",
-]
-
-_FIELD_BY_KEY = {"theta_R": "theta_r", "theta_L": "theta_l", "a": "att", "b": "bias"}
+__all__ = ["FdConfig", "fd_gradient", "compare_gradients"]
 
 # Rounding amplification allowed for one loss evaluation, in units of eps.
 RESOLUTION_ULPS = 64.0
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Scalar loss over one node update.
-
-    mode "dot": loss = vector . h_out, upstream gradient = vector. With an
-    all-ones vector this is the uniform-upstream configuration.
-    mode "squared_error": loss = 0.5 * ||h_out - vector||^2, upstream
-    gradient = h_out - vector.
-    """
-
-    mode: str
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("dot", "squared_error"):
-            raise ValueError(f"unknown loss mode {self.mode!r}")
-        vec = np.array(self.vector, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError("loss vector must be 1-D")
-        if not np.isfinite(vec).all():
-            raise ValueError("non-finite loss vector")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-
-    @classmethod
-    def dot(cls, g: np.ndarray) -> "LossSpec":
-        return cls("dot", g)
-
-    @classmethod
-    def squared_error(cls, y: np.ndarray) -> "LossSpec":
-        return cls("squared_error", y)
-
-
-def evaluate_loss(h_out: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
-    """Loss value and its gradient with respect to h_out."""
-    h_out = np.asarray(h_out, dtype=np.float64)
-    if h_out.shape != spec.vector.shape:
-        raise ValueError(
-            f"h_out has shape {h_out.shape}, loss vector {spec.vector.shape}"
-        )
-    if spec.mode == "dot":
-        return float(spec.vector @ h_out), spec.vector.copy()
-    residual = h_out - spec.vector
-    return 0.5 * float(residual @ residual), residual
 
 
 @dataclass(frozen=True)
@@ -98,8 +44,8 @@ class FdConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.step < 1.0:
             raise ValueError("step must lie in (0, 1)")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -122,52 +68,57 @@ def fd_gradient(
     graph: Graph,
     features: np.ndarray,
     node: int,
-    spec: LossSpec,
+    upstream: np.ndarray,
     config: FdConfig = FdConfig(),
 ) -> FdGradient:
-    """Central differences of the loss over every parameter entry."""
+    """Central differences of the loss upstream . h_out over every parameter entry.
 
-    def loss_at(p: LayerParams) -> tuple[float, bool]:
-        trace = forward_with_trace(p, graph, features, node)
-        value, _ = evaluate_loss(trace.h_out, spec)
+    The node is evaluated once through forward_with_trace; every perturbed
+    evaluation reruns only the layer arithmetic on the cached augmented
+    features.
+    """
+    g = _check_upstream(upstream, params.out_dim)
+    base = forward_with_trace(params, graph, features, node)
+    blocks = [params.theta_r, params.theta_l, params.att, params.bias]
+
+    def loss_at(trial: list) -> tuple[float, bool]:
+        out = _propagate(
+            *trial, params.negative_slope, base.h_aug_target, base.h_aug_sources
+        )
+        pre_act, h_out = out[2], out[-1]
+        value = float(g @ h_out)
         if not np.isfinite(value):
             raise ValueError("non-finite loss at a perturbed point")
-        near_kink = bool(
-            trace.pre_act.size
-            and (np.abs(trace.pre_act) < config.kink_guard).any()
-        )
+        near_kink = bool(pre_act.size and (np.abs(pre_act) < config.kink_guard).any())
         return value, near_kink
 
-    base_value, _ = loss_at(params)
-    max_abs_loss = max(1.0, abs(base_value))
-    grads: dict[str, np.ndarray] = {}
-    flags: dict[str, np.ndarray] = {}
-    for key in PARAM_KEYS:
-        field = _FIELD_BY_KEY[key]
-        base = getattr(params, field)
-        grad = np.zeros(base.shape)
-        flag = np.zeros(base.shape, dtype=bool)
+    max_abs_loss = max(1.0, abs(loss_at(blocks)[0]))
+    grads: list[np.ndarray] = []
+    flags: list[np.ndarray] = []
+    for pos, base_block in enumerate(blocks):
+        grad = np.zeros(base_block.shape)
+        flag = np.zeros(base_block.shape, dtype=bool)
         grad_flat, flag_flat = grad.reshape(-1), flag.reshape(-1)
-        for idx in range(base.size):
+        for idx in range(base_block.size):
 
             def perturbed_loss(delta):
-                work = base.copy()
+                work = base_block.copy()
                 work.reshape(-1)[idx] += delta
-                return loss_at(dataclasses.replace(params, **{field: work}))
+                return loss_at(blocks[:pos] + [work] + blocks[pos + 1 :])
 
             plus, kink_plus = perturbed_loss(config.step)
             minus, kink_minus = perturbed_loss(-config.step)
             grad_flat[idx] = (plus - minus) / (2.0 * config.step)
             flag_flat[idx] = kink_plus or kink_minus
             max_abs_loss = max(max_abs_loss, abs(plus), abs(minus))
-        grads[key] = grad
-        flags[key] = flag
+        grads.append(grad)
+        flags.append(flag)
     resolution = (
         RESOLUTION_ULPS * np.finfo(np.float64).eps * max_abs_loss / (2.0 * config.step)
     )
     return FdGradient(
-        grads=GradientSet(grads["theta_R"], grads["theta_L"], grads["a"], grads["b"]),
-        kink_flags=flags,
+        grads=GradientSet(*grads),
+        kink_flags=dict(zip(PARAM_KEYS, flags)),
         resolution=float(resolution),
     )
 

@@ -23,14 +23,11 @@ import numpy as np
 from .layer import ForwardTrace, LayerParams
 
 __all__ = [
-    "PARAM_KEYS",
     "GradientSet",
     "relative_error",
     "leaky_relu_slopes",
     "softmax_jacobian",
-    "projection_total",
     "projection_totals",
-    "centered_total",
     "grad_theta_r_sum",
     "grad_theta_r_pairwise",
     "grad_theta_l",
@@ -99,23 +96,9 @@ def softmax_jacobian(alpha: np.ndarray) -> np.ndarray:
     return np.diag(a) - np.outer(a, a)
 
 
-def projection_total(theta_l: np.ndarray, h_aug: np.ndarray) -> float:
-    """Sum over output dimensions of the projected augmented feature."""
-    return float((np.asarray(theta_l, dtype=np.float64) @ h_aug).sum())
-
-
 def projection_totals(trace: ForwardTrace) -> np.ndarray:
     """Projection totals of all cached neighbors, (N,)."""
     return trace.source_proj.sum(axis=1)
-
-
-def centered_total(k: int, alpha: np.ndarray, totals: np.ndarray) -> float:
-    """Deviation of neighbor k's projection total from the attention-weighted mean."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    totals = np.asarray(totals, dtype=np.float64)
-    if not 0 <= k < totals.size:
-        raise IndexError(f"neighbor index {k} out of range for {totals.size}")
-    return float(totals[k] - alpha @ totals)
 
 
 def _check_upstream(upstream: np.ndarray, out_dim: int) -> np.ndarray:
@@ -273,14 +256,10 @@ def gradient_set_to_json_dict(
     grads: GradientSet, target_node: int, num_neighbors: int, upstream_mode: str
 ) -> dict:
     """GradientSet as a JSON-ready dict mirroring the params file layout."""
-    return {
-        "theta_R": grads.theta_r.tolist(),
-        "theta_L": grads.theta_l.tolist(),
-        "a": grads.att.tolist(),
-        "b": grads.bias.tolist(),
-        "meta": {
-            "target_node": int(target_node),
-            "N": int(num_neighbors),
-            "upstream_mode": upstream_mode,
-        },
+    out: dict = {key: block.tolist() for key, block in grads.as_dict().items()}
+    out["meta"] = {
+        "target_node": int(target_node),
+        "N": int(num_neighbors),
+        "upstream_mode": upstream_mode,
     }
+    return out

@@ -7,7 +7,9 @@ The update for target node i with neighbors j is
     h_out(i)    = bias + sum_j alpha[j] * (theta_l @ h_aug(j))
 
 All arithmetic is 64-bit. forward_with_trace caches every intermediate so
-the backward pass can be assembled without recomputation.
+the backward pass can be assembled without recomputation; the arithmetic
+itself lives in one private function that the finite-difference oracle
+also calls on perturbed parameter blocks.
 """
 
 from __future__ import annotations
@@ -17,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, augment
+from .graph import Graph, _index, _numbers, _write_json, augment
 
 __all__ = [
     "LayerParams",
     "ForwardTrace",
     "leaky_relu",
-    "attention_score",
     "neighbor_softmax",
-    "update_node",
     "forward_with_trace",
     "load_params",
     "save_params",
@@ -88,14 +88,6 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x > 0.0, x, slope * x)
 
 
-def attention_score(
-    params: LayerParams, h_aug_target: np.ndarray, h_aug_source: np.ndarray
-) -> float:
-    """Raw (unnormalized) attention score for one target/source pair."""
-    pre = params.theta_r @ h_aug_target + params.theta_l @ h_aug_source
-    return float(params.att @ leaky_relu(pre, params.negative_slope))
-
-
 def neighbor_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over a node's neighbor scores.
 
@@ -110,16 +102,6 @@ def neighbor_softmax(scores: np.ndarray) -> np.ndarray:
         raise ValueError("non-finite attention score")
     z = np.exp(s - s.max())
     return z / z.sum()
-
-
-def update_node(
-    params: LayerParams, alpha: np.ndarray, source_proj: np.ndarray
-) -> np.ndarray:
-    """Bias plus the attention-weighted sum of projected source features."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    source_proj = np.asarray(source_proj, dtype=np.float64)
-    messages = alpha[:, None] * source_proj
-    return params.bias + messages.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -165,6 +147,23 @@ class ForwardTrace:
         return len(self.neighbors)
 
 
+def _propagate(theta_r, theta_l, att, bias, slope, h_aug_target, h_aug_sources) -> tuple:
+    """The layer's arithmetic over validated float64 arrays.
+
+    Returns target_proj, source_proj, pre_act, post_act, scores, alpha,
+    messages and h_out, in ForwardTrace field order.
+    """
+    target_proj = theta_r @ h_aug_target
+    source_proj = h_aug_sources @ theta_l.T
+    pre_act = target_proj[None, :] + source_proj
+    post_act = leaky_relu(pre_act, slope)
+    scores = post_act @ att
+    alpha = neighbor_softmax(scores)
+    messages = alpha[:, None] * source_proj
+    h_out = bias + messages.sum(axis=0)
+    return target_proj, source_proj, pre_act, post_act, scores, alpha, messages, h_out
+
+
 def forward_with_trace(
     params: LayerParams, graph: Graph, features: np.ndarray, node: int
 ) -> ForwardTrace:
@@ -188,28 +187,11 @@ def forward_with_trace(
         h_aug_sources = np.stack([augment(features[j]) for j in nbrs])
     else:
         h_aug_sources = np.zeros((0, params.feature_dim + 1))
-    target_proj = params.theta_r @ h_aug_target
-    source_proj = h_aug_sources @ params.theta_l.T
-    pre_act = target_proj[None, :] + source_proj
-    post_act = leaky_relu(pre_act, params.negative_slope)
-    scores = post_act @ params.att
-    alpha = neighbor_softmax(scores)
-    messages = alpha[:, None] * source_proj
-    h_out = params.bias + messages.sum(axis=0)
-    return ForwardTrace(
-        node=int(node),
-        neighbors=nbrs,
-        h_aug_target=h_aug_target,
-        h_aug_sources=h_aug_sources,
-        target_proj=target_proj,
-        source_proj=source_proj,
-        pre_act=pre_act,
-        post_act=post_act,
-        scores=scores,
-        alpha=alpha,
-        messages=messages,
-        h_out=h_out,
+    arrays = _propagate(
+        params.theta_r, params.theta_l, params.att, params.bias,
+        params.negative_slope, h_aug_target, h_aug_sources,
     )
+    return ForwardTrace(int(node), nbrs, h_aug_target, h_aug_sources, *arrays)
 
 
 def load_params(path) -> LayerParams:
@@ -217,16 +199,16 @@ def load_params(path) -> LayerParams:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
-        d = int(raw["D"])
-        h = int(raw["H"])
+        d = _index(raw["D"], "D")
+        h = _index(raw["H"], "H")
         params = LayerParams(
-            theta_r=np.asarray(raw["theta_R"], dtype=np.float64),
-            theta_l=np.asarray(raw["theta_L"], dtype=np.float64),
-            att=np.asarray(raw["a"], dtype=np.float64),
-            bias=np.asarray(raw["b"], dtype=np.float64),
-            negative_slope=float(raw["negative_slope"]),
+            theta_r=_numbers(raw["theta_R"], "theta_R", 2),
+            theta_l=_numbers(raw["theta_L"], "theta_L", 2),
+            att=_numbers(raw["a"], "a", 1),
+            bias=_numbers(raw["b"], "b", 1),
+            negative_slope=float(_numbers(raw["negative_slope"], "negative_slope", 0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed params file {path}: {exc}") from None
     if params.out_dim != d or params.feature_dim != h:
         raise ValueError(
@@ -246,6 +228,4 @@ def save_params(path, params: LayerParams) -> None:
         "a": params.att.tolist(),
         "b": params.bias.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, payload)

@@ -16,7 +16,6 @@ from gatgrad import (
     FdConfig,
     Graph,
     LayerParams,
-    LossSpec,
     backward_chain,
     compare_gradients,
     fd_gradient,
@@ -74,9 +73,7 @@ def test_criterion_1_oracle_agreement(instances):
         checked = 0
         for trace, graph, feats, params, upstream in upstream_pairs(instances):
             chain = backward_chain(trace, params, upstream)
-            numeric = fd_gradient(
-                params, graph, feats, trace.node, LossSpec.dot(upstream), config
-            )
+            numeric = fd_gradient(params, graph, feats, trace.node, upstream, config)
             report = compare_gradients(chain, numeric, config)
             assert report.passed, (
                 trace.node,
@@ -193,10 +190,7 @@ def test_criterion_6_fd_self_consistency():
             trace = forward_with_trace(params, graph, feats, node)
             chain = backward_chain(trace, params, upstream)
             results = [
-                fd_gradient(
-                    params, graph, feats, node, LossSpec.dot(upstream),
-                    FdConfig(step=s),
-                )
+                fd_gradient(params, graph, feats, node, upstream, FdConfig(step=s))
                 for s in steps
             ]
             flagged = {

@@ -227,6 +227,28 @@ class TestGradcheck:
         )
         assert code == 2
 
+    def test_non_number_upstream_file(self, instance, capsys):
+        tmp_path, graph_path, params_path = instance
+        vec_path = tmp_path / "upstream.json"
+        vec_path.write_text('["1", true, 2]')
+        code = main(
+            ["gradcheck", "--graph", str(graph_path), "--params", str(params_path),
+             "--node", "0", "--upstream", f"file:{vec_path}",
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert str(vec_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_exit_2(self, instance, tol):
+        tmp_path, graph_path, params_path = instance
+        out = tmp_path / "r.json"
+        code = main(
+            ["gradcheck", "--graph", str(graph_path), "--params", str(params_path),
+             "--node", "0", "--tol", tol, "--out", str(out)]
+        )
+        assert code == 2 and not out.exists()
+
     def test_malformed_input_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -287,6 +309,31 @@ class TestDiagnoseCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert all(all(e["dead_theta_r"]) for e in payload["nodes"])
+
+    def test_underflowed_attention_weight_gives_strict_json(self, tmp_path):
+        """A weight of exactly 0 contributes 0 to the entropy, never NaN."""
+        graph_path, params_path = tmp_path / "g.json", tmp_path / "p.json"
+        graph_path.write_text(json.dumps({
+            "num_nodes": 2, "feature_dim": 1,
+            "features": [[0.0], [1.0]], "edges": [[0, 0], [0, 1]],
+        }))
+        params_path.write_text(json.dumps({
+            "D": 1, "H": 1, "negative_slope": 0.2,
+            "theta_R": [[0.0, 0.0]], "theta_L": [[0.0, 1000.0]],
+            "a": [1.0], "b": [0.0],
+        }))
+        out = tmp_path / "diag.json"
+        code = main(
+            ["diagnose", "--graph", str(graph_path), "--params", str(params_path),
+             "--out", str(out)]
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["nodes"][0]["attention_entropy"] == 0.0
 
     def test_random_upstream_recorded(self, instance):
         tmp_path, graph_path, params_path = instance

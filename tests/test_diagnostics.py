@@ -8,7 +8,6 @@ import pytest
 from gatgrad import (
     Graph,
     LayerParams,
-    LossSpec,
     closed_form_gap,
     diagnose,
     forward_with_trace,
@@ -121,8 +120,8 @@ class TestClosedFormGap:
 
     def test_reported_via_diagnose_spec(self):
         g, feats, params = generate_instance(5, 3, 4, seed=23)
-        spec = LossSpec.dot(np.array([1.0, -1.0, 2.0, 0.5]))
-        report = diagnose(params, g, feats, spec=spec)
+        upstream = np.array([1.0, -1.0, 2.0, 0.5])
+        report = diagnose(params, g, feats, upstream=upstream)
         assert any(e.closed_form_gap > 1e-3 for e in report)
 
 

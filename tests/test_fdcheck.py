@@ -8,10 +8,8 @@ from gatgrad import (
     Graph,
     GradientSet,
     LayerParams,
-    LossSpec,
     backward_chain,
     compare_gradients,
-    evaluate_loss,
     fd_gradient,
     forward_with_trace,
     generate_instance,
@@ -19,37 +17,18 @@ from gatgrad import (
 
 
 class TestEvaluateLoss:
-    def test_dot_mode(self):
-        value, upstream = evaluate_loss(
-            np.array([2.0, 3.0]), LossSpec.dot(np.ones(2))
-        )
-        assert value == 5.0
-        assert upstream.tolist() == [1.0, 1.0]
+    """The oracle's loss is upstream . h_out; the upstream vector is validated."""
 
-    def test_squared_error_at_minimum(self):
-        y = np.array([1.0, -2.0])
-        value, upstream = evaluate_loss(y, LossSpec.squared_error(y))
-        assert value == 0.0
-        assert upstream.tolist() == [0.0, 0.0]
-
-    def test_squared_error_unit_deviation(self):
-        value, upstream = evaluate_loss(
-            np.array([1.0, 0.0]), LossSpec.squared_error(np.zeros(2))
-        )
-        assert value == 0.5
-        assert upstream.tolist() == [1.0, 0.0]
+    def setup_method(self):
+        self.g, self.feats, self.params = generate_instance(4, 2, 3, seed=7)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_loss(np.zeros(3), LossSpec.dot(np.zeros(2)))
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            LossSpec("huber", np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            fd_gradient(self.params, self.g, self.feats, 0, np.zeros(2))
 
     def test_non_finite_vector_rejected(self):
-        with pytest.raises(ValueError):
-            LossSpec.dot(np.array([np.inf]))
+        with pytest.raises(ValueError, match="non-finite"):
+            fd_gradient(self.params, self.g, self.feats, 0, np.array([1.0, np.inf, 1.0]))
 
 
 class TestFdConfig:
@@ -64,6 +43,11 @@ class TestFdConfig:
         with pytest.raises(ValueError):
             FdConfig(step=step)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_tolerance_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            FdConfig(tolerance=tol)
+
 
 class TestFdGradient:
     def setup_method(self):
@@ -72,21 +56,20 @@ class TestFdGradient:
     def test_bias_entries_exactly_linear(self):
         """Dot loss is linear in the bias, so the quotient recovers g."""
         upstream = np.array([0.7, -1.1, 0.4])
-        out = fd_gradient(self.params, self.g, self.feats, 0, LossSpec.dot(upstream))
+        out = fd_gradient(self.params, self.g, self.feats, 0, upstream)
         np.testing.assert_allclose(out.grads.bias, upstream, atol=1e-9)
 
     def test_single_neighbor_attention_entries_vanish(self):
         graph = Graph(2, ((0, 1),))
         feats = np.array([[0.5], [2.0]])
         params = LayerParams([[0.3, 1.1]], [[-0.4, 0.9]], [1.7], [0.2])
-        out = fd_gradient(params, graph, feats, 0, LossSpec.dot(np.ones(1)))
+        out = fd_gradient(params, graph, feats, 0, np.ones(1))
         assert np.abs(out.grads.theta_r).max() <= 1e-9
         assert np.abs(out.grads.att).max() <= 1e-9
 
     def test_repeated_runs_bit_identical(self):
-        spec = LossSpec.dot(np.ones(3))
-        a = fd_gradient(self.params, self.g, self.feats, 1, spec)
-        b = fd_gradient(self.params, self.g, self.feats, 1, spec)
+        a = fd_gradient(self.params, self.g, self.feats, 1, np.ones(3))
+        b = fd_gradient(self.params, self.g, self.feats, 1, np.ones(3))
         for key in a.grads.as_dict():
             assert np.array_equal(a.grads.as_dict()[key], b.grads.as_dict()[key])
         assert a.resolution == b.resolution
@@ -97,11 +80,11 @@ class TestFdGradient:
         feats = np.array([[1.0], [1.0]])
         # pre-activation = theta_r bias + theta_l bias + weights = exactly 0
         params = LayerParams([[0.5, 0.5]], [[-0.5, -0.5]], [1.0], [0.0])
-        out = fd_gradient(params, graph, feats, 0, LossSpec.dot(np.ones(1)))
+        out = fd_gradient(params, graph, feats, 0, np.ones(1))
         assert all(mask.all() for mask in out.kink_flags.values())
 
     def test_no_flags_away_from_kinks(self):
-        out = fd_gradient(self.params, self.g, self.feats, 0, LossSpec.dot(np.ones(3)))
+        out = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
         assert not any(mask.any() for mask in out.kink_flags.values())
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -111,7 +94,7 @@ class TestFdGradient:
         graph = Graph(1, ())
         feats = np.array([[0.0]])
         with pytest.raises(ValueError, match="non-finite loss"):
-            fd_gradient(params, graph, feats, 0, LossSpec.dot(np.array([1e200])))
+            fd_gradient(params, graph, feats, 0, np.array([1e200]))
 
     def test_quadratic_error_decay(self):
         """Halving the step shrinks the disagreement roughly fourfold."""
@@ -122,7 +105,7 @@ class TestFdGradient:
         for step in (4e-3, 2e-3, 1e-3):
             out = fd_gradient(
                 self.params, self.g, self.feats, 0,
-                LossSpec.dot(upstream), FdConfig(step=step),
+                upstream, FdConfig(step=step),
             )
             diffs = [
                 np.abs(chain.as_dict()[k] - out.grads.as_dict()[k]).max()
@@ -155,9 +138,7 @@ class TestCompareGradients:
         assert report.checks["theta_R"].passed
 
     def test_kink_flagged_entries_excluded_from_verdict(self):
-        numeric = fd_gradient(
-            self.params, self.g, self.feats, 0, LossSpec.dot(np.ones(3))
-        )
+        numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
         bad_theta_r = self.chain.theta_r.copy()
         bad_theta_r[0, 0] += 1.0
         corrupted = GradientSet(
@@ -176,9 +157,7 @@ class TestCompareGradients:
 
     def test_below_resolution_zeros_are_confirmed_not_judged(self):
         """A zero analytic entry may differ from the quotient by pure noise."""
-        numeric = fd_gradient(
-            self.params, self.g, self.feats, 0, LossSpec.dot(np.ones(3))
-        )
+        numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
         noisy = numeric.grads.theta_r.copy()
         zero_rows = np.all(self.chain.theta_r == 0.0, axis=1)
         if zero_rows.any():
@@ -194,9 +173,7 @@ class TestCompareGradients:
         assert compare_gradients(self.chain, perturbed).passed
 
     def test_unattainable_tolerance_fails(self):
-        numeric = fd_gradient(
-            self.params, self.g, self.feats, 0, LossSpec.dot(np.ones(3))
-        )
+        numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
         report = compare_gradients(self.chain, numeric, FdConfig(tolerance=1e-15))
         assert not report.passed
         failing = [k for k, c in report.checks.items() if not c.passed]
@@ -211,9 +188,7 @@ class TestCompareGradients:
             compare_gradients(self.chain, other)
 
     def test_report_json_layout(self):
-        numeric = fd_gradient(
-            self.params, self.g, self.feats, 0, LossSpec.dot(np.ones(3))
-        )
+        numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
         payload = compare_gradients(self.chain, numeric).to_json_dict(seed=7)
         assert set(payload) == {
             "theta_R", "theta_L", "a", "b",

@@ -83,6 +83,15 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(0, ())
 
+    def test_float_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            Graph(2, ((0, 1.9),))
+
+    def test_numpy_integers_accepted(self):
+        g = Graph(np.int64(3), ((np.int64(0), np.int32(2)),))
+        assert g.num_nodes == 3 and g.edges == ((0, 2),)
+        assert type(g.edges[0][1]) is int
+
     def test_neighbor_sets_match_edges(self):
         rng = np.random.default_rng(0)
         n = 6
@@ -144,6 +153,26 @@ class TestGraphFiles:
         )
         with pytest.raises(ValueError):
             load_graph(path)
+
+    @pytest.mark.parametrize(
+        "key, override",
+        [
+            ("num_nodes", {"num_nodes": 3.7}),
+            ("num_nodes", {"num_nodes": "3"}),
+            ("edges", {"edges": [[0, 1.9]]}),
+            ("features", {"features": [[1.0], [True], [0.0]]}),
+            ("features", {"features": [[1.0], ["1"], [0.0]]}),
+        ],
+    )
+    def test_coercible_values_rejected(self, tmp_path, key, override):
+        raw = {"num_nodes": 3, "feature_dim": 1, "features": [[1.0], [2.0], [0.0]],
+               "edges": [[0, 1]]}
+        raw.update(override)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as err:
+            load_graph(path)
+        assert str(path) in str(err.value) and key in str(err.value)
 
     def test_non_finite_features_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Forward pass: scoring, neighbor softmax, aggregation, trace caching."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from gatgrad import (
     Graph,
     LayerParams,
-    attention_score,
     augment,
     forward_with_trace,
     generate_instance,
@@ -18,8 +18,20 @@ from gatgrad import (
     load_params,
     neighbor_softmax,
     save_params,
-    update_node,
 )
+
+
+def attention_score(params, h_aug_target, h_aug_source):
+    """Reference: raw attention score of one target/source pair."""
+    pre = params.theta_r @ h_aug_target + params.theta_l @ h_aug_source
+    return float(params.att @ leaky_relu(pre, params.negative_slope))
+
+
+def update_node(params, alpha, source_proj):
+    """Reference: bias plus the attention-weighted sum of projected sources."""
+    messages = np.asarray(alpha)[:, None] * np.asarray(source_proj)
+    return params.bias + messages.sum(axis=0)
+
 
 score_vectors = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), min_size=1, max_size=8
@@ -255,13 +267,29 @@ class TestParamsFiles:
         _, _, params = generate_instance(3, 2, 4, seed=1)
         path = tmp_path / "params.json"
         save_params(path, params)
-        import json
-
         raw = json.loads(path.read_text())
         raw["D"] = 5
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="D=5"):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("D", 1.9),
+            ("negative_slope", "0.2"),
+            ("theta_R", [[True, False]]),
+        ],
+    )
+    def test_coercible_values_rejected(self, tmp_path, key, value):
+        raw = {"D": 1, "H": 1, "negative_slope": 0.2, "theta_R": [[0.1, 0.2]],
+               "theta_L": [[0.3, 0.4]], "a": [1.0], "b": [2.5]}
+        raw[key] = value
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as err:
+            load_params(path)
+        assert str(path) in str(err.value) and key in str(err.value)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "params.json"
