@@ -2,8 +2,8 @@
 
 The package evaluates one attention layer with full intermediate caching,
 computes all parameter gradients analytically along two independent routes,
-verifies them against a central finite-difference oracle, and diagnoses the
-structural gradient pathologies the closed forms expose.
+verifies them against a complex-step oracle, and diagnoses the structural
+gradient pathologies the closed forms expose.
 """
 
 from .diagnostics import closed_form_gap, diagnose

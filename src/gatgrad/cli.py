@@ -2,7 +2,7 @@
 
 Four subcommands: `gen` writes a seeded random graph/params pair, `forward`
 evaluates node updates, `gradcheck` verifies analytic gradients against the
-finite-difference oracle, and `diagnose` reports gradient pathologies. All
+complex-step oracle, and `diagnose` reports gradient pathologies. All
 outputs are JSON and deterministic given the flags, files, and seed.
 
 Exit codes: 0 success / all checks passed, 1 gradient check failure,
@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .diagnostics import closed_form_gap, diagnose
-from .fdcheck import FdConfig, compare_gradients, fd_gradient
+from .fdcheck import COMPLEX_STEP, FdConfig, compare_gradients, fd_gradient
 from .gen import generate_instance
 from .grads import (
     GradientSet,
@@ -125,7 +125,7 @@ def cmd_forward(args) -> int:
 def cmd_gradcheck(args) -> int:
     graph, features = load_graph(args.graph)
     params = load_params(args.params)
-    config = FdConfig(step=args.step, tolerance=args.tol)
+    config = FdConfig(tolerance=args.tol)
     rng = np.random.default_rng(args.seed)
     mode = _mode_label(args.upstream)
     entries = []
@@ -171,7 +171,7 @@ def cmd_gradcheck(args) -> int:
     else:
         payload = {
             "nodes": entries,
-            "step": config.step,
+            "step": COMPLEX_STEP,
             "tolerance": config.tolerance,
             "seed": args.seed,
             "pass": all_passed,
@@ -224,12 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     fwd.set_defaults(func=cmd_forward)
 
     check = subs.add_parser(
-        "gradcheck", help="verify analytic gradients against central differences"
+        "gradcheck", help="verify analytic gradients against the complex-step oracle"
     )
     _add_io_flags(check)
     _add_node_flags(check, required=True)
     _add_upstream_flags(check)
-    check.add_argument("--step", type=float, default=1e-5)
     check.add_argument("--tol", type=float, default=1e-6)
     check.set_defaults(func=cmd_gradcheck)
 

@@ -1,21 +1,21 @@
-"""Independent central finite-difference oracle for the layer gradients.
+"""Independent complex-step oracle for the layer gradients.
 
 The loss is upstream . h_out for one target node, so its gradient with
 respect to h_out is the upstream vector itself.
 
-Every scalar parameter entry is perturbed in place, including the bias
-columns of the weight matrices, so the oracle differentiates exactly the
-parameterization the analytic code does. Entries whose perturbed evaluation
-lands near a LeakyReLU kink are flagged and excluded from the verdict rather
-than judged: the derivative there is convention-dependent.
+Each scalar parameter entry, bias columns included, carries an imaginary
+step i*h through one evaluation of the layer: dL/dp = Im L(p + i h) / h has
+no subtractive cancellation (Squire & Trapp, SIAM Review 40(1), 1998), so
+h = 1e-30 leaves only the rounding of that evaluation. The layer is analytic
+along every entry away from a LeakyReLU kink; a node with a pre-activation
+near one has all its entries flagged and excluded from the verdict, since
+the derivative there is convention-dependent.
 
-The quotient (L+ - L-) / (2 step) cannot resolve differences below the
-rounding noise of one loss evaluation divided by the step. That floor is
-reported as `resolution`, and compare_gradients treats entries whose analytic
-value and disagreement both sit below it as confirmed zeros: along directions
-where the loss is exactly constant (for example a uniform activation regime,
-where score shifts cancel inside the softmax) the quotient is pure rounding
-noise and carries no information.
+That rounding is reported as `resolution`, a few ulps of the loss taken on
+absolute values, and compare_gradients confirms entries that differ by no
+more: where the loss is constant along an entry (a uniform activation
+regime, whose score shift cancels inside the softmax) both sides are
+rounding residues whose relative error means nothing.
 """
 
 from __future__ import annotations
@@ -31,31 +31,33 @@ from .layer import LayerParams, _propagate, forward_with_trace
 
 __all__ = ["FdConfig", "fd_gradient", "compare_gradients"]
 
+# Imaginary step of the complex-step derivative; reported as the `step` key.
+COMPLEX_STEP = 1e-30
+
 # Rounding amplification allowed for one loss evaluation, in units of eps.
 RESOLUTION_ULPS = 64.0
 
 
 @dataclass(frozen=True)
 class FdConfig:
-    step: float = 1e-5
     tolerance: float = 1e-6
     kink_guard: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.step < 1.0:
-            raise ValueError("step must lie in (0, 1)")
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        for name in ("tolerance", "kink_guard"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
 class FdGradient:
-    """Central-difference gradients plus per-entry kink flags.
+    """Complex-step gradients plus per-entry kink flags.
 
-    kink_flags maps each wire name to a boolean mask of entries whose
-    perturbed forward pass had some |pre-activation| below the kink guard.
-    resolution is the smallest analytic/numeric difference the quotient can
-    meaningfully resolve for this run.
+    kink_flags maps each wire name to a boolean mask of entries excluded
+    from the verdict: all of them when some unperturbed |pre-activation| is
+    below the kink guard. resolution is the smallest analytic/numeric
+    difference the oracle can resolve for this node.
     """
 
     grads: GradientSet
@@ -71,54 +73,42 @@ def fd_gradient(
     upstream: np.ndarray,
     config: FdConfig = FdConfig(),
 ) -> FdGradient:
-    """Central differences of the loss upstream . h_out over every parameter entry.
+    """Complex-step derivative of the loss upstream . h_out over every parameter entry.
 
-    The node is evaluated once through forward_with_trace; every perturbed
-    evaluation reruns only the layer arithmetic on the cached augmented
-    features.
+    The node is evaluated once through forward_with_trace; each entry then
+    costs one evaluation of the layer arithmetic on the cached augmented
+    features, with that entry carrying the imaginary step.
     """
     g = _check_upstream(upstream, params.out_dim)
     base = forward_with_trace(params, graph, features, node)
+    near_kink = bool((np.abs(base.pre_act) < config.kink_guard).any())
     blocks = [params.theta_r, params.theta_l, params.att, params.bias]
-
-    def loss_at(trial: list) -> tuple[float, bool]:
-        out = _propagate(
-            *trial, params.negative_slope, base.h_aug_target, base.h_aug_sources
-        )
-        pre_act, h_out = out[2], out[-1]
-        value = float(g @ h_out)
-        if not np.isfinite(value):
-            raise ValueError("non-finite loss at a perturbed point")
-        near_kink = bool(pre_act.size and (np.abs(pre_act) < config.kink_guard).any())
-        return value, near_kink
-
-    max_abs_loss = max(1.0, abs(loss_at(blocks)[0]))
     grads: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
     for pos, base_block in enumerate(blocks):
-        grad = np.zeros(base_block.shape)
-        flag = np.zeros(base_block.shape, dtype=bool)
-        grad_flat, flag_flat = grad.reshape(-1), flag.reshape(-1)
+        grad = np.zeros(base_block.size)
         for idx in range(base_block.size):
-
-            def perturbed_loss(delta):
-                work = base_block.copy()
-                work.reshape(-1)[idx] += delta
-                return loss_at(blocks[:pos] + [work] + blocks[pos + 1 :])
-
-            plus, kink_plus = perturbed_loss(config.step)
-            minus, kink_minus = perturbed_loss(-config.step)
-            grad_flat[idx] = (plus - minus) / (2.0 * config.step)
-            flag_flat[idx] = kink_plus or kink_minus
-            max_abs_loss = max(max_abs_loss, abs(plus), abs(minus))
-        grads.append(grad)
-        flags.append(flag)
-    resolution = (
-        RESOLUTION_ULPS * np.finfo(np.float64).eps * max_abs_loss / (2.0 * config.step)
-    )
+            work = base_block.astype(complex)
+            work.reshape(-1)[idx] += 1j * COMPLEX_STEP
+            h_out = _propagate(
+                *blocks[:pos], work, *blocks[pos + 1 :],
+                params.negative_slope, base.h_aug_target, base.h_aug_sources,
+            )[-1]
+            loss = g @ h_out
+            if not np.isfinite(loss):
+                raise ValueError("non-finite loss at a perturbed point")
+            grad[idx] = loss.imag / COMPLEX_STEP
+        grads.append(grad.reshape(base_block.shape))
+    # One evaluation rounds on the scale of the loss taken on absolute values,
+    # which can overflow where the loss cancels; an infinite resolution would
+    # confirm every entry.
+    abs_h_out = np.abs(params.bias) + base.alpha @ np.abs(base.source_proj)
+    abs_loss = float(np.abs(g) @ abs_h_out)
+    if not math.isfinite(abs_loss):
+        raise ValueError("non-finite loss scale")
+    resolution = RESOLUTION_ULPS * np.finfo(np.float64).eps * max(1.0, abs_loss)
     return FdGradient(
         grads=GradientSet(*grads),
-        kink_flags=dict(zip(PARAM_KEYS, flags)),
+        kink_flags={k: np.full(b.shape, near_kink) for k, b in zip(PARAM_KEYS, blocks)},
         resolution=float(resolution),
     )
 
@@ -152,14 +142,13 @@ class GradCheckReport:
     """Per-parameter comparison verdicts plus the run configuration."""
 
     checks: dict[str, ParamCheck]
-    step: float
     tolerance: float
     resolution: float
     passed: bool
 
     def to_json_dict(self, seed: int | None = None) -> dict:
         out: dict = {key: check.to_json_dict() for key, check in self.checks.items()}
-        out["step"] = self.step
+        out["step"] = COMPLEX_STEP
         out["tolerance"] = self.tolerance
         out["resolution"] = self.resolution
         out["seed"] = seed
@@ -182,10 +171,9 @@ def compare_gradients(
     """Compare analytic gradients against the oracle, parameter by parameter.
 
     An entry passes when its relative error is within the tolerance, or when
-    both the analytic value and the disagreement sit below the oracle
-    resolution: the loss is then constant along that coordinate to within
-    rounding, and the quotient is pure noise with no information to judge.
-    Kink-flagged entries are excluded from the verdict and listed.
+    its disagreement sits within the oracle resolution: both values then
+    agree to within the rounding of one evaluation. Kink-flagged entries are
+    excluded from the verdict and listed.
     """
     if isinstance(numeric, FdGradient):
         numeric_sets = numeric.grads.as_dict()
@@ -204,8 +192,7 @@ def compare_gradients(
             raise ValueError(f"{key}: analytic shape {x.shape} != numeric {y.shape}")
         flag = flags.get(key, np.zeros(x.shape, dtype=bool))
         rel = relative_error(x, y)
-        diff = np.abs(x - y)
-        below_res = (np.abs(x) <= resolution) & (diff <= resolution)
+        below_res = np.abs(x - y) <= resolution
         passed = bool(np.all((rel <= config.tolerance) | below_res | flag))
         judged = ~flag & ~below_res
         if judged.any():
@@ -228,7 +215,6 @@ def compare_gradients(
         all_passed &= passed
     return GradCheckReport(
         checks=checks,
-        step=config.step,
         tolerance=config.tolerance,
         resolution=resolution,
         passed=all_passed,

@@ -149,9 +149,10 @@ def grad_theta_r_pairwise(
 ) -> np.ndarray:
     """Target-side weight gradient, neighbor-pair form, (D, H+1).
 
-    Iterates unordered neighbor pairs exactly once; each pair contributes
+    Visits unordered neighbor pairs exactly once; each pair contributes
     alpha[k] * alpha[j] * (total[k] - total[j]) * (slope[k] - slope[j]).
-    Algebraically identical to grad_theta_r_sum.
+    Algebraically identical to grad_theta_r_sum. The pairs j > k of one
+    neighbor k are summed at once, so memory stays O(N * D).
     """
     g = _check_upstream(upstream, params.out_dim)
     n = trace.num_neighbors
@@ -161,10 +162,9 @@ def grad_theta_r_pairwise(
     totals = projection_totals(trace)
     alpha = trace.alpha
     coeff = np.zeros(params.out_dim)
-    for k in range(n):
-        for j in range(k + 1, n):
-            pair = alpha[k] * alpha[j] * (totals[k] - totals[j])
-            coeff += pair * (slopes[k] - slopes[j])
+    for k in range(n - 1):
+        pair = alpha[k] * alpha[k + 1 :] * (totals[k] - totals[k + 1 :])
+        coeff += pair @ (slopes[k] - slopes[k + 1 :])
     return np.outer(g * params.att * coeff, trace.h_aug_target)
 
 

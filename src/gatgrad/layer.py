@@ -8,8 +8,8 @@ The update for target node i with neighbors j is
 
 All arithmetic is 64-bit. forward_with_trace caches every intermediate so
 the backward pass can be assembled without recomputation; the arithmetic
-itself lives in one private function that the finite-difference oracle
-also calls on perturbed parameter blocks.
+itself lives in one private function that the complex-step oracle also
+calls, in complex arithmetic, on imaginary-perturbed parameter blocks.
 """
 
 from __future__ import annotations
@@ -83,24 +83,26 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     """Identity on the strictly positive branch, slope * x otherwise.
 
     The value at exactly 0 is 0 either way, but the branch choice matters to
-    the derivative: 0 belongs to the negative branch.
+    the derivative: 0 belongs to the negative branch. The branch is chosen on
+    the real part, so complex input is differentiated along the real branch.
     """
-    return np.where(x > 0.0, x, slope * x)
+    return np.where(x.real > 0.0, x, slope * x)
 
 
 def neighbor_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over a node's neighbor scores.
 
     The maximum is subtracted before exponentiation; this changes nothing in
-    exact arithmetic and keeps the exponent bounded in floating point. An
-    empty input yields an empty result.
+    exact arithmetic and keeps the exponent bounded in floating point; for
+    complex scores the maximum is taken over the real parts. An empty input
+    yields an empty result.
     """
-    s = np.asarray(scores, dtype=np.float64)
+    s = np.asarray(scores)
     if s.size == 0:
         return np.zeros(0)
     if not np.isfinite(s).all():
         raise ValueError("non-finite attention score")
-    z = np.exp(s - s.max())
+    z = np.exp(s - s.real.max())
     return z / z.sum()
 
 
@@ -148,7 +150,7 @@ class ForwardTrace:
 
 
 def _propagate(theta_r, theta_l, att, bias, slope, h_aug_target, h_aug_sources) -> tuple:
-    """The layer's arithmetic over validated float64 arrays.
+    """The layer's arithmetic over validated float64 (or complex) arrays.
 
     Returns target_proj, source_proj, pre_act, post_act, scores, alpha,
     messages and h_out, in ForwardTrace field order.

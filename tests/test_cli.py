@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gatgrad import load_graph, load_params
+import gatgrad.cli
+from gatgrad import GradientSet, backward_chain, load_graph, load_params
 from gatgrad.cli import main
 
 
@@ -25,6 +26,18 @@ def run_gen(tmp_path, seed=42, nodes=5, feature_dim=3, out_dim=4, extra=()):
         ]
     )
     return code, graph_path, params_path
+
+
+def inject_theta_l_defect(monkeypatch, entry):
+    """Make gradcheck's backward_chain report one theta_L entry 1e-3 too large."""
+
+    def defective(trace, params, upstream):
+        grads = backward_chain(trace, params, upstream)
+        theta_l = grads.theta_l.copy()
+        theta_l[entry] *= 1.0 + 1e-3
+        return GradientSet(grads.theta_r, theta_l, grads.att, grads.bias)
+
+    monkeypatch.setattr(gatgrad.cli, "backward_chain", defective)
 
 
 class TestGen:
@@ -166,15 +179,17 @@ class TestGradcheck:
             assert key in payload
         assert payload["gradients"]["meta"]["target_node"] == 0
 
-    def test_unattainable_tolerance_fails_naming_worst_entry(self, instance):
-        code, payload = self.check(instance, "--tol", "1e-15",
-                                   node_args=("--node", "0"))
+    def test_unattainable_tolerance_fails_naming_worst_entry(
+        self, instance, monkeypatch
+    ):
+        inject_theta_l_defect(monkeypatch, (1, 2))
+        code, payload = self.check(instance, node_args=("--node", "0"))
         assert code == 1
         assert payload["pass"] is False
         failing = [k for k in ("theta_R", "theta_L", "a", "b")
                    if not payload[k]["pass"]]
-        assert failing
-        assert payload[failing[0]]["worst_entry"] is not None
+        assert failing == ["theta_L"]
+        assert payload["theta_L"]["worst_entry"] == [1, 2]
 
     def test_isolated_node_all_attention_gradients_zero(self, tmp_path):
         graph_path = tmp_path / "graph.json"
@@ -269,11 +284,28 @@ class TestGradcheck:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_exit_status_matches_report_pass(self, instance):
-        code, payload = self.check(instance, "--tol", "1e-15")
-        assert code == 1 and payload["pass"] is False
+    def test_exit_status_matches_report_pass(self, instance, monkeypatch):
         code, payload = self.check(instance)
         assert code == 0 and payload["pass"] is True
+        inject_theta_l_defect(monkeypatch, (0, 0))
+        code, payload = self.check(instance)
+        assert code == 1 and payload["pass"] is False
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_instance_passes_at_default_and_tight_tolerance(self, tmp_path, seed):
+        code, graph_path, params_path = run_gen(
+            tmp_path, seed=seed, nodes=12, feature_dim=16, out_dim=16
+        )
+        assert code == 0
+        for tol in ("1e-6", "1e-12"):
+            out = tmp_path / f"report-{tol}.json"
+            code = main(
+                ["gradcheck", "--graph", str(graph_path), "--params",
+                 str(params_path), "--all-nodes", "--tol", tol, "--out", str(out)]
+            )
+            assert code == 0, [
+                e["node"] for e in json.loads(out.read_text())["nodes"] if not e["pass"]
+            ]
 
 
 class TestDiagnoseCommand:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatgrad import (
@@ -242,6 +242,97 @@ class TestPairwiseSumIdentity:
                 s = grad_theta_r_sum(trace, params, upstream)
                 p = grad_theta_r_pairwise(trace, params, upstream)
                 assert relative_error(s, p).max() <= 1e-12
+
+
+    def test_matches_double_loop_reference(self):
+        """The per-neighbor vectorized pair sum against the plain pair loop."""
+        eps = np.finfo(np.float64).eps
+        for seed in range(4):
+            g, feats, params = generate_instance(40, 3, 4, seed=seed)
+            upstream = np.random.default_rng(seed).standard_normal(4)
+            for node in range(40):
+                trace = forward_with_trace(params, g, feats, node)
+                slopes = leaky_relu_slopes(trace, params.negative_slope)
+                totals = projection_totals(trace)
+                n = trace.num_neighbors
+                coeff = np.zeros(4)
+                magnitude = np.zeros(4)
+                for k in range(n):
+                    for j in range(k + 1, n):
+                        pair = trace.alpha[k] * trace.alpha[j] * (totals[k] - totals[j])
+                        coeff += pair * (slopes[k] - slopes[j])
+                        magnitude += np.abs(pair * (slopes[k] - slopes[j]))
+                row_scale = upstream * params.att
+                want = np.outer(row_scale * coeff, trace.h_aug_target)
+                got = grad_theta_r_pairwise(trace, params, upstream)
+                bound = 2 * n * eps * np.outer(np.abs(row_scale) * magnitude,
+                                               np.abs(trace.h_aug_target))
+                assert np.all(np.abs(got - want) <= bound), node
+
+
+def permuted(graph, feats, perm):
+    """The instance with node i renamed perm[i], edges in the same order."""
+    edges = tuple((int(perm[i]), int(perm[j])) for i, j in graph.edges)
+    out = np.empty_like(feats)
+    out[perm] = feats
+    return Graph(graph.num_nodes, edges), out
+
+
+def neighbor_order_reversed(graph):
+    edges = tuple(
+        (i, j) for i in range(graph.num_nodes) for j in reversed(graph.neighbors(i))
+    )
+    return Graph(graph.num_nodes, edges)
+
+
+instance_shapes = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=3, max_value=9),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+class TestMetamorphic:
+    @given(instance_shapes)
+    def test_node_relabelling_is_bit_identical(self, shape):
+        seed, n, h, d = shape
+        graph, feats, params = generate_instance(n, h, d, seed=seed)
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        upstream = rng.standard_normal(d)
+        graph2, feats2 = permuted(graph, feats, perm)
+        for node in range(n):
+            a = forward_with_trace(params, graph, feats, node)
+            b = forward_with_trace(params, graph2, feats2, int(perm[node]))
+            assert b.neighbors == tuple(int(perm[j]) for j in a.neighbors)
+            assert a.h_out.tobytes() == b.h_out.tobytes()
+            assert a.alpha.tobytes() == b.alpha.tobytes()
+            chain_a = backward_chain(a, params, upstream).as_dict()
+            chain_b = backward_chain(b, params, upstream).as_dict()
+            for key, block in chain_a.items():
+                assert block.tobytes() == chain_b[key].tobytes(), key
+
+    @settings(deadline=None, max_examples=40)
+    @given(instance_shapes)
+    def test_neighbor_order_reversal(self, shape):
+        """h_out is order-free to rounding, alpha reverses, the oracle agrees."""
+        seed, n, h, d = shape
+        graph, feats, params = generate_instance(n, h, d, seed=seed)
+        upstream = np.random.default_rng(seed).standard_normal(d)
+        graph2 = neighbor_order_reversed(graph)
+        config = FdConfig(tolerance=1e-12)
+        for node in range(n):
+            a = forward_with_trace(params, graph, feats, node)
+            b = forward_with_trace(params, graph2, feats, node)
+            assert b.neighbors == a.neighbors[::-1]
+            scale = max(1.0, float(np.abs(a.h_out).max()))
+            assert np.abs(a.h_out - b.h_out).max() <= 1e-13 * scale
+            np.testing.assert_allclose(b.alpha, a.alpha[::-1], rtol=1e-13, atol=0)
+            chain = backward_chain(b, params, upstream)
+            numeric = fd_gradient(params, graph2, feats, node, upstream, config)
+            report = compare_gradients(chain, numeric, config)
+            assert report.passed, {k: c.max_rel_err for k, c in report.checks.items()}
 
 
 class TestGradThetaL:
