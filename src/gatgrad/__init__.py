@@ -7,7 +7,7 @@ gradient pathologies the closed forms expose.
 """
 
 from .diagnostics import closed_form_gap, diagnose
-from .fdcheck import FdConfig, compare_gradients, fd_gradient
+from .fdcheck import compare_gradients, fd_gradient
 from .gen import generate_instance
 from .grads import (
     GradientSet,
@@ -23,7 +23,7 @@ from .grads import (
     relative_error,
     softmax_jacobian,
 )
-from .graph import Graph, augment, load_graph, save_graph
+from .graph import Graph, load_graph, save_graph
 from .layer import (
     ForwardTrace,
     LayerParams,
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "augment",
     "load_graph",
     "save_graph",
     "LayerParams",
@@ -60,7 +59,6 @@ __all__ = [
     "grad_att",
     "backward_chain",
     "gradient_set_to_json_dict",
-    "FdConfig",
     "fd_gradient",
     "compare_gradients",
     "closed_form_gap",

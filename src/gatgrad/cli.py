@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .diagnostics import closed_form_gap, diagnose
-from .fdcheck import COMPLEX_STEP, FdConfig, compare_gradients, fd_gradient
+from .fdcheck import COMPLEX_STEP, compare_gradients, fd_gradient
 from .gen import generate_instance
 from .grads import (
     GradientSet,
@@ -82,6 +82,9 @@ def _upstream_vector(mode: str, out_dim: int, rng: np.random.Generator) -> np.nd
             raise ValueError(
                 f"upstream file {path} has shape {vec.shape}, expected ({out_dim},)"
             )
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            raise ValueError(f"upstream file {path} has a non-finite entry at index {bad[0]}")
         return vec
     raise ValueError(f"unknown upstream mode {mode!r}")
 
@@ -125,7 +128,6 @@ def cmd_forward(args) -> int:
 def cmd_gradcheck(args) -> int:
     graph, features = load_graph(args.graph)
     params = load_params(args.params)
-    config = FdConfig(tolerance=args.tol)
     rng = np.random.default_rng(args.seed)
     mode = _mode_label(args.upstream)
     entries = []
@@ -134,8 +136,8 @@ def cmd_gradcheck(args) -> int:
         trace = forward_with_trace(params, graph, features, node)
         upstream = _upstream_vector(args.upstream, params.out_dim, rng)
         chain = backward_chain(trace, params, upstream)
-        numeric = fd_gradient(params, graph, features, node, upstream, config)
-        report = compare_gradients(chain, numeric, config)
+        numeric = fd_gradient(params, graph, features, node, upstream)
+        report = compare_gradients(chain, numeric, args.tol)
         node_passed = report.passed
         entry = {
             "node": node,
@@ -152,7 +154,7 @@ def cmd_gradcheck(args) -> int:
                 bias=grad_bias(upstream),
             )
             closed_report = compare_gradients(
-                closed, numeric, config, keys=("theta_R", "theta_L", "b")
+                closed, numeric, args.tol, keys=("theta_R", "theta_L", "b")
             )
             node_passed &= closed_report.passed
             entry["closed_form"] = {
@@ -172,7 +174,7 @@ def cmd_gradcheck(args) -> int:
         payload = {
             "nodes": entries,
             "step": COMPLEX_STEP,
-            "tolerance": config.tolerance,
+            "tolerance": args.tol,
             "seed": args.seed,
             "pass": all_passed,
         }

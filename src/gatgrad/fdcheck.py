@@ -8,8 +8,8 @@ step i*h through one evaluation of the layer: dL/dp = Im L(p + i h) / h has
 no subtractive cancellation (Squire & Trapp, SIAM Review 40(1), 1998), so
 h = 1e-30 leaves only the rounding of that evaluation. The layer is analytic
 along every entry away from a LeakyReLU kink; a node with a pre-activation
-near one has all its entries flagged and excluded from the verdict, since
-the derivative there is convention-dependent.
+within KINK_GUARD of one has all its entries flagged and excluded from the
+verdict, since the derivative there is convention-dependent.
 
 That rounding is reported as `resolution`, a few ulps of the loss taken on
 absolute values, and compare_gradients confirms entries that differ by no
@@ -29,7 +29,7 @@ from .grads import PARAM_KEYS, GradientSet, _check_upstream, relative_error
 from .graph import Graph
 from .layer import LayerParams, _propagate, forward_with_trace
 
-__all__ = ["FdConfig", "fd_gradient", "compare_gradients"]
+__all__ = ["fd_gradient", "compare_gradients"]
 
 # Imaginary step of the complex-step derivative; reported as the `step` key.
 COMPLEX_STEP = 1e-30
@@ -37,17 +37,8 @@ COMPLEX_STEP = 1e-30
 # Rounding amplification allowed for one loss evaluation, in units of eps.
 RESOLUTION_ULPS = 64.0
 
-
-@dataclass(frozen=True)
-class FdConfig:
-    tolerance: float = 1e-6
-    kink_guard: float = 1e-4
-
-    def __post_init__(self) -> None:
-        for name in ("tolerance", "kink_guard"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+# An unperturbed |pre-activation| below this flags every entry of the node.
+KINK_GUARD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,7 @@ class FdGradient:
 
     kink_flags maps each wire name to a boolean mask of entries excluded
     from the verdict: all of them when some unperturbed |pre-activation| is
-    below the kink guard. resolution is the smallest analytic/numeric
+    below KINK_GUARD. resolution is the smallest analytic/numeric
     difference the oracle can resolve for this node.
     """
 
@@ -71,7 +62,6 @@ def fd_gradient(
     features: np.ndarray,
     node: int,
     upstream: np.ndarray,
-    config: FdConfig = FdConfig(),
 ) -> FdGradient:
     """Complex-step derivative of the loss upstream . h_out over every parameter entry.
 
@@ -81,7 +71,7 @@ def fd_gradient(
     """
     g = _check_upstream(upstream, params.out_dim)
     base = forward_with_trace(params, graph, features, node)
-    near_kink = bool((np.abs(base.pre_act) < config.kink_guard).any())
+    near_kink = bool((np.abs(base.pre_act) < KINK_GUARD).any())
     blocks = [params.theta_r, params.theta_l, params.att, params.bias]
     grads: list[np.ndarray] = []
     for pos, base_block in enumerate(blocks):
@@ -165,7 +155,7 @@ def _indices(mask: np.ndarray) -> tuple:
 def compare_gradients(
     analytic: GradientSet,
     numeric: FdGradient | GradientSet,
-    config: FdConfig = FdConfig(),
+    tolerance: float = 1e-6,
     keys: tuple[str, ...] = PARAM_KEYS,
 ) -> GradCheckReport:
     """Compare analytic gradients against the oracle, parameter by parameter.
@@ -173,8 +163,11 @@ def compare_gradients(
     An entry passes when its relative error is within the tolerance, or when
     its disagreement sits within the oracle resolution: both values then
     agree to within the rounding of one evaluation. Kink-flagged entries are
-    excluded from the verdict and listed.
+    excluded from the verdict and listed. The tolerance must be positive
+    and finite.
     """
+    if not (tolerance > 0.0 and math.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if isinstance(numeric, FdGradient):
         numeric_sets = numeric.grads.as_dict()
         flags = numeric.kink_flags
@@ -193,7 +186,7 @@ def compare_gradients(
         flag = flags.get(key, np.zeros(x.shape, dtype=bool))
         rel = relative_error(x, y)
         below_res = np.abs(x - y) <= resolution
-        passed = bool(np.all((rel <= config.tolerance) | below_res | flag))
+        passed = bool(np.all((rel <= tolerance) | below_res | flag))
         judged = ~flag & ~below_res
         if judged.any():
             masked = np.where(judged, rel, -1.0)
@@ -215,7 +208,7 @@ def compare_gradients(
         all_passed &= passed
     return GradCheckReport(
         checks=checks,
-        tolerance=config.tolerance,
+        tolerance=tolerance,
         resolution=resolution,
         passed=all_passed,
     )

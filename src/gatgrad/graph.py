@@ -3,6 +3,10 @@
 An edge (i, j) makes node j a message source for target node i. Neighbor
 lists keep the edge-file insertion order; gradient code indexes neighbors
 positionally, so that order must be reproducible across runs.
+
+Features are stored as given, one row per node. The layer prefixes the
+constant 1 of the augmented row h_aug = [1, h] itself, when it gathers a
+target node's row and its neighbors' rows in one indexing step.
 """
 
 from __future__ import annotations
@@ -12,26 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Graph", "augment", "load_graph", "save_graph"]
-
-
-def augment(h: np.ndarray) -> np.ndarray:
-    """Prefix a feature vector with a constant 1.
-
-    The leading 1 lets the first column of a weight matrix act as an
-    additive bias. Non-finite entries are rejected with their index.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1:
-        raise ValueError(f"expected a 1-D feature vector, got shape {h.shape}")
-    bad = np.flatnonzero(~np.isfinite(h))
-    if bad.size:
-        raise ValueError(f"non-finite feature entry at index {int(bad[0])}")
-    out = np.empty(h.size + 1)
-    out[0] = 1.0
-    out[1:] = h
-    out.setflags(write=False)
-    return out
+__all__ = ["Graph", "load_graph", "save_graph"]
 
 
 def _index(value, key: str) -> int:

@@ -6,10 +6,13 @@ The update for target node i with neighbors j is
     alpha       = softmax over the neighbor scores
     h_out(i)    = bias + sum_j alpha[j] * (theta_l @ h_aug(j))
 
-All arithmetic is 64-bit. forward_with_trace caches every intermediate so
-the backward pass can be assembled without recomputation; the arithmetic
-itself lives in one private function that the complex-step oracle also
-calls, in complex arithmetic, on imaginary-perturbed parameter blocks.
+where h_aug(j) = [1, h(j)]. All arithmetic is 64-bit. forward_with_trace
+gathers the augmented rows of the target and its neighbors in one step (one
+indexing of the feature matrix, one finite check) and caches every
+intermediate so the backward pass can be assembled without recomputation;
+the arithmetic itself lives in one private function that the complex-step
+oracle also calls, in complex arithmetic, on imaginary-perturbed parameter
+blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _index, _numbers, _write_json, augment
+from .graph import Graph, _index, _numbers, _write_json
 
 __all__ = [
     "LayerParams",
@@ -171,8 +174,9 @@ def forward_with_trace(
 ) -> ForwardTrace:
     """Evaluate the layer for one target node, caching all intermediates.
 
-    Pure function of its arguments: repeated calls produce bit-identical
-    traces.
+    A non-finite feature entry of the target or a neighbor is rejected,
+    naming the node and the feature index. Pure function of its arguments:
+    repeated calls produce bit-identical traces.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != graph.num_nodes:
@@ -184,11 +188,16 @@ def forward_with_trace(
             f"feature dim {features.shape[1]} != params feature dim {params.feature_dim}"
         )
     nbrs = graph.neighbors(node)
-    h_aug_target = augment(features[node])
-    if nbrs:
-        h_aug_sources = np.stack([augment(features[j]) for j in nbrs])
-    else:
-        h_aug_sources = np.zeros((0, params.feature_dim + 1))
+    ids = [node, *nbrs]
+    block = np.empty((len(ids), features.shape[1] + 1))
+    block[:, 0] = 1.0
+    block[:, 1:] = features[ids]
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"non-finite feature entry at index {col - 1} of node {ids[row]}")
+    block.setflags(write=False)
+    h_aug_target, h_aug_sources = block[0], block[1:]
     arrays = _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
         params.negative_slope, h_aug_target, h_aug_sources,

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from gatgrad import (
-    FdConfig,
     Graph,
     GradientSet,
     LayerParams,
@@ -69,13 +68,12 @@ def upstream_pairs(instances):
 def test_criterion_1_oracle_agreement(instances):
     """Chain vs the complex-step oracle, 1e-12 relative, both upstream modes."""
     with criterion(1, "backward chain matches the complex-step oracle at 1e-12"):
-        config = FdConfig(tolerance=1e-12)
         start = time.monotonic()
         checked = 0
         for trace, graph, feats, params, upstream in upstream_pairs(instances):
             chain = backward_chain(trace, params, upstream)
-            numeric = fd_gradient(params, graph, feats, trace.node, upstream, config)
-            report = compare_gradients(chain, numeric, config)
+            numeric = fd_gradient(params, graph, feats, trace.node, upstream)
+            report = compare_gradients(chain, numeric, 1e-12)
             assert report.passed, (
                 trace.node,
                 {k: c.max_rel_err for k, c in report.checks.items()},
@@ -183,13 +181,12 @@ def test_criterion_5_softmax_laws():
 def test_criterion_6_closed_forms_match_oracle(instances):
     """Closed forms vs the complex-step oracle, 1e-12 relative, uniform upstream."""
     with criterion(6, "closed forms match the complex-step oracle at 1e-12"):
-        config = FdConfig(tolerance=1e-12)
         checked = 0
         for graph, feats, params, d in instances:
             upstream = np.ones(d)
             for node in range(graph.num_nodes):
                 trace = forward_with_trace(params, graph, feats, node)
-                numeric = fd_gradient(params, graph, feats, node, upstream, config)
+                numeric = fd_gradient(params, graph, feats, node, upstream)
                 for theta_r in (grad_theta_r_sum, grad_theta_r_pairwise):
                     closed = GradientSet(
                         theta_r=theta_r(trace, params, upstream),
@@ -198,7 +195,7 @@ def test_criterion_6_closed_forms_match_oracle(instances):
                         bias=grad_bias(upstream),
                     )
                     report = compare_gradients(
-                        closed, numeric, config, keys=("theta_R", "theta_L", "b")
+                        closed, numeric, 1e-12, keys=("theta_R", "theta_L", "b")
                     )
                     assert report.passed, (
                         node,

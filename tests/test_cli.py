@@ -254,6 +254,20 @@ class TestGradcheck:
         assert code == 2
         assert str(vec_path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["gradcheck", "diagnose"])
+    def test_non_finite_upstream_file(self, instance, capsys, verb):
+        tmp_path, graph_path, params_path = instance
+        vec_path = tmp_path / "upstream.json"
+        vec_path.write_text("[1, Infinity, 2]")
+        out = tmp_path / "r.json"
+        code = main(
+            [verb, "--graph", str(graph_path), "--params", str(params_path),
+             "--node", "0", "--upstream", f"file:{vec_path}", "--out", str(out)]
+        )
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert str(vec_path) in err and "index 1" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_exit_2(self, instance, tol):
         tmp_path, graph_path, params_path = instance

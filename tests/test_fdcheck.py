@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gatgrad import (
-    FdConfig,
     Graph,
     GradientSet,
     LayerParams,
@@ -14,6 +13,7 @@ from gatgrad import (
     forward_with_trace,
     generate_instance,
 )
+from gatgrad.fdcheck import KINK_GUARD
 
 
 class TestEvaluateLoss:
@@ -32,20 +32,20 @@ class TestEvaluateLoss:
 
 
 class TestFdConfig:
+    """The oracle's fixed kink guard and the tolerance compare_gradients takes."""
+
+    def setup_method(self):
+        g, feats, params = generate_instance(4, 2, 3, seed=7)
+        self.numeric = fd_gradient(params, g, feats, 0, np.ones(3))
+
     def test_defaults(self):
-        config = FdConfig()
-        assert config.tolerance == 1e-6
-        assert config.kink_guard == 1e-4
+        assert compare_gradients(self.numeric.grads, self.numeric).tolerance == 1e-6
+        assert KINK_GUARD == 1e-4
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
     def test_tolerance_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
-            FdConfig(tolerance=tol)
-
-    @pytest.mark.parametrize("guard", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_kink_guard_positive_and_finite(self, guard):
-        with pytest.raises(ValueError, match="kink_guard"):
-            FdConfig(kink_guard=guard)
+            compare_gradients(self.numeric.grads, self.numeric, tol)
 
 
 class TestFdGradient:
@@ -166,13 +166,13 @@ class TestCompareGradients:
         """1e-9 relative on the largest theta_L entry passes at the default
         tolerance and fails at 1e-10, named; the clean chain passes at 1e-12."""
         numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
-        assert compare_gradients(self.chain, numeric, FdConfig(tolerance=1e-12)).passed
+        assert compare_gradients(self.chain, numeric, 1e-12).passed
         bad = self.chain.theta_l.copy()
         worst = np.unravel_index(np.argmax(np.abs(bad)), bad.shape)
         bad[worst] *= 1.0 + 1e-9
         corrupted = GradientSet(self.chain.theta_r, bad, self.chain.att, self.chain.bias)
         assert compare_gradients(corrupted, numeric).passed
-        report = compare_gradients(corrupted, numeric, FdConfig(tolerance=1e-10))
+        report = compare_gradients(corrupted, numeric, 1e-10)
         assert not report.passed
         failing = [k for k, c in report.checks.items() if not c.passed]
         assert failing == ["theta_L"]

@@ -7,14 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gatgrad import Graph, augment, load_graph, save_graph
+from gatgrad import Graph, LayerParams, forward_with_trace, load_graph, save_graph
 
 finite_features = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=0, max_size=8
 )
 
 
+def augmented_trace(features, edges=((0, 0),), node=0):
+    """Trace of one node of a graph over `features`, with all-zero weights."""
+    features = np.array(features, dtype=np.float64)
+    n, h = features.shape
+    zeros = np.zeros((1, h + 1))
+    params = LayerParams(zeros, zeros, [1.0], [0.0])
+    return forward_with_trace(params, Graph(n, tuple(edges)), features, node)
+
+
 class TestAugment:
+    """The layer gathers augmented rows [1, h] of a node and its neighbors."""
+
     @pytest.mark.parametrize(
         "h, expected",
         [
@@ -24,29 +35,40 @@ class TestAugment:
         ],
     )
     def test_prefixes_constant_one(self, h, expected):
-        assert augment(np.array(h)).tolist() == expected
+        trace = augmented_trace([h])
+        assert trace.h_aug_target.tolist() == expected
+        assert trace.h_aug_sources.tolist() == [expected]
 
     def test_rejects_non_finite_with_index(self):
-        with pytest.raises(ValueError, match="index 1"):
-            augment(np.array([0.0, np.nan, 2.0]))
-        with pytest.raises(ValueError, match="index 0"):
-            augment(np.array([np.inf]))
+        edges = ((0, 1), (0, 2))
+        with pytest.raises(ValueError, match="index 1 of node 0"):
+            augmented_trace([[0.0, np.nan], [1.0, 2.0], [3.0, 4.0]], edges)
+        with pytest.raises(ValueError, match="index 0 of node 2"):
+            augmented_trace([[0.0, 1.0], [1.0, 2.0], [np.inf, 4.0]], edges)
 
     def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError):
-            augment(np.zeros((2, 2)))
+        """The feature matrix must be 2-D, one row per node."""
+        params = LayerParams([[0.0, 0.0]], [[0.0, 0.0]], [1.0], [0.0])
+        graph = Graph(1, ((0, 0),))
+        for features in (np.zeros((1, 1, 1)), np.zeros(1)):
+            with pytest.raises(ValueError, match="does not cover"):
+                forward_with_trace(params, graph, features, 0)
 
     @given(finite_features)
     def test_leading_one_and_exact_roundtrip(self, h):
-        """augment is injective: the original vector is recoverable exactly."""
-        out = augment(np.array(h))
-        assert out[0] == 1.0
-        assert out[1:].tolist() == h
+        """Augmenting is injective: the original row is recoverable exactly."""
+        trace = augmented_trace([h, [0.5] * len(h)], ((0, 1), (0, 0)))
+        assert trace.h_aug_target[0] == 1.0
+        assert trace.h_aug_target[1:].tolist() == h
+        assert trace.h_aug_sources[:, 0].tolist() == [1.0, 1.0]
+        assert trace.h_aug_sources[1, 1:].tolist() == h
 
     def test_result_is_read_only(self):
-        out = augment(np.array([1.0]))
+        trace = augmented_trace([[1.0]])
         with pytest.raises(ValueError):
-            out[0] = 2.0
+            trace.h_aug_target[0] = 2.0
+        with pytest.raises(ValueError):
+            trace.h_aug_sources[0, 1] = 2.0
 
 
 class TestGraph:

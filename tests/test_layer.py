@@ -1,5 +1,6 @@
 """Forward pass: scoring, neighbor softmax, aggregation, trace caching."""
 
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from gatgrad import (
     Graph,
     LayerParams,
-    augment,
     forward_with_trace,
     generate_instance,
     leaky_relu,
@@ -19,6 +19,7 @@ from gatgrad import (
     neighbor_softmax,
     save_params,
 )
+from gatgrad.layer import ForwardTrace, _propagate
 
 
 def attention_score(params, h_aug_target, h_aug_source):
@@ -31,6 +32,30 @@ def update_node(params, alpha, source_proj):
     """Reference: bias plus the attention-weighted sum of projected sources."""
     messages = np.asarray(alpha)[:, None] * np.asarray(source_proj)
     return params.bias + messages.sum(axis=0)
+
+
+def forward_per_neighbor(params, graph, features, node):
+    """Reference trace: augmented rows [1, *h] built one neighbor at a time."""
+    nbrs = graph.neighbors(node)
+    h_aug_target = np.array([1.0, *features[node]])
+    if nbrs:
+        h_aug_sources = np.stack([np.array([1.0, *features[j]]) for j in nbrs])
+    else:
+        h_aug_sources = np.zeros((0, params.feature_dim + 1))
+    arrays = _propagate(
+        params.theta_r, params.theta_l, params.att, params.bias,
+        params.negative_slope, h_aug_target, h_aug_sources,
+    )
+    return ForwardTrace(node, nbrs, h_aug_target, h_aug_sources, *arrays)
+
+
+def isolated_and_self_loop(seed, n=6, h=3, d=4):
+    """A seeded instance where node 0 has no neighbors and node 1 lists itself."""
+    graph, feats, params = generate_instance(n, h, d, seed=seed)
+    edges = [e for e in graph.edges if e[0] != 0]
+    if (1, 1) not in edges:
+        edges.append((1, 1))
+    return Graph(n, tuple(edges)), feats, params
 
 
 score_vectors = st.lists(
@@ -89,22 +114,22 @@ class TestLeakyRelu:
 class TestAttentionScore:
     def test_zero_attention_vector(self):
         p = simple_params(att=[0.0])
-        assert attention_score(p, augment([1.0]), augment([2.0])) == 0.0
+        assert attention_score(p, np.array([1.0, 1.0]), np.array([1.0, 2.0])) == 0.0
 
     def test_zero_weights(self):
         p = simple_params(theta_r=[[0.0, 0.0]], theta_l=[[0.0, 0.0]])
-        assert attention_score(p, augment([4.0]), augment([-7.0])) == 0.0
+        assert attention_score(p, np.array([1.0, 4.0]), np.array([1.0, -7.0])) == 0.0
 
     def test_hand_value(self):
         # pre-activation 1 + (-2) = -1, LeakyReLU -> -0.2, dotted with 3.
         p = simple_params()
-        score = attention_score(p, augment([1.0]), augment([2.0]))
+        score = attention_score(p, np.array([1.0, 1.0]), np.array([1.0, 2.0]))
         assert score == pytest.approx(-0.6, rel=1e-12)
 
     def test_shape_mismatch(self):
         p = simple_params()
         with pytest.raises(ValueError):
-            attention_score(p, augment([1.0, 2.0]), augment([2.0]))
+            attention_score(p, np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 class TestNeighborSoftmax:
@@ -192,7 +217,9 @@ class TestForwardWithTrace:
         g, feats, params = generate_instance(5, 3, 4, seed=42)
         trace = forward_with_trace(params, g, feats, 0)
         for k, j in enumerate(trace.neighbors):
-            expect = attention_score(params, augment(feats[0]), augment(feats[j]))
+            expect = attention_score(
+                params, np.array([1.0, *feats[0]]), np.array([1.0, *feats[j]])
+            )
             assert trace.scores[k] == pytest.approx(expect, rel=1e-13)
 
     def test_seeded_instance_properties(self):
@@ -244,6 +271,20 @@ class TestForwardWithTrace:
             lo = trace.source_proj.min(axis=0) - 1e-12
             hi = trace.source_proj.max(axis=0) + 1e-12
             assert ((pulled >= lo) & (pulled <= hi)).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gathered_rows_match_per_neighbor_reference(self, seed):
+        """Every trace field equals the one-neighbor-at-a-time build, bit for bit."""
+        graph, feats, params = isolated_and_self_loop(seed)
+        assert graph.neighbors(0) == () and 1 in graph.neighbors(1)
+        for node in range(graph.num_nodes):
+            trace = forward_with_trace(params, graph, feats, node)
+            expect = forward_per_neighbor(params, graph, feats, node)
+            assert trace.node == expect.node and trace.neighbors == expect.neighbors
+            for field in dataclasses.fields(ForwardTrace)[2:]:
+                got, want = getattr(trace, field.name), getattr(expect, field.name)
+                assert got.shape == want.shape, field.name
+                assert np.array_equal(got, want), field.name
 
     def test_feature_dim_mismatch(self):
         g, feats, params = generate_instance(4, 2, 2, seed=3)
