@@ -27,6 +27,7 @@ from .graph import Graph, load_graph, save_graph
 from .layer import (
     ForwardTrace,
     LayerParams,
+    forward_graph,
     forward_with_trace,
     leaky_relu,
     load_params,
@@ -45,6 +46,7 @@ __all__ = [
     "leaky_relu",
     "neighbor_softmax",
     "forward_with_trace",
+    "forward_graph",
     "load_params",
     "save_params",
     "GradientSet",

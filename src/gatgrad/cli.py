@@ -29,7 +29,7 @@ from .grads import (
     gradient_set_to_json_dict,
 )
 from .graph import _numbers, _write_json, load_graph, save_graph
-from .layer import forward_with_trace, load_params, save_params
+from .layer import forward_graph, forward_with_trace, load_params, save_params
 
 __all__ = ["main", "run"]
 
@@ -101,26 +101,25 @@ def cmd_gen(args) -> int:
     save_params(args.params, params)
     # Round-trip self check: the written files must load back and run.
     graph2, features2 = load_graph(args.graph)
-    params2 = load_params(args.params)
-    for node in range(graph2.num_nodes):
-        forward_with_trace(params2, graph2, features2, node)
+    forward_graph(load_params(args.params), graph2, features2)
     return 0
 
 
 def cmd_forward(args) -> int:
     graph, features = load_graph(args.graph)
     params = load_params(args.params)
-    entries = []
-    for node in _select_nodes(args, graph):
-        trace = forward_with_trace(params, graph, features, node)
-        entries.append(
-            {
-                "node": node,
-                "neighbors": list(trace.neighbors),
-                "alpha": trace.alpha.tolist(),
-                "h_out": trace.h_out.tolist(),
-            }
-        )
+    nodes = _select_nodes(args, graph)
+    alpha, h_out = forward_graph(params, graph, features)
+    alpha, h_out, offsets = alpha.tolist(), h_out.tolist(), graph.offsets.tolist()
+    entries = [
+        {
+            "node": node,
+            "neighbors": list(graph.neighbor_lists[node]),
+            "alpha": alpha[offsets[node] : offsets[node + 1]],
+            "h_out": h_out[node],
+        }
+        for node in nodes
+    ]
     _write_json(args.out, {"nodes": entries})
     return 0
 

@@ -20,6 +20,7 @@ rounding residues whose relative error means nothing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .grads import PARAM_KEYS, GradientSet, _check_upstream, relative_error
 from .graph import Graph
-from .layer import LayerParams, _propagate, forward_with_trace
+from .layer import _ONE_SEGMENT, LayerParams, _propagate, forward_with_trace
 
 __all__ = ["fd_gradient", "compare_gradients"]
 
@@ -66,25 +67,28 @@ def fd_gradient(
     """Complex-step derivative of the loss upstream . h_out over every parameter entry.
 
     The node is evaluated once through forward_with_trace; each entry then
-    costs one evaluation of the layer arithmetic on the cached augmented
-    features, with that entry carrying the imaginary step.
+    costs one one-segment evaluation of the layer arithmetic on the cached
+    augmented features, with that entry carrying the imaginary step.
     """
     g = _check_upstream(upstream, params.out_dim)
     base = forward_with_trace(params, graph, features, node)
     near_kink = bool((np.abs(base.pre_act) < KINK_GUARD).any())
     blocks = [params.theta_r, params.theta_l, params.att, params.bias]
+    targets = base.h_aug_target[None, :]
+    # Complex once, as every product with the complex h_out would cast it.
+    g_complex = g.astype(complex)
     grads: list[np.ndarray] = []
     for pos, base_block in enumerate(blocks):
+        work = base_block.astype(complex)
+        entries, originals = work.reshape(-1), base_block.reshape(-1)
+        args = [*blocks[:pos], work, *blocks[pos + 1 :], params.negative_slope, targets]
         grad = np.zeros(base_block.size)
         for idx in range(base_block.size):
-            work = base_block.astype(complex)
-            work.reshape(-1)[idx] += 1j * COMPLEX_STEP
-            h_out = _propagate(
-                *blocks[:pos], work, *blocks[pos + 1 :],
-                params.negative_slope, base.h_aug_target, base.h_aug_sources,
-            )[-1]
-            loss = g @ h_out
-            if not np.isfinite(loss):
+            entries[idx] += 1j * COMPLEX_STEP
+            h_out = _propagate(*args, base.h_aug_sources, _ONE_SEGMENT)[-1][0]
+            entries[idx] = originals[idx]
+            loss = g_complex @ h_out
+            if not cmath.isfinite(loss):
                 raise ValueError("non-finite loss at a perturbed point")
             grad[idx] = loss.imag / COMPLEX_STEP
         grads.append(grad.reshape(base_block.shape))

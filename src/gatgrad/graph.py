@@ -4,6 +4,12 @@ An edge (i, j) makes node j a message source for target node i. Neighbor
 lists keep the edge-file insertion order; gradient code indexes neighbors
 positionally, so that order must be reproducible across runs.
 
+Each graph also carries a compressed sparse row (CSR) view of the same
+lists for the whole-graph passes: `sources` holds every neighbor list, one
+after another in node order, and node i's neighbors are
+`sources[offsets[i]:offsets[i + 1]]`. Edge k of that order is edge k of
+the attention weights `layer.forward_graph` returns.
+
 Features are stored as given, one row per node. The layer prefixes the
 constant 1 of the augmented row h_aug = [1, h] itself, when it gathers a
 target node's row and its neighbors' rows in one indexing step.
@@ -11,6 +17,7 @@ target node's row and its neighbors' rows in one indexing step.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -56,12 +63,16 @@ class Graph:
     The node count and edge endpoints must be integers, never bools, floats
     or strings. Duplicate edges are rejected outright: a duplicated neighbor
     would be double-counted by the aggregation step. Self-loops are honored
-    only if they appear explicitly in the edge list.
+    only if they appear explicitly in the edge list. `sources` and `offsets`
+    are the read-only int64 CSR view of `neighbor_lists`, shapes (E,) and
+    (num_nodes + 1,).
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
     neighbor_lists: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    sources: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = _index(self.num_nodes, "num_nodes")
@@ -80,13 +91,19 @@ class Graph:
                 i, j = _index(i, f"edges entry {edge!r}"), _index(j, f"edges entry {edge!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-            if (i, j) in seen:
+            pair = (i, j)
+            if pair in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            edges.append((i, j))
+            seen.add(pair)
+            edges.append(pair)
             lists[i].append(j)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "neighbor_lists", tuple(tuple(l) for l in lists))
+        sources = np.fromiter(itertools.chain.from_iterable(lists), np.int64, len(edges))
+        offsets = np.fromiter(itertools.accumulate(map(len, lists), initial=0), np.int64, n + 1)
+        for name, arr in (("sources", sources), ("offsets", offsets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Message sources of node i, in edge insertion order."""

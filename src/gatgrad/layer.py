@@ -6,13 +6,24 @@ The update for target node i with neighbors j is
     alpha       = softmax over the neighbor scores
     h_out(i)    = bias + sum_j alpha[j] * (theta_l @ h_aug(j))
 
-where h_aug(j) = [1, h(j)]. All arithmetic is 64-bit. forward_with_trace
-gathers the augmented rows of the target and its neighbors in one step (one
-indexing of the feature matrix, one finite check) and caches every
-intermediate so the backward pass can be assembled without recomputation;
-the arithmetic itself lives in one private function that the complex-step
-oracle also calls, in complex arithmetic, on imaginary-perturbed parameter
-blocks.
+where h_aug(j) = [1, h(j)]. All arithmetic is 64-bit.
+
+The arithmetic lives in one private core over edge segments: it takes the
+augmented rows of m targets and of their neighbors, one contiguous segment
+of edges per target, projects both, spreads each target's projection over
+its segment, and takes the softmax and the aggregation per segment
+(np.maximum.reduceat / np.add.reduceat, as DGL's edge_softmax). Every
+caller goes through it:
+
+- forward_with_trace evaluates one node as the one-segment case, caching
+  every intermediate so the backward pass can be assembled without
+  recomputation. A lone segment is reduced with the plain reductions, so a
+  node's trace rounds exactly as the per-node formulas do.
+- forward_graph evaluates every node in one edge-parallel pass over the
+  graph's CSR view, in chunks of at most EDGE_BUDGET edges that never split
+  a node; diagnostics.diagnose runs on the same chunks.
+- The complex-step oracle re-runs the one-segment core, in complex
+  arithmetic, on imaginary-perturbed parameter blocks.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ __all__ = [
     "leaky_relu",
     "neighbor_softmax",
     "forward_with_trace",
+    "forward_graph",
     "load_params",
     "save_params",
 ]
@@ -92,21 +104,29 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x.real > 0.0, x, slope * x)
 
 
+# The one segment of a single node's evaluation.
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+_ONE_SEGMENT.setflags(write=False)
+
+# Edges the whole-graph passes evaluate at once. It bounds their working
+# memory to a few dozen arrays of EDGE_BUDGET x D floats (a few MB at
+# D = 16) on any graph, while the Python overhead per chunk stays negligible.
+EDGE_BUDGET = 1 << 12
+
+
 def neighbor_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over a node's neighbor scores.
 
     The maximum is subtracted before exponentiation; this changes nothing in
     exact arithmetic and keeps the exponent bounded in floating point; for
     complex scores the maximum is taken over the real parts. An empty input
-    yields an empty result.
+    yields an empty result. This is the one-segment case of the layer's
+    segment softmax.
     """
     s = np.asarray(scores)
-    if s.size == 0:
-        return np.zeros(0)
-    if not np.isfinite(s).all():
-        raise ValueError("non-finite attention score")
-    z = np.exp(s - s.real.max())
-    return z / z.sum()
+    if s.dtype.kind not in "fc":
+        s = s.astype(np.float64)
+    return _segment_softmax(s, _ONE_SEGMENT)
 
 
 @dataclass(frozen=True)
@@ -152,32 +172,67 @@ class ForwardTrace:
         return len(self.neighbors)
 
 
-def _propagate(theta_r, theta_l, att, bias, slope, h_aug_target, h_aug_sources) -> tuple:
+def _segment_ids(starts: np.ndarray, num_edges: int):
+    """Index that spreads per-segment rows over the edges: each edge's segment.
+
+    A lone segment's rows, of leading length 1, broadcast over its edges as
+    they are, so its index is the whole array.
+    """
+    if len(starts) == 1:
+        return Ellipsis
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=num_edges))
+
+
+def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum over each segment of the leading axis; segment k begins at starts[k].
+
+    Segments are non-empty, except that a lone segment may be empty. A lone
+    segment is summed whole, exactly as values.sum(axis=0), so a one-node
+    evaluation rounds as the per-node formulas do.
+    """
+    if len(starts) == 1:
+        return values.sum(axis=0, keepdims=True)
+    return np.add.reduceat(values, starts, axis=0)
+
+
+def _segment_softmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Softmax within each segment of scores, shifted by the segment's largest real part."""
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite attention score")
+    seg = _segment_ids(starts, len(scores))
+    if len(starts) == 1:
+        top = scores.real.max(initial=-np.inf, keepdims=True)
+    else:
+        top = np.maximum.reduceat(scores.real, starts)
+    z = np.exp(scores - top[seg])
+    return z / _segment_sum(z, starts)[seg]
+
+
+def _propagate(
+    theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources, starts
+) -> tuple:
     """The layer's arithmetic over validated float64 (or complex) arrays.
 
-    Returns target_proj, source_proj, pre_act, post_act, scores, alpha,
-    messages and h_out, in ForwardTrace field order.
+    h_aug_targets (m, H+1) holds one augmented row per target and
+    h_aug_sources (E, H+1) the rows of their neighbors, one segment per
+    target; segment k begins at edge starts[k]. Returns target_proj (m, D),
+    source_proj, pre_act, post_act (E, D), scores, alpha (E,), messages
+    (E, D) and h_out (m, D), in ForwardTrace field order.
     """
-    target_proj = theta_r @ h_aug_target
+    seg = _segment_ids(starts, len(h_aug_sources))
+    target_proj = h_aug_targets @ theta_r.T
     source_proj = h_aug_sources @ theta_l.T
-    pre_act = target_proj[None, :] + source_proj
+    pre_act = target_proj[seg] + source_proj
     post_act = leaky_relu(pre_act, slope)
     scores = post_act @ att
-    alpha = neighbor_softmax(scores)
+    alpha = _segment_softmax(scores, starts)
     messages = alpha[:, None] * source_proj
-    h_out = bias + messages.sum(axis=0)
+    h_out = bias + _segment_sum(messages, starts)
     return target_proj, source_proj, pre_act, post_act, scores, alpha, messages, h_out
 
 
-def forward_with_trace(
-    params: LayerParams, graph: Graph, features: np.ndarray, node: int
-) -> ForwardTrace:
-    """Evaluate the layer for one target node, caching all intermediates.
-
-    A non-finite feature entry of the target or a neighbor is rejected,
-    naming the node and the feature index. Pure function of its arguments:
-    repeated calls produce bit-identical traces.
-    """
+def _checked_features(params: LayerParams, graph: Graph, features: np.ndarray) -> np.ndarray:
+    """The feature matrix as float64, checked against the graph and the params."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != graph.num_nodes:
         raise ValueError(
@@ -187,22 +242,92 @@ def forward_with_trace(
         raise ValueError(
             f"feature dim {features.shape[1]} != params feature dim {params.feature_dim}"
         )
-    nbrs = graph.neighbors(node)
-    ids = [node, *nbrs]
+    return features
+
+
+def _augmented(features: np.ndarray, ids) -> np.ndarray:
+    """Read-only augmented rows [1, h] of the nodes `ids`, in one indexing step.
+
+    A non-finite entry is rejected, naming the node and the feature index.
+    """
     block = np.empty((len(ids), features.shape[1] + 1))
     block[:, 0] = 1.0
     block[:, 1:] = features[ids]
-    bad = np.argwhere(~np.isfinite(block))
-    if bad.size:
-        row, col = bad[0]
+    finite = np.isfinite(block)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         raise ValueError(f"non-finite feature entry at index {col - 1} of node {ids[row]}")
     block.setflags(write=False)
-    h_aug_target, h_aug_sources = block[0], block[1:]
-    arrays = _propagate(
+    return block
+
+
+def forward_with_trace(
+    params: LayerParams, graph: Graph, features: np.ndarray, node: int
+) -> ForwardTrace:
+    """Evaluate the layer for one target node, caching all intermediates.
+
+    The node is the one-segment case of the layer's arithmetic. A non-finite
+    feature entry of the target or a neighbor is rejected, naming the node
+    and the feature index. Pure function of its arguments: repeated calls
+    produce bit-identical traces.
+    """
+    features = _checked_features(params, graph, features)
+    nbrs = graph.neighbors(node)
+    block = _augmented(features, [node, *nbrs])
+    target_proj, *edge_arrays, h_out = _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
-        params.negative_slope, h_aug_target, h_aug_sources,
+        params.negative_slope, block[:1], block[1:], _ONE_SEGMENT,
     )
-    return ForwardTrace(int(node), nbrs, h_aug_target, h_aug_sources, *arrays)
+    return ForwardTrace(
+        int(node), nbrs, block[0], block[1:], target_proj[0], *edge_arrays, h_out[0]
+    )
+
+
+def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray, nodes: np.ndarray):
+    """Evaluate the layer for `nodes` (ascending ids, each with a neighbor) by chunks.
+
+    Consecutive nodes share a chunk while their edges stay within
+    EDGE_BUDGET; a node of higher degree is a chunk of its own, so no
+    segment is ever split. The features are checked once. Yields per chunk
+    its nodes, the positions of their edges in graph.sources, the segment
+    starts, the augmented target and source rows, and _propagate's arrays.
+    """
+    h_aug = _augmented(_checked_features(params, graph, features), range(graph.num_nodes))
+    degrees = np.diff(graph.offsets)[nodes]
+    ends = np.cumsum(degrees)
+    lo = 0
+    while lo < len(nodes):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + EDGE_BUDGET, side="right")), lo + 1)
+        run, counts = nodes[lo:hi], degrees[lo:hi]
+        starts = ends[lo:hi] - counts - base
+        edges = np.repeat(graph.offsets[run] - starts, counts) + np.arange(ends[hi - 1] - base)
+        targets, sources = h_aug[run], h_aug[graph.sources[edges]]
+        arrays = _propagate(
+            params.theta_r, params.theta_l, params.att, params.bias,
+            params.negative_slope, targets, sources, starts,
+        )
+        yield run, edges, starts, targets, sources, arrays
+        lo = hi
+
+
+def forward_graph(
+    params: LayerParams, graph: Graph, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the layer for every node in one edge-parallel pass.
+
+    Returns alpha (E,), the attention weights in graph.sources order (node
+    i's weights are alpha[graph.offsets[i]:graph.offsets[i + 1]]), and h_out
+    (num_nodes, D); an isolated node's h_out is the bias. Agrees with
+    forward_with_trace node by node to rounding.
+    """
+    alpha = np.empty(len(graph.sources))
+    h_out = np.tile(params.bias, (graph.num_nodes, 1))
+    connected = np.flatnonzero(np.diff(graph.offsets))
+    for run, edges, _, _, _, arrays in _graph_chunks(params, graph, features, connected):
+        alpha[edges] = arrays[5]
+        h_out[run] = arrays[7]
+    return alpha, h_out
 
 
 def load_params(path) -> LayerParams:

@@ -139,3 +139,42 @@ class TestReportJson:
                 "attention_entropy",
                 "closed_form_gap",
             ]
+
+
+class TestNodeSelection:
+    """Requested ids are checked, never wrapped, and come out as requested."""
+
+    def instance(self):
+        graph = Graph(4, ((0, 1), (0, 2), (2, 0), (2, 3), (2, 2), (3, 0)))
+        feats = np.array([[0.5], [2.0], [-1.0], [0.3]])
+        params = LayerParams([[0.3, 1.1]], [[-0.4, 0.9]], [1.7], [0.2])
+        return params, graph, feats
+
+    @pytest.mark.parametrize("node", [-1, 4, -5])
+    def test_out_of_range_raises(self, node):
+        params, graph, feats = self.instance()
+        with pytest.raises(IndexError, match="out of range"):
+            diagnose(params, graph, feats, nodes=[0, node])
+
+    def test_non_integer_id_raises(self):
+        params, graph, feats = self.instance()
+        with pytest.raises(TypeError):
+            diagnose(params, graph, feats, nodes=[1.0])
+
+    def test_order_and_duplicates_kept(self):
+        params, graph, feats = self.instance()
+        report = diagnose(params, graph, feats, nodes=[3, 0, 3, 1, 2, np.int64(0)])
+        assert [e.node for e in report] == [3, 0, 3, 1, 2, 0]
+        assert [e.num_neighbors for e in report] == [1, 2, 1, 0, 3, 2]
+        assert report[0] == report[2] and report[1] == report[5]
+        assert type(report[5].node) is int
+        assert diagnose(params, graph, feats, nodes=[]) == ()
+
+    def test_isolated_node_values(self):
+        params, graph, feats = self.instance()
+        (entry,) = diagnose(params, graph, feats, nodes=[1], upstream=np.array([-2.0]))
+        assert entry.num_neighbors == 0 and entry.single_neighbor
+        assert entry.dead_theta_r == (True,)
+        assert entry.regime_uniformity == 1.0
+        assert entry.attention_entropy == 0.0
+        assert entry.closed_form_gap == 0.0

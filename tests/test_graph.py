@@ -127,6 +127,31 @@ class TestGraph:
             assert sorted(g.neighbors(i)) == sorted(j for (t, j) in edges if t == i)
 
 
+class TestCsrView:
+    def test_groups_neighbors_by_target_in_insertion_order(self):
+        g = Graph(4, ((2, 0), (0, 3), (2, 2), (0, 1), (2, 1)))
+        assert g.offsets.tolist() == [0, 2, 2, 5, 5]
+        assert g.sources.tolist() == [3, 1, 0, 2, 1]
+        for i in range(4):
+            assert g.sources[g.offsets[i] : g.offsets[i + 1]].tolist() == list(g.neighbors(i))
+        assert g.sources.dtype == g.offsets.dtype == np.int64
+
+    def test_no_edges(self):
+        g = Graph(3, ())
+        assert g.sources.shape == (0,) and g.offsets.tolist() == [0, 0, 0, 0]
+
+    def test_read_only(self):
+        g = Graph(2, ((0, 1),))
+        for arr in (g.sources, g.offsets):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_equality_and_hash_ignore_the_view(self):
+        a, b = Graph(2, ((0, 1), (1, 0))), Graph(2, ((0, 1), (1, 0)))
+        assert a == b and hash(a) == hash(b)
+        assert a != Graph(2, ((1, 0), (0, 1)))
+
+
 class TestGraphFiles:
     def _sample(self):
         g = Graph(3, ((0, 2), (0, 1), (2, 2)))

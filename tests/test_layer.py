@@ -42,11 +42,13 @@ def forward_per_neighbor(params, graph, features, node):
         h_aug_sources = np.stack([np.array([1.0, *features[j]]) for j in nbrs])
     else:
         h_aug_sources = np.zeros((0, params.feature_dim + 1))
-    arrays = _propagate(
+    target_proj, *edge_arrays, h_out = _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
-        params.negative_slope, h_aug_target, h_aug_sources,
+        params.negative_slope, h_aug_target[None, :], h_aug_sources, np.zeros(1, dtype=int),
     )
-    return ForwardTrace(node, nbrs, h_aug_target, h_aug_sources, *arrays)
+    return ForwardTrace(
+        node, nbrs, h_aug_target, h_aug_sources, target_proj[0], *edge_arrays, h_out[0]
+    )
 
 
 def isolated_and_self_loop(seed, n=6, h=3, d=4):
@@ -146,6 +148,11 @@ class TestNeighborSoftmax:
             neighbor_softmax(np.array([0.0, math.log(3.0)])),
             [0.25, 0.75],
             rtol=1e-12,
+        )
+
+    def test_integer_scores(self):
+        np.testing.assert_allclose(
+            neighbor_softmax([0, 0, 1]), np.array([1, 1, math.e]) / (2 + math.e), rtol=1e-15
         )
 
     def test_empty_input(self):
