@@ -18,8 +18,6 @@ from .grads import (
     grad_theta_r_pairwise,
     grad_theta_r_sum,
     gradient_set_to_json_dict,
-    leaky_relu_slopes,
-    projection_totals,
     relative_error,
     softmax_jacobian,
 )
@@ -51,9 +49,7 @@ __all__ = [
     "save_params",
     "GradientSet",
     "relative_error",
-    "leaky_relu_slopes",
     "softmax_jacobian",
-    "projection_totals",
     "grad_theta_r_sum",
     "grad_theta_r_pairwise",
     "grad_theta_l",

@@ -12,10 +12,10 @@ blocks, relative to the largest entry of either side (a rounding residue
 when the upstream is a constant vector).
 
 diagnose computes every indicator for all requested nodes in one
-edge-parallel pass over the layer's segment core (layer._graph_chunks): the
-per-node formulas of grads.py become segment reductions, and the theta_L
-blocks per-segment matrix products batched by degree. closed_form_gap on a
-single trace stays the per-node definition, which gradcheck reports.
+edge-parallel pass over the layer's segment core (layer._graph_chunks). The
+closed forms, the chain and the gap come from grads.py's segment functions,
+the same ones a single node's gradients are the one-segment case of; this
+module adds only the dead rows and the entropy.
 """
 
 from __future__ import annotations
@@ -25,24 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grads import (
-    REL_ERR_FLOOR,
-    GradientSet,
-    _check_upstream,
-    backward_chain,
-    grad_bias,
-    grad_theta_l,
-    grad_theta_r_sum,
-)
+from .grads import GradientSet, _check_upstream, _one_segment, _segment_gap, _segments
 from .graph import Graph
-from .layer import (
-    ForwardTrace,
-    LayerParams,
-    _graph_chunks,
-    _segment_ids,
-    _segment_sum,
-    forward_with_trace,  # noqa: F401  (perfbench/spans.py wraps it by this module's name)
-)
+from .layer import ForwardTrace, LayerParams, _graph_chunks, _segment_sum
+
+# perfbench/spans.py wraps these by this module's name; nothing here calls them.
+from .grads import backward_chain, grad_bias, grad_theta_l, grad_theta_r_sum  # noqa: F401
+from .layer import forward_with_trace  # noqa: F401
 
 __all__ = ["closed_form_gap", "diagnose"]
 
@@ -82,76 +71,14 @@ def closed_form_gap(
     The largest |closed - chain| over the theta_R, theta_L and b blocks,
     relative to the largest |entry| of either side over all three blocks
     (floored at REL_ERR_FLOOR): one scale per node, so rounding residues of
-    small entries do not count as drift.
+    small entries do not count as drift. chain is the node's backward_chain,
+    computed when omitted.
     """
-    if chain is None:
-        chain = backward_chain(trace, params, upstream)
-    pairs = (
-        (grad_theta_r_sum(trace, params, upstream), chain.theta_r),
-        (grad_theta_l(trace, params, upstream), chain.theta_l),
-        (grad_bias(upstream), chain.bias),
-    )
-    diff = max(np.abs(closed - exact).max() for closed, exact in pairs)
-    scale = max(max(np.abs(closed).max(), np.abs(exact).max()) for closed, exact in pairs)
-    return float(diff / max(scale, REL_ERR_FLOOR))
-
-
-def _segment_products(left: np.ndarray, right: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """left[s].T @ right[s] for each segment s of the edge axis, (m, D, K).
-
-    Segments of equal length are stacked into one batched product, so no
-    (E, D, K) outer product is formed.
-    """
-    counts = np.diff(starts, append=len(left))
-    out = np.empty((len(starts), left.shape[1], right.shape[1]))
-    for count in np.flatnonzero(np.bincount(counts)):
-        which = np.flatnonzero(counts == count)
-        rows = starts[which][:, None] + np.arange(count)
-        out[which] = left[rows].transpose(0, 2, 1) @ right[rows]
-    return out
-
-
-def _chunk_indicators(params, upstream, starts, h_aug_targets, h_aug_sources, arrays) -> tuple:
-    """Dead theta_R rows (m, D), attention entropy (m,) and closed_form_gap
-    (m,) of one chunk of the whole-graph pass, by segment reductions.
-
-    The formulas are grads.py's per-node ones over every segment at once:
-    slopes are compared with, and the theta_R sums taken against, each
-    segment's first neighbor, and the theta_L blocks are per-segment
-    products.
-    """
-    g, att = upstream, params.att
-    _, source_proj, pre_act, _, _, alpha, _, _ = arrays
-    seg = _segment_ids(starts, len(alpha))
-    slopes = np.where(pre_act > 0.0, 1.0, params.negative_slope)
-    spread = slopes - slopes[starts][seg]
-    dead = ~np.logical_or.reduceat(spread != 0.0, starts, axis=0)
-    plogp = alpha * np.log(np.where(alpha > 0.0, alpha, 1.0))
-    entropy = -_segment_sum(plogp, starts)
-    # Closed forms, as grad_theta_r_sum and grad_theta_l.
-    totals = source_proj.sum(axis=1)
-    weights = alpha * (totals - _segment_sum(alpha * totals, starts)[seg])
-    coeff = _segment_sum(spread * weights[:, None], starts)
-    bracket = att * slopes * weights[:, None] + alpha[:, None]
-    closed_r = (g * att * coeff)[:, :, None] * h_aug_targets[:, None, :]
-    closed_l = g[:, None] * _segment_products(bracket, h_aug_sources, starts)
-    # backward_chain.
-    d_alpha = source_proj @ g
-    d_alpha = d_alpha - d_alpha[starts][seg]
-    d_score = alpha * (d_alpha - _segment_sum(alpha * d_alpha, starts)[seg])
-    d_target = att * _segment_sum(spread * d_score[:, None], starts)
-    chain_r = d_target[:, :, None] * h_aug_targets[:, None, :]
-    mean_source = _segment_sum(alpha[:, None] * h_aug_sources, starts)
-    chain_l = _segment_products(d_score[:, None] * att * slopes, h_aug_sources, starts)
-    chain_l += g[:, None] * mean_source[:, None, :]
-    # The b blocks are the upstream on both sides: no gap, scale max |g|.
-    blocks = (closed_r, chain_r, closed_l, chain_l)
-    diff = np.maximum(
-        np.abs(closed_r - chain_r).max(axis=(1, 2)), np.abs(closed_l - chain_l).max(axis=(1, 2))
-    )
-    scale = np.max([np.abs(b).max(axis=(1, 2)) for b in blocks], axis=0)
-    gap = diff / np.maximum(np.maximum(scale, np.abs(g).max()), REL_ERR_FLOOR)
-    return dead, entropy, gap
+    g = _check_upstream(upstream, params.out_dim)
+    if trace.num_neighbors == 0:
+        return 0.0
+    blocks = None if chain is None else (chain.theta_r[None], chain.theta_l[None])
+    return float(_segment_gap(_one_segment(trace, params), params, g, blocks)[0])
 
 
 def _node_ids(graph: Graph, nodes) -> np.ndarray:
@@ -191,9 +118,14 @@ def diagnose(
     for run, _, starts, h_aug_targets, h_aug_sources, arrays in _graph_chunks(
         params, graph, features, targets
     ):
-        dead[run], entropy[run], gap[run] = _chunk_indicators(
-            params, g, starts, h_aug_targets, h_aug_sources, arrays
+        _, source_proj, pre_act, post_act, _, alpha, _, _ = arrays
+        segs = _segments(
+            starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, params
         )
+        # A row is dead where every edge of the segment has its first edge's slope.
+        dead[run] = ~np.logical_or.reduceat(segs.spread != 0.0, starts, axis=0)
+        entropy[run] = -_segment_sum(alpha * np.log(np.where(alpha > 0.0, alpha, 1.0)), starts)
+        gap[run] = _segment_gap(segs, params, g)
     dead = dead[ids]
     return tuple(
         NodeDiagnosis(node, count, count <= 1, tuple(row), uniformity, ent, node_gap)

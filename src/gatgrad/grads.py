@@ -1,4 +1,4 @@
-"""Analytic per-node gradients of the attention layer.
+"""Analytic gradients of the attention layer.
 
 Two routes are provided for the target-side weight matrix theta_r: a
 per-neighbor summation form and a neighbor-pair form. They are algebraically
@@ -11,23 +11,29 @@ arbitrary upstream gradient use backward_chain, which propagates the full
 vector through every intermediate. diagnostics.closed_form_gap reports the
 discrepancy between the two for a given upstream.
 
+The formulas are written once, over the edge segments of layer._propagate
+(one per target, reduced as in DGL's edge_softmax backward). The public
+functions are the one-segment case of one node's trace, and
+diagnostics.diagnose runs them over chunks of the graph; only
+grad_theta_r_pairwise stays per node, as the independent cross-check.
+
 Gradients are per target node; summing over nodes is left to callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .layer import ForwardTrace, LayerParams
+from .layer import _ONE_SEGMENT, ForwardTrace, LayerParams, _segment_dot, _segment_ids
+from .layer import _segment_products
 
 __all__ = [
     "GradientSet",
     "relative_error",
-    "leaky_relu_slopes",
     "softmax_jacobian",
-    "projection_totals",
     "grad_theta_r_sum",
     "grad_theta_r_pairwise",
     "grad_theta_l",
@@ -76,47 +82,127 @@ def relative_error(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(x - y) / scale
 
 
-def leaky_relu_slopes(trace: ForwardTrace, negative_slope: float) -> np.ndarray:
-    """Per-neighbor, per-dimension LeakyReLU derivative, (N, D) in {1, slope}.
-
-    A pre-activation of exactly 0 sits on the negative branch.
-    """
-    return np.where(trace.pre_act > 0.0, 1.0, negative_slope)
-
-
 def softmax_jacobian(alpha: np.ndarray) -> np.ndarray:
     """N x N Jacobian of the softmax output with respect to the raw scores.
 
     Entry (l, j) is alpha[l] * (delta(l, j) - alpha[j]). Symmetric, rows sum
-    to zero, diagonal nonnegative. Input must already be normalized.
+    to zero, diagonal nonnegative. Input must already be normalized and finite.
     """
     a = np.asarray(alpha, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite attention weight")
     if a.size and abs(float(a.sum()) - 1.0) > 1e-9:
         raise ValueError(f"attention weights sum to {a.sum()!r}, expected 1")
     return np.diag(a) - np.outer(a, a)
 
 
-def projection_totals(trace: ForwardTrace) -> np.ndarray:
-    """Projection totals of all cached neighbors, (N,)."""
-    return trace.source_proj.sum(axis=1)
-
-
-def _check_upstream(upstream: np.ndarray, out_dim: int) -> np.ndarray:
+def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
+    """The upstream gradient as a finite float64 vector, of length out_dim unless None."""
     g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != (out_dim,):
-        raise ValueError(f"upstream gradient shape {g.shape}, expected ({out_dim},)")
+    if g.ndim != 1 or out_dim not in (None, len(g)):
+        want = "D" if out_dim is None else out_dim
+        raise ValueError(f"upstream gradient shape {g.shape}, expected ({want},)")
     if not np.isfinite(g).all():
         raise ValueError("non-finite upstream gradient")
     return g
 
 
-def _zero_set(params: LayerParams, upstream: np.ndarray) -> GradientSet:
-    return GradientSet(
-        theta_r=np.zeros_like(params.theta_r),
-        theta_l=np.zeros_like(params.theta_l),
-        att=np.zeros(params.out_dim),
-        bias=upstream.copy(),
+def _slopes(pre_act: np.ndarray, negative_slope: float) -> np.ndarray:
+    """LeakyReLU derivative per edge and dimension, in {1, negative_slope}.
+
+    A pre-activation of exactly 0 sits on the negative branch.
+    """
+    return np.where(pre_act > 0.0, 1.0, negative_slope)
+
+
+class _Segments(NamedTuple):
+    """What the backward formulas read, for m non-empty segments of E edges.
+
+    starts and seg as in layer._segment_ids; the augmented rows (m or E, H+1);
+    _propagate's edge arrays; the LeakyReLU slopes (E, D), and their spread
+    from the segment's first edge. The theta_R sums weigh the slopes by
+    values that sum to zero over a segment, so they are taken against the
+    spread: a dimension with one regime over the segment comes out exactly 0.
+    """
+
+    starts: np.ndarray
+    seg: np.ndarray
+    h_aug_targets: np.ndarray
+    h_aug_sources: np.ndarray
+    source_proj: np.ndarray
+    post_act: np.ndarray
+    alpha: np.ndarray
+    slopes: np.ndarray
+    spread: np.ndarray
+
+
+def _segments(starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, params):
+    """_Segments of _propagate's arrays."""
+    seg = _segment_ids(starts, len(alpha))
+    slopes = _slopes(pre_act, params.negative_slope)
+    return _Segments(
+        starts, seg, h_aug_targets, h_aug_sources, source_proj, post_act, alpha,
+        slopes, slopes - slopes[starts][seg],
     )
+
+
+def _one_segment(trace: ForwardTrace, params: LayerParams) -> _Segments:
+    """A node's trace as the one-segment case."""
+    return _segments(
+        _ONE_SEGMENT, trace.h_aug_target[None], trace.h_aug_sources,
+        trace.source_proj, trace.pre_act, trace.post_act, trace.alpha, params,
+    )
+
+
+def _closed_weights(segs: _Segments) -> np.ndarray:
+    """alpha * (each edge's projection total, centered on its segment's mean), (E,)."""
+    totals = segs.source_proj.sum(axis=1)
+    return segs.alpha * (totals - _segment_dot(segs.alpha, totals, segs.starts)[segs.seg])
+
+
+def _segment_theta_r_sum(segs: _Segments, params: LayerParams, upstream, weights):
+    """grad_theta_r_sum of every segment, (m, D, H+1), from _closed_weights."""
+    coeff = _segment_dot(weights, segs.spread, segs.starts)
+    return (upstream * params.att * coeff)[:, :, None] * segs.h_aug_targets[:, None, :]
+
+
+def _segment_theta_l(segs: _Segments, params: LayerParams, upstream, weights):
+    """grad_theta_l of every segment, (m, D, H+1), from _closed_weights."""
+    bracket = params.att * segs.slopes * weights[:, None] + segs.alpha[:, None]
+    return upstream[:, None] * _segment_products(bracket, segs.h_aug_sources, segs.starts)
+
+
+def _segment_chain(segs: _Segments, params: LayerParams, upstream: np.ndarray) -> tuple:
+    """backward_chain's theta_R and theta_L blocks (m, D, H+1) of every
+    segment, and the score gradients d_score (E,). The att blocks are
+    _segment_dot(d_score, post_act, starts), the bias blocks the upstream."""
+    starts, seg, alpha = segs.starts, segs.seg, segs.alpha
+    # d_alpha[k] contracts the upstream with the projected source feature.
+    # The softmax backward is shift invariant in d_alpha, so it is centered on
+    # the segment's first edge: identical neighbors then yield exact zeros.
+    d_alpha = segs.source_proj @ upstream
+    d_alpha = d_alpha - d_alpha[starts][seg]
+    d_score = alpha * (d_alpha - _segment_dot(alpha, d_alpha, starts)[seg])
+    d_pre = d_score[:, None] * params.att * segs.slopes
+    # Source side: score path plus the direct aggregation path.
+    d_theta_l = _segment_products(d_pre, segs.h_aug_sources, starts)
+    d_theta_l += upstream[:, None] * _segment_dot(alpha, segs.h_aug_sources, starts)[:, None]
+    d_target = params.att * _segment_dot(d_score, segs.spread, starts)
+    d_theta_r = d_target[:, :, None] * segs.h_aug_targets[:, None, :]
+    return d_theta_r, d_theta_l, d_score
+
+
+def _segment_gap(segs: _Segments, params: LayerParams, upstream: np.ndarray, chain=None):
+    """diagnostics.closed_form_gap of every segment, (m,), given or computing
+    the chain's theta_R and theta_L stacks. The b blocks are the upstream on
+    both sides: no difference, and max |upstream| in the scale."""
+    weights = _closed_weights(segs)
+    forms = (_segment_theta_r_sum, _segment_theta_l)
+    closed = [form(segs, params, upstream, weights) for form in forms]
+    exact = _segment_chain(segs, params, upstream)[:2] if chain is None else chain
+    diff = np.max([np.abs(c - e).max(axis=(1, 2)) for c, e in zip(closed, exact)], axis=0)
+    scale = np.max([np.abs(b).max(axis=(1, 2)) for b in (*closed, *exact)], axis=0)
+    return diff / np.maximum(np.maximum(scale, np.abs(upstream).max()), REL_ERR_FLOOR)
 
 
 def grad_theta_r_sum(
@@ -136,12 +222,8 @@ def grad_theta_r_sum(
     n = trace.num_neighbors
     if n == 0:
         return np.zeros_like(params.theta_r)
-    slopes = leaky_relu_slopes(trace, params.negative_slope)
-    totals = projection_totals(trace)
-    centered = totals - trace.alpha @ totals
-    weights = trace.alpha * centered
-    coeff = (slopes - slopes[0]).T @ weights
-    return np.outer(g * params.att * coeff, trace.h_aug_target)
+    segs = _one_segment(trace, params)
+    return _segment_theta_r_sum(segs, params, g, _closed_weights(segs))[0]
 
 
 def grad_theta_r_pairwise(
@@ -158,8 +240,8 @@ def grad_theta_r_pairwise(
     n = trace.num_neighbors
     if n < 2:
         return np.zeros_like(params.theta_r)
-    slopes = leaky_relu_slopes(trace, params.negative_slope)
-    totals = projection_totals(trace)
+    slopes = _slopes(trace.pre_act, params.negative_slope)
+    totals = trace.source_proj.sum(axis=1)
     alpha = trace.alpha
     coeff = np.zeros(params.out_dim)
     for k in range(n - 1):
@@ -182,41 +264,20 @@ def grad_theta_l(
     n = trace.num_neighbors
     if n == 0:
         return np.zeros_like(params.theta_l)
-    slopes = leaky_relu_slopes(trace, params.negative_slope)
-    totals = projection_totals(trace)
-    centered = totals - trace.alpha @ totals
-    weights = trace.alpha * centered
-    bracket = params.att[None, :] * slopes * weights[:, None] + trace.alpha[:, None]
-    return g[:, None] * (bracket.T @ trace.h_aug_sources)
+    segs = _one_segment(trace, params)
+    return _segment_theta_l(segs, params, g, _closed_weights(segs))[0]
 
 
 def grad_bias(upstream: np.ndarray) -> np.ndarray:
     """Bias gradient: the upstream gradient, unchanged (identity Jacobian)."""
-    return np.asarray(upstream, dtype=np.float64).copy()
-
-
-def _score_gradient(trace: ForwardTrace, upstream: np.ndarray) -> np.ndarray:
-    """Loss gradient with respect to each raw neighbor score, (N,).
-
-    d_alpha[k] is the full contraction of the upstream gradient with the
-    projected neighbor feature (no collapse over output dimensions). The
-    softmax backward is shift invariant in d_alpha, so d_alpha is centered
-    on its first entry: identical neighbors then yield exact zeros.
-    """
-    d_alpha = trace.source_proj @ upstream
-    d_alpha = d_alpha - d_alpha[0]
-    return trace.alpha * (d_alpha - trace.alpha @ d_alpha)
+    return _check_upstream(upstream, None).copy()
 
 
 def grad_att(
     trace: ForwardTrace, params: LayerParams, upstream: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the attention vector, (D,): zero whenever N <= 1."""
-    g = _check_upstream(upstream, params.out_dim)
-    if trace.num_neighbors == 0:
-        return np.zeros(params.out_dim)
-    d_score = _score_gradient(trace, g)
-    return trace.post_act.T @ d_score
+    """Gradient of the attention vector, (D,): backward_chain's, zero for N <= 1."""
+    return backward_chain(trace, params, upstream).att
 
 
 def backward_chain(
@@ -232,23 +293,17 @@ def backward_chain(
     g = _check_upstream(upstream, params.out_dim)
     n = trace.num_neighbors
     if n == 0:
-        return _zero_set(params, g)
-    slopes = leaky_relu_slopes(trace, params.negative_slope)
-    d_score = _score_gradient(trace, g)
-    d_post = d_score[:, None] * params.att[None, :]
-    d_pre = d_post * slopes
-    # Source side: score path plus the direct aggregation path.
-    d_theta_l = d_pre.T @ trace.h_aug_sources + np.outer(
-        g, trace.alpha @ trace.h_aug_sources
-    )
-    d_att = trace.post_act.T @ d_score
-    # Target side: the score gradients sum to zero analytically, so the
-    # shared projection gradient is accumulated against first-neighbor
-    # slopes; dimensions with a uniform activation regime vanish exactly.
-    d_target_proj = params.att * ((slopes - slopes[0]).T @ d_score)
-    d_theta_r = np.outer(d_target_proj, trace.h_aug_target)
+        return GradientSet(
+            theta_r=np.zeros_like(params.theta_r),
+            theta_l=np.zeros_like(params.theta_l),
+            att=np.zeros(params.out_dim),
+            bias=g.copy(),
+        )
+    segs = _one_segment(trace, params)
+    theta_r, theta_l, d_score = _segment_chain(segs, params, g)
+    att = _segment_dot(d_score, segs.post_act, segs.starts)[0]
     return GradientSet(
-        theta_r=d_theta_r, theta_l=d_theta_l, att=d_att, bias=g.copy()
+        theta_r=theta_r[0], theta_l=theta_l[0], att=att, bias=g.copy()
     )
 
 

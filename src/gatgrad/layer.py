@@ -24,6 +24,9 @@ caller goes through it:
   a node; diagnostics.diagnose runs on the same chunks.
 - The complex-step oracle re-runs the one-segment core, in complex
   arithmetic, on imaginary-perturbed parameter blocks.
+
+grads.py's backward formulas reduce over the same segments, through
+_segment_dot and _segment_products.
 """
 
 from __future__ import annotations
@@ -193,6 +196,36 @@ def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     if len(starts) == 1:
         return values.sum(axis=0, keepdims=True)
     return np.add.reduceat(values, starts, axis=0)
+
+
+def _segment_dot(weights: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """weights[s] @ values[s] for each segment s of the edge axis, (m, ...).
+
+    A lone segment is the plain product weights @ values, so a one-node
+    evaluation rounds as the per-node formulas do.
+    """
+    if len(starts) == 1:
+        return (weights @ values)[None]
+    weights = weights.reshape(-1, *(1,) * (values.ndim - 1))
+    return np.add.reduceat(weights * values, starts, axis=0)
+
+
+def _segment_products(left: np.ndarray, right: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """left[s].T @ right[s] for each segment s of the edge axis, (m, D, K).
+
+    A lone segment is the plain product left.T @ right. Otherwise segments
+    of equal length are stacked into one batched product, so no (E, D, K)
+    outer product is formed.
+    """
+    if len(starts) == 1:
+        return (left.T @ right)[None]
+    counts = np.diff(starts, append=len(left))
+    out = np.empty((len(starts), left.shape[1], right.shape[1]))
+    for count in np.flatnonzero(np.bincount(counts)):
+        which = np.flatnonzero(counts == count)
+        rows = starts[which][:, None] + np.arange(count)
+        out[which] = left[rows].transpose(0, 2, 1) @ right[rows]
+    return out
 
 
 def _segment_softmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:

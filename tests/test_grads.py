@@ -11,6 +11,7 @@ from gatgrad import (
     LayerParams,
     backward_chain,
     compare_gradients,
+    diagnose,
     fd_gradient,
     forward_with_trace,
     generate_instance,
@@ -20,8 +21,6 @@ from gatgrad import (
     grad_theta_r_pairwise,
     grad_theta_r_sum,
     gradient_set_to_json_dict,
-    leaky_relu_slopes,
-    projection_totals,
     relative_error,
     softmax_jacobian,
 )
@@ -56,18 +55,43 @@ def synthetic_trace(alpha, source_proj, pre_act, h_aug_target, h_aug_sources):
     )
 
 
+def chain_slopes(first_pre_act):
+    """LeakyReLU slopes of a first neighbor with these pre-activations, read
+    off backward_chain: two neighbors with unit source rows, alpha [1/2, 1/2]
+    and score gradients [-1/2, 1/2] under a unit upstream and attention
+    vector give theta_L[t, 0] = -slope[0, t] / 2 + 1/2."""
+    d = len(first_pre_act)
+    trace = synthetic_trace(
+        alpha=[0.5, 0.5],
+        source_proj=np.outer([1.0, 3.0], np.eye(d)[0]),
+        pre_act=[first_pre_act, [1.0] * d],
+        h_aug_target=[1.0, 0.0],
+        h_aug_sources=np.eye(2),
+    )
+    params = LayerParams(np.zeros((d, 2)), np.zeros((d, 2)), np.ones(d), np.zeros(d), 0.2)
+    theta_l = backward_chain(trace, params, np.ones(d)).theta_l
+    return (1.0 - 2.0 * theta_l[:, 0]).tolist()
+
+
 class TestSlopes:
     def test_all_positive(self):
-        tr = synthetic_trace([1.0], [[1.0, 2.0]], [[0.5, 2.0]], [1.0], [[1.0]])
-        assert leaky_relu_slopes(tr, 0.2).tolist() == [[1.0, 1.0]]
+        assert chain_slopes([0.5, 2.0]) == pytest.approx([1.0, 1.0], rel=1e-15)
 
     def test_mixed_signs(self):
-        tr = synthetic_trace([1.0], [[1.0, 2.0]], [[-1.0, 2.0]], [1.0], [[1.0]])
-        assert leaky_relu_slopes(tr, 0.2).tolist() == [[0.2, 1.0]]
+        assert chain_slopes([-1.0, 2.0]) == pytest.approx([0.2, 1.0], rel=1e-15)
 
     def test_boundary_zero_is_negative_branch(self):
-        tr = synthetic_trace([1.0], [[1.0]], [[0.0]], [1.0], [[1.0]])
-        assert leaky_relu_slopes(tr, 0.2).tolist() == [[0.2]]
+        assert chain_slopes([0.0]) == pytest.approx([0.2], rel=1e-15)
+        # Through diagnose: pre-activations exactly 0 and -1 share a regime
+        # (a dead row), 0 and +1 do not.
+        graph = Graph(3, ((0, 1), (0, 2)))
+        params = LayerParams([[0.0, 0.0]], [[0.0, 1.0]], [1.0], [0.0])
+        for other, dead in ((-1.0, True), (1.0, False)):
+            feats = np.array([[0.0], [0.0], [other]])
+            trace = forward_with_trace(params, graph, feats, 0)
+            assert trace.pre_act[:, 0].tolist() == [0.0, other]
+            (entry,) = diagnose(params, graph, feats, [0])
+            assert entry.dead_theta_r == (dead,)
 
 
 class TestSoftmaxJacobian:
@@ -92,6 +116,13 @@ class TestSoftmaxJacobian:
         with pytest.raises(ValueError, match="sum"):
             softmax_jacobian(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            softmax_jacobian(np.array([bad, 0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            softmax_jacobian(np.array([bad]))
+
     @given(simplex_sizes, st.integers(min_value=0, max_value=2**31 - 1))
     def test_structure(self, n, seed):
         alpha = random_alpha(np.random.default_rng(seed), n)
@@ -102,6 +133,9 @@ class TestSoftmaxJacobian:
 
 
 class TestProjectionTotals:
+    """The per-neighbor totals sum_t (theta_l @ h_aug(k))[t] that the closed
+    forms center and weigh: the row sums of the trace's source_proj."""
+
     def one_neighbor_total(self, theta_l, source_feature):
         """Projection total of the only neighbor of node 0."""
         theta_l = np.asarray(theta_l, dtype=np.float64)
@@ -109,7 +143,7 @@ class TestProjectionTotals:
                              np.zeros(len(theta_l)))
         feats = np.array([[0.0], [source_feature]])
         trace = forward_with_trace(params, Graph(2, ((0, 1),)), feats, 0)
-        return float(projection_totals(trace)[0])
+        return float(trace.source_proj.sum(axis=1)[0])
 
     def test_zero_matrix(self):
         assert self.one_neighbor_total(np.zeros((3, 2)), 5.0) == 0.0
@@ -124,7 +158,7 @@ class TestProjectionTotals:
     def test_totals_match_per_neighbor_operation(self):
         g, feats, params = generate_instance(5, 3, 4, seed=42)
         trace = forward_with_trace(params, g, feats, 0)
-        totals = projection_totals(trace)
+        totals = trace.source_proj.sum(axis=1)
         for k in range(trace.num_neighbors):
             expect = float((params.theta_l @ trace.h_aug_sources[k]).sum())
             assert totals[k] == pytest.approx(expect, rel=1e-13)
@@ -212,8 +246,8 @@ class TestAnnihilation:
         saw_live_row = False
         for node in range(5):
             trace = forward_with_trace(params, g, feats, node)
-            slopes = leaky_relu_slopes(trace, 0.2)
-            dead = np.all(slopes == slopes[0], axis=0)
+            positive = trace.pre_act > 0.0
+            dead = np.all(positive == positive[0], axis=0)
             assert dead[0]
             for fn in (grad_theta_r_sum, grad_theta_r_pairwise):
                 mat = fn(trace, params, upstream)
@@ -251,8 +285,8 @@ class TestPairwiseSumIdentity:
             upstream = np.random.default_rng(seed).standard_normal(4)
             for node in range(40):
                 trace = forward_with_trace(params, g, feats, node)
-                slopes = leaky_relu_slopes(trace, params.negative_slope)
-                totals = projection_totals(trace)
+                slopes = np.where(trace.pre_act > 0.0, 1.0, params.negative_slope)
+                totals = trace.source_proj.sum(axis=1)
                 n = trace.num_neighbors
                 coeff = np.zeros(4)
                 magnitude = np.zeros(4)
@@ -370,6 +404,13 @@ class TestGradBias:
         out = grad_bias(g)
         assert out.tobytes() == g.tobytes()
         assert out is not g
+
+    def test_upstream_validation(self):
+        with pytest.raises(ValueError, match="non-finite upstream gradient"):
+            grad_bias(np.array([np.nan, 1.0]))
+        for bad in (np.ones((2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="upstream gradient shape"):
+                grad_bias(bad)
 
 
 class TestBackwardChain:

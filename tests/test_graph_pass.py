@@ -10,7 +10,7 @@ layer.EDGE_BUDGET patched small, passes split into many chunks.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gatgrad import (
@@ -22,9 +22,9 @@ from gatgrad import (
     forward_graph,
     forward_with_trace,
     generate_instance,
-    leaky_relu_slopes,
+    grad_theta_r_pairwise,
 )
-from gatgrad import layer
+from gatgrad import grads, layer
 from gatgrad.grads import REL_ERR_FLOOR, grad_bias, grad_theta_l, grad_theta_r_sum
 
 # Kink band of the dead-row comparison: a pre-activation this close to 0 may
@@ -73,6 +73,15 @@ def term_scale(params, trace):
     return np.abs(params.bias) + trace.alpha @ np.abs(trace.source_proj)
 
 
+def backward_scale(params, trace, upstream):
+    """Magnitude of the terms the backward formulas sum for one node, the
+    scale of their rounding. Where one weight dominates a segment, the score
+    gradients (and centered totals) cancel far below it."""
+    totals = np.abs(trace.source_proj).sum(axis=1).max()
+    rows = max(np.abs(trace.h_aug_sources).max(), np.abs(trace.h_aug_target).max())
+    return max(1.0, np.abs(params.att).max()) * max(1.0, totals) * np.abs(upstream).max() * rows
+
+
 def check_forward(graph, features, params):
     alpha, h_out = forward_graph(params, graph, features)
     assert alpha.shape == (len(graph.edges),)
@@ -91,7 +100,7 @@ def reference_diagnosis(params, graph, features, node, upstream):
     trace = forward_with_trace(params, graph, features, node)
     if trace.num_neighbors == 0:
         return trace, np.ones(params.out_dim, dtype=bool), 0.0, 0.0
-    slopes = leaky_relu_slopes(trace, params.negative_slope)
+    slopes = np.where(trace.pre_act > 0.0, 1.0, params.negative_slope)
     dead = np.all(slopes == slopes[0], axis=0)
     alpha = trace.alpha[trace.alpha > 0.0]
     entropy = float(-(alpha * np.log(alpha)).sum())
@@ -192,6 +201,103 @@ class TestDiagnoseGraphPass:
             upstream = np.full(16, scale)
             report = check_diagnose(graph, feats, params, range(40), upstream)
             assert max(e.closed_form_gap for e in report) <= 1e-13
+
+
+class TestSegmentBackward:
+    @settings(deadline=None, max_examples=150)
+    @given(instances(), budgets, st.data())
+    def test_chunk_stacks_match_per_node_routes(self, instance, budget, data):
+        """grads.py's segment functions over chunks of many segments give
+        every node's backward_chain and closed forms, as their one-segment
+        case does."""
+        graph, features, params = instance
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        upstream = rng.standard_normal(params.out_dim)
+        connected = np.flatnonzero(np.diff(graph.offsets))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layer, "EDGE_BUDGET", budget)
+            chunks = list(layer._graph_chunks(params, graph, features, connected))
+        for run, _, starts, targets, sources, arrays in chunks:
+            _, source_proj, pre_act, post_act, _, alpha, _, _ = arrays
+            segs = grads._segments(
+                starts, targets, sources, source_proj, pre_act, post_act, alpha, params
+            )
+            weights = grads._closed_weights(segs)
+            chain_r, chain_l, d_score = grads._segment_chain(segs, params, upstream)
+            stacks = (
+                chain_r,
+                chain_l,
+                layer._segment_dot(d_score, segs.post_act, starts),
+                grads._segment_theta_r_sum(segs, params, upstream, weights),
+                grads._segment_theta_l(segs, params, upstream, weights),
+            )
+            for k, node in enumerate(run):
+                trace = forward_with_trace(params, graph, features, node)
+                chain = backward_chain(trace, params, upstream)
+                want = (
+                    chain.theta_r,
+                    chain.theta_l,
+                    chain.att,
+                    grad_theta_r_sum(trace, params, upstream),
+                    grad_theta_l(trace, params, upstream),
+                )
+                scale = backward_scale(params, trace, upstream)
+                for stack, block in zip(stacks, want):
+                    assert np.abs(stack[k] - block).max() <= TOL * scale
+
+
+class TestScoreShift:
+    """Adding c to theta_R[t, 0] moves pre-activation t of every edge of a
+    node by c. Where they all sit on one LeakyReLU branch with a margin above
+    |c|, every score of the node's segment moves by one constant, which the
+    softmax absorbs: the paper's dead-row case."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(instances(), budgets, st.data())
+    def test_uniform_regime_shift_changes_nothing(self, instance, budget, data):
+        graph, features, params = instance
+        connected = [i for i in range(graph.num_nodes) if graph.neighbors(i)]
+        assume(connected)
+        node = data.draw(st.sampled_from(connected))
+        t = data.draw(st.integers(0, params.out_dim - 1))
+        c = data.draw(st.sampled_from([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        upstream = rng.standard_normal(params.out_dim)
+        # Move pre-activation t of every edge of the node 1 clear of the kink.
+        pre = forward_with_trace(params, graph, features, node).pre_act[:, t]
+        theta_r = params.theta_r.copy()
+        theta_r[t, 0] += 1.0 - pre.min() if data.draw(st.booleans()) else -1.0 - pre.max()
+        base = LayerParams(theta_r, params.theta_l, params.att, params.bias, params.negative_slope)
+        theta_r[t, 0] += c
+        moved = LayerParams(theta_r, params.theta_l, params.att, params.bias, params.negative_slope)
+        before = forward_with_trace(base, graph, features, node)
+        after = forward_with_trace(moved, graph, features, node)
+        assert np.all(np.abs(after.pre_act[:, t] - before.pre_act[:, t] - c) <= 1e-12)
+        assert np.all(np.abs(after.alpha - before.alpha) <= TOL)
+        assert np.all(np.abs(after.h_out - before.h_out) <= TOL * term_scale(base, before))
+        old = backward_chain(before, base, upstream).as_dict()
+        new = backward_chain(after, moved, upstream).as_dict()
+        scale = backward_scale(base, before, upstream)
+        for key in old:
+            assert np.abs(new[key] - old[key]).max() <= TOL * scale, key
+        for p, trace in ((base, before), (moved, after)):
+            assert np.all(grad_theta_r_sum(trace, p, upstream)[t] == 0.0)
+            assert np.all(grad_theta_r_pairwise(trace, p, upstream)[t] == 0.0)
+            assert np.all(backward_chain(trace, p, upstream).theta_r[t] == 0.0)
+        # Through the whole-graph pass, in chunks that split the graph.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layer, "EDGE_BUDGET", budget)
+            (old_entry,), (new_entry,) = (
+                [e for e in diagnose(p, graph, features, upstream=upstream) if e.node == node]
+                for p in (base, moved)
+            )
+            lo, hi = graph.offsets[node], graph.offsets[node + 1]
+            old_alpha, new_alpha = (
+                forward_graph(p, graph, features)[0][lo:hi] for p in (base, moved)
+            )
+        assert old_entry.dead_theta_r[t] and new_entry.dead_theta_r[t]
+        assert abs(new_entry.attention_entropy - old_entry.attention_entropy) <= TOL
+        assert np.all(np.abs(new_alpha - old_alpha) <= TOL)
 
 
 class TestRelabelling:
