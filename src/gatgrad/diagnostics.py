@@ -78,7 +78,7 @@ def closed_form_gap(
     if trace.num_neighbors == 0:
         return 0.0
     blocks = None if chain is None else (chain.theta_r[None], chain.theta_l[None])
-    return float(_segment_gap(_one_segment(trace, params), params, g, blocks)[0])
+    return float(_segment_gap(_one_segment(trace, params.negative_slope), params, g, blocks)[0])
 
 
 def _node_ids(graph: Graph, nodes) -> np.ndarray:
@@ -120,11 +120,12 @@ def diagnose(
     ):
         _, source_proj, pre_act, post_act, _, alpha, _, _ = arrays
         segs = _segments(
-            starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, params
+            starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha,
+            params.negative_slope,
         )
         # A row is dead where every edge of the segment has its first edge's slope.
         dead[run] = ~np.logical_or.reduceat(segs.spread != 0.0, starts, axis=0)
-        entropy[run] = -_segment_sum(alpha * np.log(np.where(alpha > 0.0, alpha, 1.0)), starts)
+        entropy[run] = -_segment_sum(alpha * np.log(np.where(alpha > 0.0, alpha, 1.0)), starts, -1)
         gap[run] = _segment_gap(segs, params, g)
     dead = dead[ids]
     return tuple(

@@ -4,12 +4,15 @@ The loss is upstream . h_out for one target node, so its gradient with
 respect to h_out is the upstream vector itself.
 
 Each scalar parameter entry, bias columns included, carries an imaginary
-step i*h through one evaluation of the layer: dL/dp = Im L(p + i h) / h has
-no subtractive cancellation (Squire & Trapp, SIAM Review 40(1), 1998), so
-h = 1e-30 leaves only the rounding of that evaluation. The layer is analytic
-along every entry away from a LeakyReLU kink; a node with a pre-activation
-within KINK_GUARD of one has all its entries flagged and excluded from the
-verdict, since the derivative there is convention-dependent.
+step i*h through its own evaluation of the layer: dL/dp = Im L(p + i h) / h
+has no subtractive cancellation (Squire & Trapp, SIAM Review 40(1), 1998),
+so h = 1e-30 leaves only the rounding of that evaluation. The evaluations
+are independent, so they are batched: copies of a block, one per entry, go
+through the layer core along a leading batch axis, in chunks bounded by
+layer.EDGE_BUDGET. The layer is analytic along every entry away from a
+LeakyReLU kink; a node with a pre-activation within KINK_GUARD of one has
+all its entries flagged and excluded from the verdict, since the derivative
+there is convention-dependent.
 
 That rounding is reported as `resolution`, a few ulps of the loss taken on
 absolute values, and compare_gradients confirms entries that differ by no
@@ -20,12 +23,12 @@ rounding residues whose relative error means nothing.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import layer
 from .grads import PARAM_KEYS, GradientSet, _check_upstream, relative_error
 from .graph import Graph
 from .layer import _ONE_SEGMENT, LayerParams, _propagate, forward_with_trace
@@ -66,29 +69,28 @@ def fd_gradient(
 ) -> FdGradient:
     """Complex-step derivative of the loss upstream . h_out over every parameter entry.
 
-    The node is evaluated once through forward_with_trace; each entry then
-    costs one one-segment evaluation of the layer arithmetic on the cached
-    augmented features, with that entry carrying the imaginary step.
+    The node is evaluated once through forward_with_trace. Each block's
+    perturbed copies then go through the one-segment layer core in chunks,
+    the other blocks broadcast: EDGE_BUDGET // (2 max(N, H+1)) copies for N
+    neighbors keep the complex stack and the edge arrays each within the
+    bytes of one (EDGE_BUDGET, D) float64 array of a whole-graph chunk.
     """
     g = _check_upstream(upstream, params.out_dim)
     base = forward_with_trace(params, graph, features, node)
     near_kink = bool((np.abs(base.pre_act) < KINK_GUARD).any())
     blocks = [params.theta_r, params.theta_l, params.att, params.bias]
-    targets = base.h_aug_target[None, :]
-    # Complex once, as every product with the complex h_out would cast it.
-    g_complex = g.astype(complex)
+    node_args = (params.negative_slope, base.h_aug_target[None, :], base.h_aug_sources)
+    chunk = max(1, layer.EDGE_BUDGET // (2 * max(base.num_neighbors, params.feature_dim + 1)))
     grads: list[np.ndarray] = []
     for pos, base_block in enumerate(blocks):
-        work = base_block.astype(complex)
-        entries, originals = work.reshape(-1), base_block.reshape(-1)
-        args = [*blocks[:pos], work, *blocks[pos + 1 :], params.negative_slope, targets]
-        grad = np.zeros(base_block.size)
-        for idx in range(base_block.size):
-            entries[idx] += 1j * COMPLEX_STEP
-            h_out = _propagate(*args, base.h_aug_sources, _ONE_SEGMENT)[-1][0]
-            entries[idx] = originals[idx]
-            loss = g_complex @ h_out
-            if not cmath.isfinite(loss):
+        grad = np.empty(base_block.size)
+        for lo in range(0, base_block.size, chunk):
+            idx = np.arange(lo, min(lo + chunk, base_block.size))
+            stack = np.tile(base_block.reshape(-1).astype(complex), (len(idx), 1))
+            stack[np.arange(len(idx)), idx] += 1j * COMPLEX_STEP
+            stacked = [*blocks[:pos], stack.reshape(-1, *base_block.shape), *blocks[pos + 1 :]]
+            loss = _propagate(*stacked, *node_args, _ONE_SEGMENT)[-1][:, 0] @ g
+            if not np.isfinite(loss).all():
                 raise ValueError("non-finite loss at a perturbed point")
             grad[idx] = loss.imag / COMPLEX_STEP
         grads.append(grad.reshape(base_block.shape))

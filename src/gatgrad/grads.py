@@ -23,6 +23,7 @@ Gradients are per target node; summing over nodes is left to callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -136,21 +137,22 @@ class _Segments(NamedTuple):
     spread: np.ndarray
 
 
-def _segments(starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, params):
-    """_Segments of _propagate's arrays."""
+def _segments(starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, slope):
+    """_Segments of _propagate's arrays, for LeakyReLU negative slope `slope`."""
     seg = _segment_ids(starts, len(alpha))
-    slopes = _slopes(pre_act, params.negative_slope)
+    slopes = _slopes(pre_act, slope)
     return _Segments(
         starts, seg, h_aug_targets, h_aug_sources, source_proj, post_act, alpha,
         slopes, slopes - slopes[starts][seg],
     )
 
 
-def _one_segment(trace: ForwardTrace, params: LayerParams) -> _Segments:
-    """A node's trace as the one-segment case."""
+@lru_cache(maxsize=1)
+def _one_segment(trace: ForwardTrace, slope: float) -> _Segments:
+    """A node's trace as the one-segment case, kept for the node's next route."""
     return _segments(
         _ONE_SEGMENT, trace.h_aug_target[None], trace.h_aug_sources,
-        trace.source_proj, trace.pre_act, trace.post_act, trace.alpha, params,
+        trace.source_proj, trace.pre_act, trace.post_act, trace.alpha, slope,
     )
 
 
@@ -222,7 +224,7 @@ def grad_theta_r_sum(
     n = trace.num_neighbors
     if n == 0:
         return np.zeros_like(params.theta_r)
-    segs = _one_segment(trace, params)
+    segs = _one_segment(trace, params.negative_slope)
     return _segment_theta_r_sum(segs, params, g, _closed_weights(segs))[0]
 
 
@@ -264,7 +266,7 @@ def grad_theta_l(
     n = trace.num_neighbors
     if n == 0:
         return np.zeros_like(params.theta_l)
-    segs = _one_segment(trace, params)
+    segs = _one_segment(trace, params.negative_slope)
     return _segment_theta_l(segs, params, g, _closed_weights(segs))[0]
 
 
@@ -299,7 +301,7 @@ def backward_chain(
             att=np.zeros(params.out_dim),
             bias=g.copy(),
         )
-    segs = _one_segment(trace, params)
+    segs = _one_segment(trace, params.negative_slope)
     theta_r, theta_l, d_score = _segment_chain(segs, params, g)
     att = _segment_dot(d_score, segs.post_act, segs.starts)[0]
     return GradientSet(

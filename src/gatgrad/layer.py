@@ -22,8 +22,11 @@ caller goes through it:
 - forward_graph evaluates every node in one edge-parallel pass over the
   graph's CSR view, in chunks of at most EDGE_BUDGET edges that never split
   a node; diagnostics.diagnose runs on the same chunks.
-- The complex-step oracle re-runs the one-segment core, in complex
-  arithmetic, on imaginary-perturbed parameter blocks.
+- The complex-step oracle runs the one-segment core, in complex
+  arithmetic, on a stack of copies of a parameter block, each with one
+  entry imaginary-perturbed: the stack is a leading batch axis, against
+  which the other blocks broadcast, since the core counts its edge and
+  segment axes from the end.
 
 grads.py's backward formulas reduce over the same segments, through
 _segment_dot and _segment_products.
@@ -132,9 +135,9 @@ def neighbor_softmax(scores: np.ndarray) -> np.ndarray:
     return _segment_softmax(s, _ONE_SEGMENT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardTrace:
-    """Every intermediate of one node update, in evaluation order.
+    """Every intermediate of one node update, in evaluation order; hashed by identity.
 
     Shapes, for N neighbors and output width D:
       h_aug_target (H+1,), h_aug_sources (N, H+1), target_proj (D,),
@@ -178,24 +181,24 @@ class ForwardTrace:
 def _segment_ids(starts: np.ndarray, num_edges: int):
     """Index that spreads per-segment rows over the edges: each edge's segment.
 
-    A lone segment's rows, of leading length 1, broadcast over its edges as
-    they are, so its index is the whole array.
+    A lone segment's rows, of length 1 along the segment axis, broadcast over
+    its edges as they are, so its index is the whole axis.
     """
     if len(starts) == 1:
-        return Ellipsis
+        return slice(None)
     return np.repeat(np.arange(len(starts)), np.diff(starts, append=num_edges))
 
 
-def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum over each segment of the leading axis; segment k begins at starts[k].
+def _segment_sum(values: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over each segment of the edge axis; segment k begins at starts[k].
 
     Segments are non-empty, except that a lone segment may be empty. A lone
-    segment is summed whole, exactly as values.sum(axis=0), so a one-node
+    segment is summed whole, exactly as values.sum(axis), so a one-node
     evaluation rounds as the per-node formulas do.
     """
     if len(starts) == 1:
-        return values.sum(axis=0, keepdims=True)
-    return np.add.reduceat(values, starts, axis=0)
+        return values.sum(axis=axis, keepdims=True)
+    return np.add.reduceat(values, starts, axis=axis)
 
 
 def _segment_dot(weights: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -229,16 +232,16 @@ def _segment_products(left: np.ndarray, right: np.ndarray, starts: np.ndarray) -
 
 
 def _segment_softmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Softmax within each segment of scores, shifted by the segment's largest real part."""
+    """Softmax within each segment of the last axis, shifted by its largest real part."""
     if not np.isfinite(scores).all():
         raise ValueError("non-finite attention score")
-    seg = _segment_ids(starts, len(scores))
+    seg = _segment_ids(starts, scores.shape[-1])
     if len(starts) == 1:
-        top = scores.real.max(initial=-np.inf, keepdims=True)
+        top = scores.real.max(axis=-1, initial=-np.inf, keepdims=True)
     else:
-        top = np.maximum.reduceat(scores.real, starts)
-    z = np.exp(scores - top[seg])
-    return z / _segment_sum(z, starts)[seg]
+        top = np.maximum.reduceat(scores.real, starts, axis=-1)
+    z = np.exp(scores - top[..., seg])
+    return z / _segment_sum(z, starts, -1)[..., seg]
 
 
 def _propagate(
@@ -250,17 +253,19 @@ def _propagate(
     h_aug_sources (E, H+1) the rows of their neighbors, one segment per
     target; segment k begins at edge starts[k]. Returns target_proj (m, D),
     source_proj, pre_act, post_act (E, D), scores, alpha (E,), messages
-    (E, D) and h_out (m, D), in ForwardTrace field order.
+    (E, D) and h_out (m, D), in ForwardTrace field order. A parameter block
+    may carry a leading batch axis, (B, D, H+1) or (B, D): the other blocks
+    broadcast against it, and the results that depend on it gain that axis.
     """
     seg = _segment_ids(starts, len(h_aug_sources))
-    target_proj = h_aug_targets @ theta_r.T
-    source_proj = h_aug_sources @ theta_l.T
-    pre_act = target_proj[seg] + source_proj
+    target_proj = h_aug_targets @ np.swapaxes(theta_r, -1, -2)
+    source_proj = h_aug_sources @ np.swapaxes(theta_l, -1, -2)
+    pre_act = target_proj[..., seg, :] + source_proj
     post_act = leaky_relu(pre_act, slope)
-    scores = post_act @ att
+    scores = (post_act @ att[..., None])[..., 0]
     alpha = _segment_softmax(scores, starts)
-    messages = alpha[:, None] * source_proj
-    h_out = bias + _segment_sum(messages, starts)
+    messages = alpha[..., None] * source_proj
+    h_out = bias[..., None, :] + _segment_sum(messages, starts, -2)
     return target_proj, source_proj, pre_act, post_act, scores, alpha, messages, h_out
 
 

@@ -1,7 +1,11 @@
 """Complex-step oracle: losses, derivatives, kink flags, comparisons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatgrad import (
     Graph,
@@ -13,7 +17,130 @@ from gatgrad import (
     forward_with_trace,
     generate_instance,
 )
-from gatgrad.fdcheck import KINK_GUARD
+from gatgrad import layer
+from gatgrad.fdcheck import COMPLEX_STEP, KINK_GUARD
+from gatgrad.layer import _propagate
+
+
+def per_entry_oracle(params, graph, features, node, upstream):
+    """Reference: the complex step one entry at a time, one unbatched core call each."""
+    trace = forward_with_trace(params, graph, features, node)
+    blocks = [params.theta_r, params.theta_l, params.att, params.bias]
+    grads = []
+    for pos, block in enumerate(blocks):
+        grad = np.empty(block.size)
+        for idx in range(block.size):
+            work = block.astype(complex)
+            work.reshape(-1)[idx] += 1j * COMPLEX_STEP
+            h_out = _propagate(
+                *blocks[:pos], work, *blocks[pos + 1 :], params.negative_slope,
+                trace.h_aug_target[None], trace.h_aug_sources, np.zeros(1, dtype=np.intp),
+            )[-1][0]
+            grad[idx] = (upstream @ h_out).imag / COMPLEX_STEP
+        grads.append(grad.reshape(block.shape))
+    return GradientSet(*grads)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(graph, features, params, node, upstream): the node is isolated, has a
+    single neighbor (possibly itself), a random neighbor set with or without
+    a self-loop, or every node as a neighbor. At H = D = 16 a theta block of
+    272 entries spans three or more chunks at the default budget."""
+    n = draw(st.integers(1, 24))
+    h, d = draw(st.sampled_from([(1, 1), (2, 3), (3, 2), (16, 16)]))
+    node = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["isolated", "single", "random", "self_loop", "every"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    others = [j for j in rng.permutation(n).tolist() if j != node]
+    nbrs = {
+        "isolated": [],
+        "single": [int(rng.integers(n))],
+        "random": others[: int(rng.integers(len(others) + 1))],
+        "self_loop": [node, *others[: int(rng.integers(len(others) + 1))]],
+        "every": rng.permutation(n).tolist(),
+    }[shape]
+    graph = Graph(n, tuple((node, j) for j in nbrs))
+    params = LayerParams(
+        rng.standard_normal((d, h + 1)), rng.standard_normal((d, h + 1)),
+        rng.standard_normal(d), rng.standard_normal(d),
+    )
+    upstream = np.ones(d) if draw(st.booleans()) else rng.standard_normal(d)
+    return graph, rng.standard_normal((n, h)), params, node, upstream
+
+
+class TestBatchedOracle:
+    """The batched oracle against the one-entry-per-call evaluation."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(oracle_cases())
+    def test_matches_per_entry_evaluation(self, case):
+        """Every entry within 0.05 resolution and every verdict the same, at
+        an edge budget of 1 (one copy per call), 7 and the default."""
+        graph, feats, params, node, upstream = case
+        want = per_entry_oracle(params, graph, feats, node, upstream)
+        chain = backward_chain(forward_with_trace(params, graph, feats, node), params, upstream)
+        for budget in (1, 7, layer.EDGE_BUDGET):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(layer, "EDGE_BUDGET", budget)
+                got = fd_gradient(params, graph, feats, node, upstream)
+            for key, block in got.grads.as_dict().items():
+                err = np.abs(block - want.as_dict()[key]).max(initial=0.0)
+                assert err <= 0.05 * got.resolution, (budget, key, err / got.resolution)
+            reference = dataclasses.replace(got, grads=want)
+            for tol in (1e-6, 1e-12):
+                verdicts = [compare_gradients(chain, num, tol) for num in (got, reference)]
+                assert verdicts[0].passed == verdicts[1].passed
+                for key, check in verdicts[0].checks.items():
+                    assert check.passed == verdicts[1].checks[key].passed, (budget, key)
+
+    @pytest.mark.parametrize("budget", [None, 1000, 7])
+    def test_theta_blocks_split_over_chunks(self, monkeypatch, budget):
+        """A hub of 24 neighbors at H = D = 16 takes EDGE_BUDGET // (2 * 24)
+        copies a call, the budget read when the oracle runs: 85 at the default,
+        so each 272-entry theta block spans four chunks; one copy a call at 7."""
+        if budget is not None:
+            monkeypatch.setattr(layer, "EDGE_BUDGET", budget)
+        rng = np.random.default_rng(5)
+        graph = Graph(24, tuple((0, j) for j in range(24)))
+        params = LayerParams(
+            rng.standard_normal((16, 17)), rng.standard_normal((16, 17)),
+            rng.standard_normal(16), rng.standard_normal(16),
+        )
+        feats, upstream = rng.standard_normal((24, 16)), rng.standard_normal(16)
+        calls = []
+        monkeypatch.setattr(
+            "gatgrad.fdcheck._propagate", lambda *args: calls.append(args[0]) or _propagate(*args)
+        )
+        got = fd_gradient(params, graph, feats, 0, upstream)
+        chunk = max(1, layer.EDGE_BUDGET // 48)
+        sizes = [min(chunk, 272 - lo) for lo in range(0, 272, chunk)]
+        assert [len(theta) for theta in calls[: len(sizes)]] == sizes
+        assert budget is not None or sizes == [85, 85, 85, 17]
+        want = per_entry_oracle(params, graph, feats, 0, upstream)
+        for key, block in got.grads.as_dict().items():
+            assert np.abs(block - want.as_dict()[key]).max() <= 0.05 * got.resolution, key
+
+    @pytest.mark.parametrize("n_nbrs, h, d", [(1, 32, 32), (0, 16, 16), (40, 2, 3)])
+    def test_chunk_arrays_within_whole_graph_bytes(self, monkeypatch, n_nbrs, h, d):
+        """Each core call's complex stack and edge arrays fit in the bytes of one
+        (EDGE_BUDGET, D) float64 array, also where H + 1 exceeds the degree."""
+        rng = np.random.default_rng(3)
+        graph = Graph(41, tuple((0, j) for j in range(1, n_nbrs + 1)))
+        params = LayerParams(
+            rng.standard_normal((d, h + 1)), rng.standard_normal((d, h + 1)),
+            rng.standard_normal(d), rng.standard_normal(d),
+        )
+        calls = []
+        monkeypatch.setattr(
+            "gatgrad.fdcheck._propagate", lambda *args: calls.append(args) or _propagate(*args)
+        )
+        fd_gradient(params, graph, rng.standard_normal((41, h)), 0, np.ones(d))
+        limit = layer.EDGE_BUDGET * d * 8
+        for args in calls:
+            copies = max(len(block) for block in args[:4] if block.dtype == complex)
+            assert max(block.nbytes for block in args[:4]) <= limit
+            assert copies * n_nbrs * d * 16 <= limit
 
 
 class TestEvaluateLoss:
@@ -96,6 +223,23 @@ class TestFdGradient:
             fd_gradient(params, graph, feats, 0, np.array([1e200]))
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_loss_mid_chunk_rejected(self):
+        """One copy in the middle of a chunk overflows and the rest do not.
+
+        theta_L[0, 2] multiplies a source feature of 1e300 but is 0, so every
+        real value stays finite; its imaginary step lifts h_out's imaginary
+        part to 1e270, which the upstream 1e100 carries past the float range.
+        All four theta_L copies share one chunk, and entry 2 is neither first
+        nor last in it."""
+        graph = Graph(2, ((0, 1),))
+        feats = np.array([[0.0, 0.0, 0.0], [0.5, 1e300, 0.5]])
+        params = LayerParams(
+            [[0.1, 0.2, 0.3, 0.4]], [[0.1, 0.2, 0.0, 0.3]], [1.0], [0.0]
+        )
+        with pytest.raises(ValueError, match="non-finite loss at a perturbed point"):
+            fd_gradient(params, graph, feats, 0, np.array([1e100]))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_loss_scale_rejected(self):
         """Bias terms that cancel in the loss but overflow by magnitude."""
         theta = [[0.1, 0.1], [0.1, 0.1]]
@@ -136,8 +280,6 @@ class TestCompareGradients:
         )
         flags = {k: v.copy() for k, v in numeric.kink_flags.items()}
         flags["theta_R"][0, 0] = True
-        import dataclasses
-
         flagged = dataclasses.replace(numeric, kink_flags=flags)
         assert compare_gradients(corrupted, flagged).passed
         assert not compare_gradients(corrupted, numeric).passed
@@ -152,8 +294,6 @@ class TestCompareGradients:
         zero_rows = np.all(self.chain.theta_r == 0.0, axis=1)
         if zero_rows.any():
             noisy[np.argmax(zero_rows), 0] = numeric.resolution * 0.5
-        import dataclasses
-
         perturbed = dataclasses.replace(
             numeric,
             grads=GradientSet(

@@ -80,6 +80,23 @@ class TestSlopes:
     def test_mixed_signs(self):
         assert chain_slopes([-1.0, 2.0]) == pytest.approx([0.2, 1.0], rel=1e-15)
 
+    def test_routes_of_one_trace_follow_each_params_slope(self):
+        """A trace's segments are kept for its next route, keyed on the slope too."""
+        trace = synthetic_trace(
+            alpha=[0.5, 0.5],
+            source_proj=[[1.0], [3.0]],
+            pre_act=[[-1.0], [1.0]],
+            h_aug_target=[1.0, 0.0],
+            h_aug_sources=np.eye(2),
+        )
+        for slope in (0.2, 0.5, 0.2):
+            params = LayerParams(np.zeros((1, 2)), np.zeros((1, 2)), [1.0], [0.0], slope)
+            for theta_l in (
+                backward_chain(trace, params, np.ones(1)).theta_l,
+                grad_theta_l(trace, params, np.ones(1)),
+            ):
+                assert 1.0 - 2.0 * theta_l[0, 0] == pytest.approx(slope, rel=1e-15)
+
     def test_boundary_zero_is_negative_branch(self):
         assert chain_slopes([0.0]) == pytest.approx([0.2], rel=1e-15)
         # Through diagnose: pre-activations exactly 0 and -1 share a regime

@@ -220,7 +220,8 @@ class TestSegmentBackward:
         for run, _, starts, targets, sources, arrays in chunks:
             _, source_proj, pre_act, post_act, _, alpha, _, _ = arrays
             segs = grads._segments(
-                starts, targets, sources, source_proj, pre_act, post_act, alpha, params
+                starts, targets, sources, source_proj, pre_act, post_act, alpha,
+                params.negative_slope,
             )
             weights = grads._closed_weights(segs)
             chain_r, chain_l, d_score = grads._segment_chain(segs, params, upstream)

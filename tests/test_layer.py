@@ -344,3 +344,42 @@ class TestParamsFiles:
         path.write_text('{"D": 1, "H": 1}')
         with pytest.raises(ValueError, match="malformed"):
             load_params(path)
+
+
+# _propagate's results in order, and the parameter blocks (theta_R, theta_L,
+# a, b by position) each one depends on.
+CORE_RESULTS = (
+    ("target_proj", {0}),
+    ("source_proj", {1}),
+    ("pre_act", {0, 1}),
+    ("post_act", {0, 1}),
+    ("scores", {0, 1, 2}),
+    ("alpha", {0, 1, 2}),
+    ("messages", {0, 1, 2}),
+    ("h_out", {0, 1, 2, 3}),
+)
+
+
+class TestBatchAxis:
+    """A parameter block with a leading batch axis broadcasts through the core."""
+
+    @pytest.mark.parametrize("counts", [(5,), (0,), (1,), (3, 1, 4, 2)])
+    @pytest.mark.parametrize("stacked", [(0,), (1,), (2,), (3,), (0, 1, 2, 3)])
+    def test_stacked_copies_equal_unbatched_bitwise(self, counts, stacked):
+        """B stacked copies of the same float64 blocks give B copies of the
+        unbatched result, bit for bit, for a lone segment (empty, single
+        neighbor or several) and for several segments."""
+        rng = np.random.default_rng(len(counts) * 10 + sum(counts))
+        _, _, params = generate_instance(4, 3, 5, seed=sum(counts))
+        targets = np.column_stack([np.ones(len(counts)), rng.standard_normal((len(counts), 3))])
+        sources = np.column_stack([np.ones(sum(counts)), rng.standard_normal((sum(counts), 3))])
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
+        blocks = [params.theta_r, params.theta_l, params.att, params.bias]
+        rest = (params.negative_slope, targets, sources, starts)
+        single = _propagate(*blocks, *rest)
+        batch = [np.stack([b] * 3) if pos in stacked else b for pos, b in enumerate(blocks)]
+        batched = _propagate(*batch, *rest)
+        for (name, depends), one, many in zip(CORE_RESULTS, single, batched):
+            want = (3, *one.shape) if depends & set(stacked) else one.shape
+            assert many.shape == want, name
+            assert np.array_equal(np.broadcast_to(one, want), many), name
