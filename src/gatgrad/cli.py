@@ -110,11 +110,11 @@ def cmd_forward(args) -> int:
     params = load_params(args.params)
     nodes = _select_nodes(args, graph)
     alpha, h_out = forward_graph(params, graph, features)
-    alpha, h_out, offsets = alpha.tolist(), h_out.tolist(), graph.offsets.tolist()
+    sources, offsets = graph.sources, graph.offsets.tolist()
     entries = [
         {
             "node": node,
-            "neighbors": list(graph.neighbor_lists[node]),
+            "neighbors": sources[offsets[node] : offsets[node + 1]],
             "alpha": alpha[offsets[node] : offsets[node + 1]],
             "h_out": h_out[node],
         }

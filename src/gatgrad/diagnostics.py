@@ -49,15 +49,8 @@ class NodeDiagnosis:
     closed_form_gap: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "num_neighbors": self.num_neighbors,
-            "single_neighbor": self.single_neighbor,
-            "dead_theta_r": list(self.dead_theta_r),
-            "regime_uniformity": self.regime_uniformity,
-            "attention_entropy": self.attention_entropy,
-            "closed_form_gap": self.closed_form_gap,
-        }
+        """The fields, in order, are the report's keys."""
+        return dict(vars(self))
 
 
 def closed_form_gap(

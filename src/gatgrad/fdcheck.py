@@ -122,14 +122,8 @@ class ParamCheck:
         return {
             "max_rel_err": self.max_rel_err,
             "pass": self.passed,
-            "kink_flagged": [
-                list(ix) if isinstance(ix, tuple) else ix for ix in self.kink_flagged
-            ],
-            "worst_entry": (
-                list(self.worst_entry)
-                if isinstance(self.worst_entry, tuple)
-                else self.worst_entry
-            ),
+            "kink_flagged": self.kink_flagged,
+            "worst_entry": self.worst_entry,
         }
 
 

@@ -37,16 +37,15 @@ def generate_instance(
         )
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((num_nodes, feature_dim))
-    edges: list[tuple[int, int]] = []
-    for i in range(num_nodes):
-        pool = [j for j in range(num_nodes) if j != i]
-        if len(pool) == min_degree:
-            degree = min_degree
-        else:
-            degree = int(rng.integers(min_degree, len(pool) + 1))
-        picks = rng.choice(len(pool), size=degree, replace=False)
-        edges.extend((i, pool[int(p)]) for p in picks)
-    graph = Graph(num_nodes, tuple(edges))
+    others = num_nodes - 1
+    picks = []
+    for _ in range(num_nodes):
+        degree = min_degree if others == min_degree else int(rng.integers(min_degree, others + 1))
+        picks.append(rng.choice(others, size=degree, replace=False))
+    targets = np.repeat(np.arange(num_nodes), [len(p) for p in picks])
+    sources = np.concatenate(picks)
+    # Pick p is the p-th node other than the target: the target is skipped.
+    graph = Graph(num_nodes, np.column_stack((targets, sources + (sources >= targets))))
     params = LayerParams(
         theta_r=rng.standard_normal((out_dim, feature_dim + 1)),
         theta_l=rng.standard_normal((out_dim, feature_dim + 1)),

@@ -1,25 +1,28 @@
-"""Directed graph topology and node feature storage.
+"""Directed graph topology, node feature storage, and the JSON writer.
 
-An edge (i, j) makes node j a message source for target node i. Neighbor
-lists keep the edge-file insertion order; gradient code indexes neighbors
-positionally, so that order must be reproducible across runs.
+An edge (i, j) makes node j a message source for target node i. A graph
+keeps its edges as one read-only (E, 2) int64 array in edge-file order,
+checked in numpy at construction. Neighbor order is that order; gradient
+code indexes neighbors positionally, so it must be reproducible.
 
-Each graph also carries a compressed sparse row (CSR) view of the same
-lists for the whole-graph passes: `sources` holds every neighbor list, one
-after another in node order, and node i's neighbors are
-`sources[offsets[i]:offsets[i + 1]]`. Edge k of that order is edge k of
-the attention weights `layer.forward_graph` returns.
+A stable sort on the target gives the compressed sparse row (CSR) view the
+whole-graph passes use: node i's neighbors are
+`sources[offsets[i]:offsets[i + 1]]`. Edge k of that order is edge k of the
+attention weights `layer.forward_graph` returns.
 
 Features are stored as given, one row per node. The layer prefixes the
 constant 1 of the augmented row h_aug = [1, h] itself, when it gathers a
 target node's row and its neighbors' rows in one indexing step.
+
+Every file gatgrad writes goes through `_write_json`, which writes what
+`json.dump(payload, fh, indent=2)` writes, plus a trailing newline.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -49,67 +52,79 @@ def _numbers(value, key: str, ndim: int) -> np.ndarray:
         raise ValueError(f"{key} holds an integer too large for a float") from None
 
 
-def _write_json(path, payload: dict) -> None:
-    """Write payload as indented JSON with a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _holds_ids(arr: np.ndarray) -> bool:
+    """Whether every entry is a Python or numpy integer, never a bool."""
+    kinds = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds)
 
 
-@dataclass(frozen=True)
+def _edge_array(edges, n: int) -> np.ndarray:
+    """Distinct pairs of ids in [0, n) as (E, 2) int64; errors name the first bad edge."""
+    arr = edges if isinstance(edges, np.ndarray) else np.array(edges, dtype=object)
+    if arr.shape[:1] == (0,):
+        arr = np.empty((0, 2), np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or not _holds_ids(arr):
+        for k, edge in enumerate(edges.tolist() if isinstance(edges, np.ndarray) else edges):
+            row = np.array(edge, dtype=object)
+            if row.shape != (2,) or not _holds_ids(row):
+                raise ValueError(f"edges[{k}] {edge!r} is not a pair of integer node ids")
+    try:
+        ids = arr.astype(np.int64)
+    except OverflowError:  # an int beyond int64, out of range for any graph
+        ids = arr
+    outside = ((ids < 0) | (ids >= n)).any(axis=1)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"edges[{k}] ({arr[k, 0]}, {arr[k, 1]}) is out of range for {n} nodes")
+    key = ids[:, 0] * n + ids[:, 1]
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise ValueError(f"edges[{k}] ({ids[k, 0]}, {ids[k, 1]}) is a duplicate")
+    return ids
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable directed graph on nodes 0..num_nodes-1.
 
-    The node count and edge endpoints must be integers, never bools, floats
-    or strings. Duplicate edges are rejected outright: a duplicated neighbor
-    would be double-counted by the aggregation step. Self-loops are honored
-    only if they appear explicitly in the edge list. `sources` and `offsets`
-    are the read-only int64 CSR view of `neighbor_lists`, shapes (E,) and
-    (num_nodes + 1,).
+    `edges`, (i, j) pairs or an integer (E, 2) array, is kept as a read-only
+    (E, 2) int64 array in the given order, which equality includes. Counts
+    and ids must be integers, never bools, floats or strings. Duplicate edges
+    would be aggregated twice and are rejected; self-loops are honored only
+    if listed. `sources` and `offsets` are the read-only int64 CSR view.
     """
 
     num_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    neighbor_lists: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    sources: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray
+    sources: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = _index(self.num_nodes, "num_nodes")
         if n <= 0:
             raise ValueError("num_nodes must be positive")
+        edges = _edge_array(self.edges, n)
+        sources = edges[np.argsort(edges[:, 0], kind="stable"), 1]
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(edges[:, 0], minlength=n))))
         object.__setattr__(self, "num_nodes", n)
-        edges: list[tuple[int, int]] = []
-        lists: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for edge in self.edges:
-            try:
-                i, j = edge
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {edge!r} is not a pair of node ids") from None
-            if type(i) is not int or type(j) is not int:
-                i, j = _index(i, f"edges entry {edge!r}"), _index(j, f"edges entry {edge!r}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-            pair = (i, j)
-            if pair in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add(pair)
-            edges.append(pair)
-            lists[i].append(j)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "neighbor_lists", tuple(tuple(l) for l in lists))
-        sources = np.fromiter(itertools.chain.from_iterable(lists), np.int64, len(edges))
-        offsets = np.fromiter(itertools.accumulate(map(len, lists), initial=0), np.int64, n + 1)
-        for name, arr in (("sources", sources), ("offsets", offsets)):
+        for name, arr in (("edges", edges), ("sources", sources), ("offsets", offsets)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Graph) and self.num_nodes == other.num_nodes
+        return same and self.edges.tobytes() == other.edges.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.num_nodes, self.edges.tobytes()))
+
     def neighbors(self, i: int) -> tuple[int, ...]:
-        """Message sources of node i, in edge insertion order."""
+        """Message sources of node i, in edge order."""
         if not 0 <= i < self.num_nodes:
             raise IndexError(f"node {i} out of range for {self.num_nodes} nodes")
-        return self.neighbor_lists[i]
+        return tuple(self.sources[self.offsets[i] : self.offsets[i + 1]].tolist())
 
 
 def load_graph(path) -> tuple[Graph, np.ndarray]:
@@ -141,7 +156,90 @@ def save_graph(path, graph: Graph, features: np.ndarray) -> None:
     payload = {
         "num_nodes": graph.num_nodes,
         "feature_dim": int(features.shape[1]),
-        "features": features.tolist(),
-        "edges": [list(e) for e in graph.edges],
+        "features": features,
+        "edges": graph.edges,
     }
     _write_json(path, payload)
+
+
+_NUMBERS = {int, float, bool}
+# Numbers per call of the C encoder: enough to amortise the call, few enough
+# that the text waiting to be written stays a few hundred kilobytes.
+_BULK_NUMBERS = 4096
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write payload as json.dump(payload, fh, indent=2) does, plus a newline.
+
+    A numpy array is written as its tolist(). json.dump with an indent runs
+    the pure-Python encoder, value by value; here the numbers go through the
+    C encoder in bulk instead. A numeric leaf (a non-empty list of ints,
+    floats and bools) enters it whole and a scalar number on its own; once
+    _BULK_NUMBERS are waiting, one call encodes them all, its output is
+    split back into one text per leaf and one per scalar, and the text
+    finished so far is written out, so memory stays bounded on any payload.
+    Strings, keys (strings only) and the layout are written here.
+    """
+    parts: list = []  # output strings; a number holds its place until encoded
+    leaves, leaf_at, scalars, scalar_at = [], [], [], []
+    waiting = 0  # numbers in leaves and scalars
+    encode = json.JSONEncoder(separators=(",\n", ": ")).encode
+
+    def flush() -> None:
+        nonlocal waiting
+        # Numbers never hold "]" or a newline, so the split is unambiguous;
+        # the scalars ride along as the last list.
+        *texts, scalar_text = encode([*leaves, scalars])[2:-2].split("],\n[")
+        for at, text in zip(scalar_at, scalar_text.split(",\n")):
+            parts[at] = text
+        for at, text in zip(leaf_at, texts):
+            inner = "\n" + "  " * (parts[at] + 1)
+            parts[at] = "[" + inner + text.replace("\n", inner) + "\n" + "  " * parts[at] + "]"
+        fh.write("".join(parts))
+        for pending in (parts, leaves, leaf_at, scalars, scalar_at):
+            pending.clear()
+        waiting = 0
+
+    def emit(value, depth: int) -> None:
+        nonlocal waiting
+        if waiting >= _BULK_NUMBERS:
+            flush()
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, str):
+            parts.append(encode_basestring_ascii(value))
+        elif value is None:
+            parts.append("null")
+        elif isinstance(value, (int, float)):
+            scalar_at.append(len(parts))
+            parts.append(None)
+            scalars.append(value)
+            waiting += 1
+        elif isinstance(value, (list, tuple)) and value and set(map(type, value)) <= _NUMBERS:
+            leaf_at.append(len(parts))
+            parts.append(depth)
+            leaves.append(value)
+            waiting += len(value)
+        elif isinstance(value, (list, tuple, dict)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                parts.append("{}" if is_dict else "[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            parts.append(("{" if is_dict else "[") + inner)
+            separator = "," + inner
+            for k, item in enumerate(value.items() if is_dict else value):
+                if k:
+                    parts.append(separator)
+                if is_dict:
+                    parts.append(encode_basestring_ascii(item[0]) + ": ")
+                    item = item[1]
+                emit(item, depth + 1)
+            parts.append("\n" + "  " * depth + ("}" if is_dict else "]"))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    with open(path, "w", encoding="utf-8") as fh:
+        emit(payload, 0)
+        flush()
+        fh.write("\n")

@@ -397,9 +397,9 @@ def save_params(path, params: LayerParams) -> None:
         "D": params.out_dim,
         "H": params.feature_dim,
         "negative_slope": params.negative_slope,
-        "theta_R": params.theta_r.tolist(),
-        "theta_L": params.theta_l.tolist(),
-        "a": params.att.tolist(),
-        "b": params.bias.tolist(),
+        "theta_R": params.theta_r,
+        "theta_L": params.theta_l,
+        "a": params.att,
+        "b": params.bias,
     }
     _write_json(path, payload)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gatgrad.cli
-from gatgrad import GradientSet, backward_chain, load_graph, load_params
+from gatgrad import GradientSet, backward_chain, generate_instance, load_graph, load_params
 from gatgrad.cli import main
 
 
@@ -73,11 +73,34 @@ class TestGen:
         )
         assert code == 0
         graph, _ = load_graph(graph_path)
-        assert graph.edges == ()
+        assert graph.edges.shape == (0, 2)
 
     def test_impossible_min_degree_is_usage_error(self, tmp_path):
         code, _, _ = run_gen(tmp_path, nodes=2, extra=("--min-degree", "5"))
         assert code == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("num_nodes, min_degree", [(9, 2), (5, 4), (1, 0), (4, 0)])
+    def test_same_draws_as_the_pool_loop(self, seed, num_nodes, min_degree):
+        """The edges are those of a loop that picks from a list of the other nodes."""
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((num_nodes, 2))
+        edges = []
+        for i in range(num_nodes):
+            pool = [j for j in range(num_nodes) if j != i]
+            if len(pool) == min_degree:
+                degree = min_degree
+            else:
+                degree = int(rng.integers(min_degree, len(pool) + 1))
+            picks = rng.choice(len(pool), size=degree, replace=False)
+            edges.extend((i, pool[int(p)]) for p in picks)
+        blocks = [rng.standard_normal((3, 3)), rng.standard_normal((3, 3)),
+                  rng.standard_normal(3), rng.standard_normal(3)]
+        graph, feats, params = generate_instance(num_nodes, 2, 3, seed, min_degree)
+        assert graph.edges.tolist() == [list(e) for e in edges]
+        assert np.array_equal(feats, features)
+        for got, want in zip((params.theta_r, params.theta_l, params.att, params.bias), blocks):
+            assert np.array_equal(got, want)
 
     def test_min_degree_honored(self, tmp_path):
         code, graph_path, _ = run_gen(tmp_path, nodes=6, extra=("--min-degree", "3"))

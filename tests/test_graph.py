@@ -9,6 +9,20 @@ from hypothesis import strategies as st
 
 from gatgrad import Graph, LayerParams, forward_with_trace, load_graph, save_graph
 
+# Edge lists a 3-node graph rejects, each with the start of its message.
+BAD_EDGES = [
+    ([[0, 1], [0, True]], "edges[1] [0, True] is not a pair"),
+    ([[0, "1"]], "edges[0] [0, '1'] is not a pair"),
+    ([[0, 1], [1, 2, 0]], "edges[1] [1, 2, 0] is not a pair"),
+    ([[0, 1, 2], [1, 2, 0]], "edges[0] [0, 1, 2] is not a pair"),
+    ([[0, 1], [1]], "edges[1] [1] is not a pair"),
+    ([[0, 1], 2], "edges[1] 2 is not a pair"),
+    ([[0, 1], [-1, 0]], "edges[1] (-1, 0) is out of range"),
+    ([[0, 1], [2, 3]], "edges[1] (2, 3) is out of range"),
+    ([[0, 2 ** 70]], "edges[0] (0, 1180591620717411303424) is out of range"),
+    ([[0, 1], [1, 0], [1, 1], [1, 0], [0, 1]], "edges[3] (1, 0) is a duplicate"),
+]
+
 finite_features = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=0, max_size=8
 )
@@ -111,8 +125,37 @@ class TestGraph:
 
     def test_numpy_integers_accepted(self):
         g = Graph(np.int64(3), ((np.int64(0), np.int32(2)),))
-        assert g.num_nodes == 3 and g.edges == ((0, 2),)
-        assert type(g.edges[0][1]) is int
+        assert g.num_nodes == 3 and g.edges.tolist() == [[0, 2]]
+        assert g.edges.dtype == np.int64 and type(g.neighbors(0)[0]) is int
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_integer_array_accepted(self, dtype):
+        g = Graph(3, np.array([[0, 2], [2, 2], [0, 1]], dtype=dtype))
+        assert g.edges.tolist() == [[0, 2], [2, 2], [0, 1]] and g.edges.dtype == np.int64
+        assert g.neighbors(0) == (2, 1) and g.neighbors(2) == (2,)
+
+    def test_edge_array_is_a_read_only_copy(self):
+        edges = np.array([[0, 1]])
+        g = Graph(2, edges)
+        edges[0, 1] = 0
+        assert g.edges.tolist() == [[0, 1]]
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
+
+    @pytest.mark.parametrize("edges, message", BAD_EDGES)
+    def test_bad_edge_named_by_index_and_value(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            Graph(3, edges)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [np.array([[0, 1.0]]), np.array([[0, 1]], dtype=bool), np.array([[0, 1, 2]]),
+         np.array([0, 1]), np.array([["0", "1"]])],
+    )
+    def test_non_integer_or_misshapen_array_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"edges\[0\] .* is not a pair of integer node ids"):
+            Graph(3, edges)
 
     def test_neighbor_sets_match_edges(self):
         rng = np.random.default_rng(0)
@@ -151,6 +194,15 @@ class TestCsrView:
         assert a == b and hash(a) == hash(b)
         assert a != Graph(2, ((1, 0), (0, 1)))
 
+    def test_equal_whether_built_from_tuples_or_an_array(self):
+        edges = ((0, 1), (2, 0), (2, 2))
+        for array in (np.array(edges), np.array(edges, dtype=np.int32)):
+            a, b = Graph(3, edges), Graph(3, array)
+            assert a == b and hash(a) == hash(b)
+        assert Graph(3, ()) == Graph(3, np.empty((0, 2), dtype=np.int64))
+        assert Graph(3, edges) != Graph(4, edges)
+        assert Graph(3, edges) != Graph(3, edges[:2])
+
 
 class TestGraphFiles:
     def _sample(self):
@@ -163,8 +215,8 @@ class TestGraphFiles:
         path = tmp_path / "graph.json"
         save_graph(path, g, feats)
         g2, feats2 = load_graph(path)
-        assert g2.edges == g.edges
-        assert g2.neighbor_lists == g.neighbor_lists
+        assert np.array_equal(g2.edges, g.edges)
+        assert [g2.neighbors(i) for i in range(3)] == [g.neighbors(i) for i in range(3)]
         assert np.array_equal(feats2, feats)
 
     def test_resave_is_byte_identical(self, tmp_path):
@@ -209,6 +261,7 @@ class TestGraphFiles:
             ("edges", {"edges": [[0, 1.9]]}),
             ("features", {"features": [[1.0], [True], [0.0]]}),
             ("features", {"features": [[1.0], ["1"], [0.0]]}),
+            *((message, {"edges": edges}) for edges, message in BAD_EDGES),
         ],
     )
     def test_coercible_values_rejected(self, tmp_path, key, override):

@@ -54,7 +54,7 @@ def forward_per_neighbor(params, graph, features, node):
 def isolated_and_self_loop(seed, n=6, h=3, d=4):
     """A seeded instance where node 0 has no neighbors and node 1 lists itself."""
     graph, feats, params = generate_instance(n, h, d, seed=seed)
-    edges = [e for e in graph.edges if e[0] != 0]
+    edges = [tuple(e) for e in graph.edges.tolist() if e[0] != 0]
     if (1, 1) not in edges:
         edges.append((1, 1))
     return Graph(n, tuple(edges)), feats, params
