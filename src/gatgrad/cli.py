@@ -133,7 +133,8 @@ def cmd_gradcheck(args) -> int:
     all_passed = True
     for node in _select_nodes(args, graph):
         trace = forward_with_trace(params, graph, features, node)
-        upstream = _upstream_vector(args.upstream, params.out_dim, rng)
+        if not entries or args.upstream == "random":  # uniform and file: resolved once
+            upstream = _upstream_vector(args.upstream, params.out_dim, rng)
         chain = backward_chain(trace, params, upstream)
         numeric = fd_gradient(params, graph, features, node, upstream)
         report = compare_gradients(chain, numeric, args.tol)

@@ -15,7 +15,8 @@ The formulas are written once, over the edge segments of layer._propagate
 (one per target, reduced as in DGL's edge_softmax backward). The public
 functions are the one-segment case of one node's trace, and
 diagnostics.diagnose runs them over chunks of the graph; only
-grad_theta_r_pairwise stays per node, as the independent cross-check.
+grad_theta_r_pairwise stays per node, as the independent cross-check that
+sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
 
 Gradients are per target node; summing over nodes is left to callers.
 """
@@ -28,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import layer
 from .layer import _ONE_SEGMENT, ForwardTrace, LayerParams, _segment_dot, _segment_ids
 from .layer import _segment_products
 
@@ -235,20 +237,27 @@ def grad_theta_r_pairwise(
 
     Visits unordered neighbor pairs exactly once; each pair contributes
     alpha[k] * alpha[j] * (total[k] - total[j]) * (slope[k] - slope[j]).
-    Algebraically identical to grad_theta_r_sum. The pairs j > k of one
-    neighbor k are summed at once, so memory stays O(N * D).
+    Algebraically identical to grad_theta_r_sum. A slope difference is 0 or
+    +-(1 - negative_slope), so row blocks of the pair triangle meet the 0/1
+    regime indicators in two matrix products. A block has at most
+    layer.EDGE_BUDGET * D // N rows, the floats of one (EDGE_BUDGET, D) array
+    of a whole-graph chunk, so memory stays O(N * D) at any degree.
     """
     g = _check_upstream(upstream, params.out_dim)
     n = trace.num_neighbors
     if n < 2:
         return np.zeros_like(params.theta_r)
-    slopes = _slopes(trace.pre_act, params.negative_slope)
+    pos = _slopes(trace.pre_act, 0.0)
+    neg = 1.0 - pos
     totals = trace.source_proj.sum(axis=1)
-    alpha = trace.alpha
+    rows = max(1, layer.EDGE_BUDGET * params.out_dim // n)
     coeff = np.zeros(params.out_dim)
-    for k in range(n - 1):
-        pair = alpha[k] * alpha[k + 1 :] * (totals[k] - totals[k + 1 :])
-        coeff += pair @ (slopes[k] - slopes[k + 1 :])
+    for lo in range(0, n - 1, rows):
+        k, j = slice(lo, min(lo + rows, n - 1)), slice(lo + 1, None)
+        w = np.multiply.outer(trace.alpha[k], trace.alpha[j])  # in place: a temporary fewer
+        w = np.triu(np.multiply(w, np.subtract.outer(totals[k], totals[j]), out=w))
+        coeff += (pos[k] * (w @ neg[j])).sum(0) - (neg[k] * (w @ pos[j])).sum(0)
+    coeff *= 1.0 - params.negative_slope
     return np.outer(g * params.att * coeff, trace.h_aug_target)
 
 

@@ -254,6 +254,25 @@ class TestGradcheck:
         assert payload["upstream"] == [1.0, -2.0, 0.5]
         assert payload["upstream_mode"] == "file"
 
+    def test_upstream_file_read_once_for_all_nodes(self, instance, monkeypatch):
+        tmp_path, _, _ = instance
+        vec_path = tmp_path / "upstream.json"
+        vec_path.write_text("[1.0, -2.0, 0.5]")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(gatgrad.cli, "open", counting_open, raising=False)
+        code, payload = self.check(instance, "--upstream", f"file:{vec_path}")
+        assert code == 0
+        assert opened == [str(vec_path)]
+        assert len(payload["nodes"]) > 1
+        for entry in payload["nodes"]:
+            assert entry["upstream"] == [1.0, -2.0, 0.5]
+            assert entry["upstream_mode"] == "file"
+
     def test_wrong_length_upstream_file(self, instance):
         tmp_path, graph_path, params_path = instance
         vec_path = tmp_path / "upstream.json"

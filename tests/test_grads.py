@@ -1,5 +1,7 @@
 """Analytic gradients: pinned hand values, algebraic identities, FD checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from gatgrad import (
     relative_error,
     softmax_jacobian,
 )
+from gatgrad import layer
 
 simplex_sizes = st.integers(min_value=1, max_value=7)
 
@@ -318,6 +321,110 @@ class TestPairwiseSumIdentity:
                 bound = 2 * n * eps * np.outer(np.abs(row_scale) * magnitude,
                                                np.abs(trace.h_aug_target))
                 assert np.all(np.abs(got - want) <= bound), node
+
+
+def check_against_pair_loop(trace, params, upstream):
+    """grad_theta_r_pairwise against the plain pair loop, within
+    test_matches_double_loop_reference's bound; rows whose activation regime
+    is one across the neighbors, and every row at negative_slope 1, are
+    exactly zero."""
+    eps = np.finfo(np.float64).eps
+    n, d = trace.num_neighbors, params.out_dim
+    slopes = np.where(trace.pre_act > 0.0, 1.0, params.negative_slope)
+    totals = trace.source_proj.sum(axis=1)
+    coeff = np.zeros(d)
+    magnitude = np.zeros(d)
+    for k in range(n):
+        for j in range(k + 1, n):
+            pair = trace.alpha[k] * trace.alpha[j] * (totals[k] - totals[j])
+            coeff += pair * (slopes[k] - slopes[j])
+            magnitude += np.abs(pair * (slopes[k] - slopes[j]))
+    row_scale = upstream * params.att
+    want = np.outer(row_scale * coeff, trace.h_aug_target)
+    got = grad_theta_r_pairwise(trace, params, upstream)
+    bound = 2 * n * eps * np.outer(np.abs(row_scale) * magnitude, np.abs(trace.h_aug_target))
+    assert np.all(np.abs(got - want) <= bound)
+    positive = trace.pre_act > 0.0
+    one_regime = np.all(positive == positive[:1], axis=0)
+    assert np.all(got[one_regime] == 0.0)
+    if params.negative_slope == 1.0:
+        assert np.all(got == 0.0)
+    return one_regime
+
+
+class TestPairBlocks:
+    """The pair triangle split over many row blocks by a small edge budget."""
+
+    @pytest.mark.parametrize("budget", [1, 3, 17])
+    @pytest.mark.parametrize("slope", [0.2, 1.0])
+    def test_blocks_match_pair_loop(self, monkeypatch, budget, slope):
+        # At budget 1 and D = 4, every node of degree 3 or more takes one
+        # row per block; degrees reach 40.
+        monkeypatch.setattr(layer, "EDGE_BUDGET", budget)
+        saw = {"one_regime": False, "blocks": False}
+        for seed in range(2):
+            g, feats, params = generate_instance(41, 3, 4, seed=seed, negative_slope=slope)
+            th = params.theta_r.copy()
+            th[0, 0] = 80.0  # row 0 sits on the positive branch at every neighbor
+            params = LayerParams(th, params.theta_l, params.att, params.bias, slope)
+            upstream = np.random.default_rng(seed).standard_normal(4)
+            for node in range(41):
+                trace = forward_with_trace(params, g, feats, node)
+                one_regime = check_against_pair_loop(trace, params, upstream)
+                saw["one_regime"] |= bool(one_regime[0])
+                saw["blocks"] |= budget * 4 // trace.num_neighbors < trace.num_neighbors - 1
+        assert all(saw.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        d=st.integers(min_value=1, max_value=6),
+        slope=st.sampled_from([0.01, 0.2, 0.5, 0.99, 1.0]),
+        budget=st.sampled_from([1, 2, 5, layer.EDGE_BUDGET]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_blocks_match_pair_loop_property(self, n, d, slope, budget, seed):
+        rng = np.random.default_rng(seed)
+        pre_act = rng.standard_normal((n, d))
+        pre_act[rng.random((n, d)) < 0.1] = 0.0  # the kink, on the negative branch
+        pre_act[:, ::3] = -np.abs(pre_act[:, ::3])  # one-regime dimensions
+        trace = synthetic_trace(
+            alpha=random_alpha(rng, n),
+            source_proj=rng.standard_normal((n, d)),
+            pre_act=pre_act,
+            h_aug_target=np.append(rng.standard_normal(2), 1.0),
+            h_aug_sources=np.ones((n, 3)),
+        )
+        params = LayerParams(np.zeros((d, 3)), np.zeros((d, 3)), rng.standard_normal(d),
+                             np.zeros(d), slope)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layer, "EDGE_BUDGET", budget)
+            # For N <= 1 the bound is 0: an exact zero matrix.
+            check_against_pair_loop(trace, params, rng.standard_normal(d))
+
+    def test_memory_stays_within_the_block_bound(self):
+        """A hub of 2,000 neighbors at D = 4: its full pair triangle would
+        take 32 MB, one block at most one (EDGE_BUDGET, D) float64 array."""
+        rng = np.random.default_rng(0)
+        n, d = 2000, 4
+        trace = synthetic_trace(
+            alpha=random_alpha(rng, n),
+            source_proj=rng.standard_normal((n, d)),
+            pre_act=rng.standard_normal((n, d)),
+            h_aug_target=[0.5, 1.0],
+            h_aug_sources=np.ones((n, 2)),
+        )
+        params = LayerParams(np.zeros((d, 2)), np.zeros((d, 2)), np.ones(d), np.zeros(d), 0.2)
+        upstream = np.ones(d)
+        tracemalloc.start()
+        try:
+            got = grad_theta_r_pairwise(trace, params, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * layer.EDGE_BUDGET * d * 8
+        want = grad_theta_r_sum(trace, params, upstream)
+        assert relative_error(got, want).max() <= 1e-9
 
 
 def permuted(graph, feats, perm):
