@@ -12,7 +12,6 @@ Exit codes: 0 success / all checks passed, 1 gradient check failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -22,13 +21,14 @@ from .fdcheck import COMPLEX_STEP, compare_gradients, fd_gradient
 from .gen import generate_instance
 from .grads import (
     GradientSet,
+    _check_upstream,
     backward_chain,
     grad_bias,
     grad_theta_l,
     grad_theta_r_sum,
     gradient_set_to_json_dict,
 )
-from .graph import _numbers, _write_json, load_graph, save_graph
+from .graph import _node_id, _numbers, _reading, _write_json, load_graph, save_graph
 from .layer import forward_graph, forward_with_trace, load_params, save_params
 
 __all__ = ["main", "run"]
@@ -59,9 +59,7 @@ def _add_upstream_flags(sub: argparse.ArgumentParser) -> None:
 
 def _select_nodes(args, graph) -> list[int]:
     if args.node is not None:
-        if not 0 <= args.node < graph.num_nodes:
-            raise ValueError(f"node {args.node} out of range")
-        return [args.node]
+        return [_node_id(args.node, graph.num_nodes)]
     return list(range(graph.num_nodes))
 
 
@@ -75,17 +73,8 @@ def _upstream_vector(mode: str, out_dim: int, rng: np.random.Generator) -> np.nd
     if mode == "random":
         return rng.standard_normal(out_dim)
     if mode.startswith("file:"):
-        path = mode[5:]
-        with open(path, "r", encoding="utf-8") as fh:
-            vec = _numbers(json.load(fh), f"upstream file {path}", 1)
-        if vec.shape != (out_dim,):
-            raise ValueError(
-                f"upstream file {path} has shape {vec.shape}, expected ({out_dim},)"
-            )
-        bad = np.flatnonzero(~np.isfinite(vec))
-        if bad.size:
-            raise ValueError(f"upstream file {path} has a non-finite entry at index {bad[0]}")
-        return vec
+        with _reading(mode[5:], "upstream") as raw:
+            return _check_upstream(_numbers(raw, "upstream", 1), out_dim)
     raise ValueError(f"unknown upstream mode {mode!r}")
 
 
@@ -247,7 +236,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

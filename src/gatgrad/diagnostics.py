@@ -20,13 +20,12 @@ module adds only the dead rows and the entropy.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grads import GradientSet, _check_upstream, _one_segment, _segment_gap, _segments
-from .graph import Graph
+from .graph import Graph, _node_id
 from .layer import ForwardTrace, LayerParams, _graph_chunks, _segment_sum
 
 # perfbench/spans.py wraps these by this module's name; nothing here calls them.
@@ -74,15 +73,6 @@ def closed_form_gap(
     return float(_segment_gap(_one_segment(trace, params.negative_slope), params, g, blocks)[0])
 
 
-def _node_ids(graph: Graph, nodes) -> np.ndarray:
-    """Requested node ids as int64, each checked against the graph."""
-    ids = [operator.index(i) for i in nodes]
-    for i in ids:
-        if not 0 <= i < graph.num_nodes:
-            raise IndexError(f"node {i} out of range for {graph.num_nodes} nodes")
-    return np.array(ids, dtype=np.int64)
-
-
 def diagnose(
     params: LayerParams,
     graph: Graph,
@@ -93,14 +83,18 @@ def diagnose(
     """Diagnose a set of target nodes; defaults to every node with neighbors.
 
     upstream is the gradient entering closed_form_gap (all ones when
-    omitted). Nodes come out in the order given, repeats included; an id
-    outside the graph raises IndexError. Every indicator comes from one
-    edge-parallel pass over the distinct requested nodes with neighbors.
+    omitted). Nodes come out in the order given, repeats included; a bool,
+    float or string id raises TypeError and one outside the graph IndexError.
+    Every indicator comes from one edge-parallel pass over the distinct
+    requested nodes with neighbors.
     Isolated nodes, if explicitly requested, report vacuously dead rows,
     uniformity 1, zero entropy and zero gap.
     """
     degrees = np.diff(graph.offsets)
-    ids = np.flatnonzero(degrees) if nodes is None else _node_ids(graph, nodes)
+    if nodes is None:
+        ids = np.flatnonzero(degrees)
+    else:
+        ids = np.array([_node_id(i, graph.num_nodes) for i in nodes], dtype=np.int64)
     g = _check_upstream(np.ones(params.out_dim) if upstream is None else upstream, params.out_dim)
     requested = np.zeros(graph.num_nodes, dtype=bool)
     requested[ids] = True

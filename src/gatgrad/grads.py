@@ -30,8 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import layer
+from .graph import _finite
 from .layer import _ONE_SEGMENT, ForwardTrace, LayerParams, _segment_dot, _segment_ids
-from .layer import _segment_products
+from .layer import _segment_products, _slopes
 
 __all__ = [
     "GradientSet",
@@ -91,9 +92,7 @@ def softmax_jacobian(alpha: np.ndarray) -> np.ndarray:
     Entry (l, j) is alpha[l] * (delta(l, j) - alpha[j]). Symmetric, rows sum
     to zero, diagonal nonnegative. Input must already be normalized and finite.
     """
-    a = np.asarray(alpha, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError("non-finite attention weight")
+    a = _finite(np.asarray(alpha, dtype=np.float64), "attention weight")
     if a.size and abs(float(a.sum()) - 1.0) > 1e-9:
         raise ValueError(f"attention weights sum to {a.sum()!r}, expected 1")
     return np.diag(a) - np.outer(a, a)
@@ -105,17 +104,7 @@ def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
     if g.ndim != 1 or out_dim not in (None, len(g)):
         want = "D" if out_dim is None else out_dim
         raise ValueError(f"upstream gradient shape {g.shape}, expected ({want},)")
-    if not np.isfinite(g).all():
-        raise ValueError("non-finite upstream gradient")
-    return g
-
-
-def _slopes(pre_act: np.ndarray, negative_slope: float) -> np.ndarray:
-    """LeakyReLU derivative per edge and dimension, in {1, negative_slope}.
-
-    A pre-activation of exactly 0 sits on the negative branch.
-    """
-    return np.where(pre_act > 0.0, 1.0, negative_slope)
+    return _finite(g, "upstream gradient")
 
 
 class _Segments(NamedTuple):

@@ -14,13 +14,18 @@ Features are stored as given, one row per node. The layer prefixes the
 constant 1 of the augmented row h_aug = [1, h] itself, when it gathers a
 target node's row and its neighbors' rows in one indexing step.
 
-Every file gatgrad writes goes through `_write_json`, which writes what
-`json.dump(payload, fh, indent=2)` writes, plus a trailing newline.
+Outside input has one boundary here. Every file gatgrad reads is read
+under `_reading`, which names the file in every error its content causes;
+a node id is checked by `_node_id` and a float array's finiteness by
+`_finite`. Every file gatgrad writes goes through `_write_json`, which
+writes what `json.dump(payload, fh, indent=2)` writes, plus a trailing
+newline.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -29,11 +34,43 @@ import numpy as np
 __all__ = ["Graph", "load_graph", "save_graph"]
 
 
+@contextmanager
+def _reading(path, kind: str):
+    """Yield the parsed JSON of the file at path, to a with-block that checks it.
+
+    Every KeyError, TypeError, ValueError (bad UTF-8 and bad JSON among them)
+    or RecursionError (nesting too deep to parse) raised while parsing or in
+    the block becomes ValueError("malformed {kind} file {path}: ..."). An
+    OSError passes through: its message names the path.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield json.load(fh)
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"malformed {kind} file {path}: {exc}") from None
+
+
 def _index(value, key: str) -> int:
-    """A count or node id as a Python int; bools, floats and strings are rejected."""
+    """A count or node id as a Python int; TypeError for a bool, float or string."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+    raise TypeError(f"{key} must be an integer, got {value!r}")
+
+
+def _node_id(i, n: int) -> int:
+    """Node id i of an n-node graph as a Python int; IndexError outside [0, n)."""
+    i = _index(i, "node id")
+    if not 0 <= i < n:
+        raise IndexError(f"node {i} out of range for {n} nodes")
+    return i
+
+
+def _finite(arr: np.ndarray, key: str) -> np.ndarray:
+    """arr, if every entry is finite; else ValueError naming key and the first bad index."""
+    if np.isfinite(arr).all():
+        return arr
+    where = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+    raise ValueError(f"non-finite {key} entry at index {where[0] if arr.ndim == 1 else where}")
 
 
 def _numbers(value, key: str, ndim: int) -> np.ndarray:
@@ -61,13 +98,14 @@ def _holds_ids(arr: np.ndarray) -> bool:
 def _edge_array(edges, n: int) -> np.ndarray:
     """Distinct pairs of ids in [0, n) as (E, 2) int64; errors name the first bad edge."""
     arr = edges if isinstance(edges, np.ndarray) else np.array(edges, dtype=object)
-    if arr.shape[:1] == (0,):
+    if arr.shape == (0,) and arr is not edges:  # [] or (), never an array
         arr = np.empty((0, 2), np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2 or not _holds_ids(arr):
-        for k, edge in enumerate(edges.tolist() if isinstance(edges, np.ndarray) else edges):
+        for k, edge in enumerate(arr.tolist() if arr.ndim else ()):
             row = np.array(edge, dtype=object)
             if row.shape != (2,) or not _holds_ids(row):
                 raise ValueError(f"edges[{k}] {edge!r} is not a pair of integer node ids")
+        raise ValueError(f"edges must be (E, 2) integer ids, got {arr.dtype} shape {arr.shape}")
     try:
         ids = arr.astype(np.int64)
     except OverflowError:  # an int beyond int64, out of range for any graph
@@ -89,11 +127,11 @@ def _edge_array(edges, n: int) -> np.ndarray:
 class Graph:
     """Immutable directed graph on nodes 0..num_nodes-1.
 
-    `edges`, (i, j) pairs or an integer (E, 2) array, is kept as a read-only
-    (E, 2) int64 array in the given order, which equality includes. Counts
-    and ids must be integers, never bools, floats or strings. Duplicate edges
-    would be aggregated twice and are rejected; self-loops are honored only
-    if listed. `sources` and `offsets` are the read-only int64 CSR view.
+    `edges`, (i, j) pairs or an integer (E, 2) array (even when empty), is
+    kept as a read-only (E, 2) int64 array in the given order, which equality
+    includes. Counts and ids must be integers, never bools, floats or strings.
+    Duplicate edges would be aggregated twice and are rejected; self-loops are
+    honored only if listed. `sources` and `offsets` are the read-only int64 CSR view.
     """
 
     num_nodes: int
@@ -121,27 +159,20 @@ class Graph:
         return hash((self.num_nodes, self.edges.tobytes()))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        """Message sources of node i, in edge order."""
-        if not 0 <= i < self.num_nodes:
-            raise IndexError(f"node {i} out of range for {self.num_nodes} nodes")
+        """Message sources of node i in edge order; TypeError or IndexError for a bad i."""
+        i = _node_id(i, self.num_nodes)
         return tuple(self.sources[self.offsets[i] : self.offsets[i + 1]].tolist())
 
 
 def load_graph(path) -> tuple[Graph, np.ndarray]:
     """Read a graph JSON file; return the topology and the (n, H) feature matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
+    with _reading(path, "graph") as raw:
         n = _index(raw["num_nodes"], "num_nodes")
         dim = _index(raw["feature_dim"], "feature_dim")
-        features = _numbers(raw["features"], "features", 2)
+        features = _finite(_numbers(raw["features"], "features", 2), "features")
         if features.shape != (n, dim):
             raise ValueError(f"features has shape {features.shape}, expected ({n}, {dim})")
-        if not np.isfinite(features).all():
-            raise ValueError("non-finite entries in features")
         graph = Graph(n, raw["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed graph file {path}: {exc}") from None
     features.setflags(write=False)
     return graph, features
 

@@ -34,12 +34,11 @@ _segment_dot and _segment_products.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _index, _numbers, _write_json
+from .graph import Graph, _finite, _index, _numbers, _reading, _write_json
 
 __all__ = [
     "LayerParams",
@@ -71,7 +70,7 @@ class LayerParams:
 
     def __post_init__(self) -> None:
         for name in ("theta_r", "theta_l", "att", "bias"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr = _finite(np.array(getattr(self, name), dtype=np.float64), name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.theta_r.ndim != 2 or self.theta_r.shape[1] < 1:
@@ -87,9 +86,6 @@ class LayerParams:
         if not 0.0 < slope <= 1.0:
             raise ValueError(f"negative_slope must lie in (0, 1], got {slope}")
         object.__setattr__(self, "negative_slope", slope)
-        for name in ("theta_r", "theta_l", "att", "bias"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"non-finite entries in {name}")
 
     @property
     def out_dim(self) -> int:
@@ -108,6 +104,11 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     the real part, so complex input is differentiated along the real branch.
     """
     return np.where(x.real > 0.0, x, slope * x)
+
+
+def _slopes(x: np.ndarray, negative_slope: float) -> np.ndarray:
+    """leaky_relu's derivative at x, 1 or negative_slope, with leaky_relu's branches."""
+    return np.where(x.real > 0.0, 1.0, negative_slope)
 
 
 # The one segment of a single node's evaluation.
@@ -370,9 +371,7 @@ def forward_graph(
 
 def load_params(path) -> LayerParams:
     """Read a params JSON file and validate it against its declared shape."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
+    with _reading(path, "params") as raw:
         d = _index(raw["D"], "D")
         h = _index(raw["H"], "H")
         params = LayerParams(
@@ -382,12 +381,8 @@ def load_params(path) -> LayerParams:
             bias=_numbers(raw["b"], "b", 1),
             negative_slope=float(_numbers(raw["negative_slope"], "negative_slope", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed params file {path}: {exc}") from None
-    if params.out_dim != d or params.feature_dim != h:
-        raise ValueError(
-            f"declared D={d}, H={h} but theta_R has shape {params.theta_r.shape}"
-        )
+        if params.out_dim != d or params.feature_dim != h:
+            raise ValueError(f"declared D={d}, H={h} but theta_R has shape {params.theta_r.shape}")
     return params
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gatgrad.cli
+import gatgrad.graph
 from gatgrad import GradientSet, backward_chain, generate_instance, load_graph, load_params
 from gatgrad.cli import main
 
@@ -26,6 +27,24 @@ def run_gen(tmp_path, seed=42, nodes=5, feature_dim=3, out_dim=4, extra=()):
         ]
     )
     return code, graph_path, params_path
+
+
+# Broken copies of a good graph, params or upstream file: the text edits
+# break the JSON itself, the JSON edits its content.
+TEXT_EDITS = {
+    "truncated": lambda text: text[: len(text) // 2].encode(),
+    "invalid_utf8": lambda text: b"\xff" + text.encode(),
+    "nested": lambda text: b"[" * 100_000,
+}
+JSON_EDITS = {
+    ("graph", "missing_key"): lambda raw: {k: v for k, v in raw.items() if k != "features"},
+    ("graph", "wrong_value"): lambda raw: {**raw, "edges": 5},
+    ("params", "missing_key"): lambda raw: {k: v for k, v in raw.items() if k != "theta_L"},
+    ("params", "wrong_value"): lambda raw: {**raw, "a": 5},
+    # An upstream file is a bare list: its missing key is a list under a key.
+    ("upstream", "missing_key"): lambda raw: {"upstream": raw},
+    ("upstream", "wrong_value"): lambda raw: [raw[0], "x", *raw[2:]],
+}
 
 
 def inject_theta_l_defect(monkeypatch, entry):
@@ -78,6 +97,19 @@ class TestGen:
     def test_impossible_min_degree_is_usage_error(self, tmp_path):
         code, _, _ = run_gen(tmp_path, nodes=2, extra=("--min-degree", "5"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"nodes": 0}, "must be positive"),
+            ({"out_dim": -1}, "must be positive"),
+            ({"extra": ("--min-degree", "-1")}, "min_degree must be nonnegative"),
+        ],
+    )
+    def test_invalid_sizes_are_usage_errors(self, tmp_path, capsys, sizes, message):
+        code, graph_path, _ = run_gen(tmp_path, **sizes)
+        assert code == 2 and not graph_path.exists()
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("num_nodes, min_degree", [(9, 2), (5, 4), (1, 0), (4, 0)])
@@ -255,19 +287,20 @@ class TestGradcheck:
         assert payload["upstream_mode"] == "file"
 
     def test_upstream_file_read_once_for_all_nodes(self, instance, monkeypatch):
-        tmp_path, _, _ = instance
+        tmp_path, graph_path, params_path = instance
         vec_path = tmp_path / "upstream.json"
         vec_path.write_text("[1.0, -2.0, 0.5]")
         opened = []
 
-        def counting_open(path, *args, **kwargs):
-            opened.append(path)
-            return open(path, *args, **kwargs)
+        def counting_open(path, mode="r", *args, **kwargs):
+            if "r" in mode:  # the reports are written through the same module
+                opened.append(path)
+            return open(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(gatgrad.cli, "open", counting_open, raising=False)
+        monkeypatch.setattr(gatgrad.graph, "open", counting_open, raising=False)
         code, payload = self.check(instance, "--upstream", f"file:{vec_path}")
         assert code == 0
-        assert opened == [str(vec_path)]
+        assert opened == [str(graph_path), str(params_path), str(vec_path)]
         assert len(payload["nodes"]) > 1
         for entry in payload["nodes"]:
             assert entry["upstream"] == [1.0, -2.0, 0.5]
@@ -319,6 +352,27 @@ class TestGradcheck:
              "--node", "0", "--tol", tol, "--out", str(out)]
         )
         assert code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("case", [*TEXT_EDITS, "missing_key", "wrong_value"])
+    @pytest.mark.parametrize("kind", ["graph", "params", "upstream"])
+    def test_malformed_file_is_exit_2_naming_the_file(self, instance, capsys, kind, case):
+        """A broken input file is an input error, never a failed check (exit 1)."""
+        tmp_path, graph_path, params_path = instance
+        files = {"graph": graph_path, "params": params_path, "upstream": tmp_path / "up.json"}
+        files["upstream"].write_text("[1.0, -2.0, 0.5]")
+        good = files[kind].read_text()
+        files[kind] = tmp_path / f"bad_{kind}.json"
+        if case in TEXT_EDITS:
+            files[kind].write_bytes(TEXT_EDITS[case](good))
+        else:
+            files[kind].write_text(json.dumps(JSON_EDITS[kind, case](json.loads(good))))
+        out = tmp_path / "r.json"
+        code = main(
+            ["gradcheck", "--graph", str(files["graph"]), "--params", str(files["params"]),
+             "--all-nodes", "--upstream", f"file:{files['upstream']}", "--out", str(out)]
+        )
+        assert code == 2 and not out.exists()
+        assert f"error: malformed {kind} file {files[kind]}: " in capsys.readouterr().err
 
     def test_malformed_input_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -436,6 +490,24 @@ class TestDiagnoseCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "verb, flags, message",
+        [
+            ("gradcheck", ["--node", "4"], "node 4 out of range for 4 nodes"),
+            ("diagnose", ["--node", "-1"], "node -1 out of range for 4 nodes"),
+            ("forward", ["--node", "9"], "node 9 out of range for 4 nodes"),
+            ("gradcheck", ["--all-nodes", "--upstream", "bogus"], "unknown upstream mode 'bogus'"),
+            ("diagnose", ["--upstream", "file"], "unknown upstream mode 'file'"),
+        ],
+    )
+    def test_bad_node_or_upstream_mode_exits_2(self, instance, capsys, verb, flags, message):
+        tmp_path, graph_path, params_path = instance
+        out = tmp_path / "r.json"
+        code = main([verb, "--graph", str(graph_path), "--params", str(params_path),
+                     *flags, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gatgrad import Graph, LayerParams, forward_with_trace, load_graph, save_graph
+from gatgrad import (
+    Graph,
+    LayerParams,
+    diagnose,
+    fd_gradient,
+    forward_with_trace,
+    generate_instance,
+    load_graph,
+    save_graph,
+)
 
 # Edge lists a 3-node graph rejects, each with the start of its message.
 BAD_EDGES = [
@@ -21,6 +30,14 @@ BAD_EDGES = [
     ([[0, 1], [2, 3]], "edges[1] (2, 3) is out of range"),
     ([[0, 2 ** 70]], "edges[0] (0, 1180591620717411303424) is out of range"),
     ([[0, 1], [1, 0], [1, 1], [1, 0], [0, 1]], "edges[3] (1, 0) is a duplicate"),
+]
+
+# Empty edge arrays a graph rejects: an array is (E, 2) and integer even with no rows.
+BAD_EMPTY_ARRAYS = [
+    np.zeros((0, 5), dtype=np.int64),
+    np.zeros((0, 2)),
+    np.zeros((0, 2), dtype=bool),
+    np.zeros(0, dtype=np.int64),
 ]
 
 finite_features = st.lists(
@@ -105,6 +122,20 @@ class TestGraph:
         with pytest.raises(IndexError):
             g.neighbors(-1)
 
+    @pytest.mark.parametrize("node", [True, False, 1.0, np.float64(0.0), "1"])
+    def test_non_integer_node_id_rejected_by_every_entry_point(self, node):
+        """One check serves the neighbor lookup and every caller of it."""
+        graph, feats, params = generate_instance(4, 2, 3, seed=1)
+        calls = [
+            lambda: graph.neighbors(node),
+            lambda: forward_with_trace(params, graph, feats, node),
+            lambda: fd_gradient(params, graph, feats, node, np.ones(3)),
+            lambda: diagnose(params, graph, feats, nodes=[0, node]),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="node id must be an integer"):
+                call()
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, ((0, 1), (0, 1)))
@@ -156,6 +187,16 @@ class TestGraph:
     def test_non_integer_or_misshapen_array_rejected(self, edges):
         with pytest.raises(ValueError, match=r"edges\[0\] .* is not a pair of integer node ids"):
             Graph(3, edges)
+
+    @pytest.mark.parametrize("edges", BAD_EMPTY_ARRAYS)
+    def test_misshapen_or_non_integer_empty_array_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"edges must be \(E, 2\) integer ids"):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize("edges", [[], (), np.zeros((0, 2), dtype=np.int32)])
+    def test_empty_list_or_integer_array_is_no_edges(self, edges):
+        g = Graph(3, edges)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
 
     def test_neighbor_sets_match_edges(self):
         rng = np.random.default_rng(0)
@@ -262,6 +303,7 @@ class TestGraphFiles:
             ("features", {"features": [[1.0], [True], [0.0]]}),
             ("features", {"features": [[1.0], ["1"], [0.0]]}),
             *((message, {"edges": edges}) for edges, message in BAD_EDGES),
+            ("edges", {"edges": 5}),
         ],
     )
     def test_coercible_values_rejected(self, tmp_path, key, override):
@@ -279,12 +321,17 @@ class TestGraphFiles:
         path.write_text(
             json.dumps(
                 {
-                    "num_nodes": 1,
+                    "num_nodes": 2,
                     "feature_dim": 1,
-                    "features": [[1e999]],
+                    "features": [[1.0], [1e999]],
                     "edges": [],
                 }
             )
         )
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as err:
             load_graph(path)
+        assert str(path) in str(err.value) and "features entry at index (1, 0)" in str(err.value)
+
+    def test_save_rejects_wrong_feature_row_count(self, tmp_path):
+        with pytest.raises(ValueError, match="2 rows for 3 nodes"):
+            save_graph(tmp_path / "graph.json", Graph(3, ()), np.zeros((2, 1)))

@@ -97,6 +97,11 @@ class TestLayerParams:
         with pytest.raises(ValueError, match="theta_l"):
             LayerParams(np.zeros((1, 2)), [[np.nan, 0.0]], [0.0], [0.0])
 
+    @pytest.mark.parametrize("theta_r", [np.zeros(3), np.zeros((1, 2, 2)), np.zeros((1, 0))])
+    def test_non_matrix_theta_r_rejected(self, theta_r):
+        with pytest.raises(ValueError, match="theta_r must be a matrix"):
+            LayerParams(theta_r, theta_r, [0.0], [0.0])
+
     def test_arrays_frozen(self):
         p = simple_params()
         with pytest.raises(ValueError):
@@ -318,8 +323,9 @@ class TestParamsFiles:
         raw = json.loads(path.read_text())
         raw["D"] = 5
         path.write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match="D=5"):
+        with pytest.raises(ValueError, match="D=5") as err:
             load_params(path)
+        assert str(err.value).startswith(f"malformed params file {path}: declared D=5")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -327,6 +333,7 @@ class TestParamsFiles:
             ("D", 1.9),
             ("negative_slope", "0.2"),
             ("theta_R", [[True, False]]),
+            ("b", [10 ** 400]),
         ],
     )
     def test_coercible_values_rejected(self, tmp_path, key, value):
@@ -338,6 +345,18 @@ class TestParamsFiles:
         with pytest.raises(ValueError) as err:
             load_params(path)
         assert str(path) in str(err.value) and key in str(err.value)
+
+    def test_non_finite_entry_named_by_file_key_and_index(self, tmp_path):
+        _, _, params = generate_instance(3, 2, 4, seed=1)
+        path = tmp_path / "params.json"
+        save_params(path, params)
+        raw = json.loads(path.read_text())
+        raw["theta_L"][2][1] = float("inf")
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as err:
+            load_params(path)
+        assert str(path) in str(err.value)
+        assert "non-finite theta_l entry at index (2, 1)" in str(err.value)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "params.json"
