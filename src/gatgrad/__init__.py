@@ -12,14 +12,10 @@ from .gen import generate_instance
 from .grads import (
     GradientSet,
     backward_chain,
-    grad_att,
     grad_bias,
     grad_theta_l,
     grad_theta_r_pairwise,
     grad_theta_r_sum,
-    gradient_set_to_json_dict,
-    relative_error,
-    softmax_jacobian,
 )
 from .graph import Graph, load_graph, save_graph
 from .layer import (
@@ -29,7 +25,6 @@ from .layer import (
     forward_with_trace,
     leaky_relu,
     load_params,
-    neighbor_softmax,
     save_params,
 )
 
@@ -42,21 +37,16 @@ __all__ = [
     "LayerParams",
     "ForwardTrace",
     "leaky_relu",
-    "neighbor_softmax",
     "forward_with_trace",
     "forward_graph",
     "load_params",
     "save_params",
     "GradientSet",
-    "relative_error",
-    "softmax_jacobian",
     "grad_theta_r_sum",
     "grad_theta_r_pairwise",
     "grad_theta_l",
     "grad_bias",
-    "grad_att",
     "backward_chain",
-    "gradient_set_to_json_dict",
     "fd_gradient",
     "compare_gradients",
     "closed_form_gap",

@@ -26,7 +26,6 @@ from .grads import (
     grad_bias,
     grad_theta_l,
     grad_theta_r_sum,
-    gradient_set_to_json_dict,
 )
 from .graph import _node_id, _numbers, _reading, _write_json, load_graph, save_graph
 from .layer import forward_graph, forward_with_trace, load_params, save_params
@@ -57,6 +56,18 @@ def _add_upstream_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for random draws")
 
 
+def _load(args):
+    """The graph, features and params of --graph and --params, checked against each other."""
+    graph, features = load_graph(args.graph)
+    params = load_params(args.params)
+    if features.shape[1] != params.feature_dim:
+        raise ValueError(
+            f"graph file {args.graph} has feature_dim {features.shape[1]}, "
+            f"params file {args.params} has H {params.feature_dim}"
+        )
+    return graph, features, params
+
+
 def _select_nodes(args, graph) -> list[int]:
     if args.node is not None:
         return [_node_id(args.node, graph.num_nodes)]
@@ -78,6 +89,13 @@ def _upstream_vector(mode: str, out_dim: int, rng: np.random.Generator) -> np.nd
     raise ValueError(f"unknown upstream mode {mode!r}")
 
 
+def _gradients_json(grads: GradientSet, node: int, num_neighbors: int, mode: str) -> dict:
+    """A gradient set as a report dict laid out as the params file, plus its meta."""
+    out: dict = {key: block.tolist() for key, block in grads.as_dict().items()}
+    out["meta"] = {"target_node": int(node), "N": int(num_neighbors), "upstream_mode": mode}
+    return out
+
+
 def cmd_gen(args) -> int:
     graph, features, params = generate_instance(
         num_nodes=args.nodes,
@@ -95,8 +113,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    graph, features = load_graph(args.graph)
-    params = load_params(args.params)
+    graph, features, params = _load(args)
     nodes = _select_nodes(args, graph)
     alpha, h_out = forward_graph(params, graph, features)
     sources, offsets = graph.sources, graph.offsets.tolist()
@@ -114,8 +131,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    graph, features = load_graph(args.graph)
-    params = load_params(args.params)
+    graph, features, params = _load(args)
     rng = np.random.default_rng(args.seed)
     mode = _mode_label(args.upstream)
     entries = []
@@ -151,9 +167,7 @@ def cmd_gradcheck(args) -> int:
                 for key, check in closed_report.checks.items()
             }
         entry["closed_form_gap"] = closed_form_gap(trace, params, upstream, chain)
-        entry["gradients"] = gradient_set_to_json_dict(
-            chain, node, trace.num_neighbors, mode
-        )
+        entry["gradients"] = _gradients_json(chain, node, trace.num_neighbors, mode)
         entry["pass"] = node_passed
         entries.append(entry)
         all_passed &= node_passed
@@ -172,8 +186,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    graph, features = load_graph(args.graph)
-    params = load_params(args.params)
+    graph, features, params = _load(args)
     rng = np.random.default_rng(args.seed)
     mode = _mode_label(args.upstream)
     upstream = _upstream_vector(args.upstream, params.out_dim, rng)
@@ -243,3 +256,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layer
-from .grads import PARAM_KEYS, GradientSet, _check_upstream, relative_error
+from .grads import PARAM_KEYS, REL_ERR_FLOOR, GradientSet, _check_upstream
 from .graph import Graph
 from .layer import _ONE_SEGMENT, LayerParams, _propagate, forward_with_trace
 
@@ -146,6 +146,12 @@ class GradCheckReport:
         return out
 
 
+def _relative_error(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise |x - y| / max(|x|, |y|, REL_ERR_FLOOR)."""
+    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), REL_ERR_FLOOR)
+    return np.abs(x - y) / scale
+
+
 def _indices(mask: np.ndarray) -> tuple:
     if mask.ndim == 1:
         return tuple(int(i) for i in np.flatnonzero(mask))
@@ -184,7 +190,7 @@ def compare_gradients(
         if x.shape != y.shape:
             raise ValueError(f"{key}: analytic shape {x.shape} != numeric {y.shape}")
         flag = flags.get(key, np.zeros(x.shape, dtype=bool))
-        rel = relative_error(x, y)
+        rel = _relative_error(x, y)
         below_res = np.abs(x - y) <= resolution
         passed = bool(np.all((rel <= tolerance) | below_res | flag))
         judged = ~flag & ~below_res

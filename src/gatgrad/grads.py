@@ -36,15 +36,11 @@ from .layer import _segment_products, _slopes
 
 __all__ = [
     "GradientSet",
-    "relative_error",
-    "softmax_jacobian",
     "grad_theta_r_sum",
     "grad_theta_r_pairwise",
     "grad_theta_l",
     "grad_bias",
-    "grad_att",
     "backward_chain",
-    "gradient_set_to_json_dict",
 ]
 
 # Wire names used by the params/gradient/report JSON formats, in emission order.
@@ -76,26 +72,6 @@ class GradientSet:
             "a": self.att,
             "b": self.bias,
         }
-
-
-def relative_error(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise |x - y| / max(|x|, |y|, floor)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), REL_ERR_FLOOR)
-    return np.abs(x - y) / scale
-
-
-def softmax_jacobian(alpha: np.ndarray) -> np.ndarray:
-    """N x N Jacobian of the softmax output with respect to the raw scores.
-
-    Entry (l, j) is alpha[l] * (delta(l, j) - alpha[j]). Symmetric, rows sum
-    to zero, diagonal nonnegative. Input must already be normalized and finite.
-    """
-    a = _finite(np.asarray(alpha, dtype=np.float64), "attention weight")
-    if a.size and abs(float(a.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"attention weights sum to {a.sum()!r}, expected 1")
-    return np.diag(a) - np.outer(a, a)
 
 
 def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
@@ -273,13 +249,6 @@ def grad_bias(upstream: np.ndarray) -> np.ndarray:
     return _check_upstream(upstream, None).copy()
 
 
-def grad_att(
-    trace: ForwardTrace, params: LayerParams, upstream: np.ndarray
-) -> np.ndarray:
-    """Gradient of the attention vector, (D,): backward_chain's, zero for N <= 1."""
-    return backward_chain(trace, params, upstream).att
-
-
 def backward_chain(
     trace: ForwardTrace, params: LayerParams, upstream: np.ndarray
 ) -> GradientSet:
@@ -305,16 +274,3 @@ def backward_chain(
     return GradientSet(
         theta_r=theta_r[0], theta_l=theta_l[0], att=att, bias=g.copy()
     )
-
-
-def gradient_set_to_json_dict(
-    grads: GradientSet, target_node: int, num_neighbors: int, upstream_mode: str
-) -> dict:
-    """GradientSet as a JSON-ready dict mirroring the params file layout."""
-    out: dict = {key: block.tolist() for key, block in grads.as_dict().items()}
-    out["meta"] = {
-        "target_node": int(target_node),
-        "N": int(num_neighbors),
-        "upstream_mode": upstream_mode,
-    }
-    return out

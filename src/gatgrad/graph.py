@@ -69,22 +69,24 @@ def _finite(arr: np.ndarray, key: str) -> np.ndarray:
     """arr, if every entry is finite; else ValueError naming key and the first bad index."""
     if np.isfinite(arr).all():
         return arr
-    where = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
-    raise ValueError(f"non-finite {key} entry at index {where[0] if arr.ndim == 1 else where}")
+    where = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())  # () for a scalar
+    at = f" entry at index {where[0] if arr.ndim == 1 else where}" if where else ""
+    raise ValueError(f"non-finite {key}{at}")
 
 
 def _numbers(value, key: str, ndim: int) -> np.ndarray:
-    """A JSON number (ndim 0), list (1) or matrix (2) of numbers as float64.
+    """A JSON number (ndim 0), list (1) or matrix (2) of finite numbers as float64.
 
     One pass over the entries checks that each is an int or a float, so
-    bools and numeric strings are rejected, never coerced.
+    bools and numeric strings are rejected, never coerced. key is the
+    value's name in the file, and every error names it.
     """
     arr = np.array(value, dtype=object)
     if arr.ndim != ndim or not set(map(type, arr.flat)) <= {int, float}:
         shape = ("a number", "a list of numbers", "a list of equal-length rows of numbers")[ndim]
         raise ValueError(f"{key} must be {shape}")
     try:
-        return arr.astype(np.float64)
+        return _finite(arr.astype(np.float64), key)
     except OverflowError:
         raise ValueError(f"{key} holds an integer too large for a float") from None
 
@@ -169,7 +171,7 @@ def load_graph(path) -> tuple[Graph, np.ndarray]:
     with _reading(path, "graph") as raw:
         n = _index(raw["num_nodes"], "num_nodes")
         dim = _index(raw["feature_dim"], "feature_dim")
-        features = _finite(_numbers(raw["features"], "features", 2), "features")
+        features = _numbers(raw["features"], "features", 2)
         if features.shape != (n, dim):
             raise ValueError(f"features has shape {features.shape}, expected ({n}, {dim})")
         graph = Graph(n, raw["edges"])

@@ -44,7 +44,6 @@ __all__ = [
     "LayerParams",
     "ForwardTrace",
     "leaky_relu",
-    "neighbor_softmax",
     "forward_with_trace",
     "forward_graph",
     "load_params",
@@ -119,21 +118,6 @@ _ONE_SEGMENT.setflags(write=False)
 # memory to a few dozen arrays of EDGE_BUDGET x D floats (a few MB at
 # D = 16) on any graph, while the Python overhead per chunk stays negligible.
 EDGE_BUDGET = 1 << 12
-
-
-def neighbor_softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over a node's neighbor scores.
-
-    The maximum is subtracted before exponentiation; this changes nothing in
-    exact arithmetic and keeps the exponent bounded in floating point; for
-    complex scores the maximum is taken over the real parts. An empty input
-    yields an empty result. This is the one-segment case of the layer's
-    segment softmax.
-    """
-    s = np.asarray(scores)
-    if s.dtype.kind not in "fc":
-        s = s.astype(np.float64)
-    return _segment_softmax(s, _ONE_SEGMENT)
 
 
 @dataclass(frozen=True, eq=False)

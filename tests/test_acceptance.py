@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import gatgrad
 from gatgrad import (
     Graph,
     GradientSet,
@@ -21,16 +22,14 @@ from gatgrad import (
     fd_gradient,
     forward_with_trace,
     generate_instance,
-    grad_att,
     grad_bias,
     grad_theta_l,
     grad_theta_r_pairwise,
     grad_theta_r_sum,
-    neighbor_softmax,
-    relative_error,
-    softmax_jacobian,
 )
 from gatgrad.cli import main
+from gatgrad.fdcheck import _relative_error
+from gatgrad.layer import _ONE_SEGMENT, _segment_softmax
 
 
 @contextlib.contextmanager
@@ -97,7 +96,7 @@ def test_criterion_2_closed_form_fidelity(instances):
                     (grad_bias(upstream), chain.bias),
                 )
                 for closed, chained in pairs:
-                    assert relative_error(closed, chained).max() <= 1e-10
+                    assert _relative_error(closed, chained).max() <= 1e-10
 
 
 def test_criterion_3_reformulation_identity(instances):
@@ -110,7 +109,7 @@ def test_criterion_3_reformulation_identity(instances):
                 for upstream in (np.ones(d), rng.standard_normal(d)):
                     s = grad_theta_r_sum(trace, params, upstream)
                     p = grad_theta_r_pairwise(trace, params, upstream)
-                    assert relative_error(s, p).max() <= 1e-12
+                    assert _relative_error(s, p).max() <= 1e-12
 
 
 def test_criterion_4_annihilation_laws():
@@ -131,7 +130,6 @@ def test_criterion_4_annihilation_laws():
             chain = backward_chain(trace, params, upstream)
             assert np.all(grad_theta_r_sum(trace, params, upstream) == 0.0)
             assert np.all(grad_theta_r_pairwise(trace, params, upstream) == 0.0)
-            assert np.all(grad_att(trace, params, upstream) == 0.0)
             assert np.all(chain.theta_r == 0.0)
             assert np.all(chain.att == 0.0)
         # (b) per-row uniform regimes, forced via a large bias entry
@@ -167,12 +165,12 @@ def test_criterion_5_softmax_laws():
         rng = np.random.default_rng(55)
         for _ in range(300):
             scores = rng.standard_normal(rng.integers(1, 9))
-            alpha = neighbor_softmax(scores)
+            alpha = _segment_softmax(scores, _ONE_SEGMENT)
             assert abs(alpha.sum() - 1.0) <= 1e-12
             for offset in (1e3, -1e3):
-                shifted = neighbor_softmax(scores + offset)
+                shifted = _segment_softmax(scores + offset, _ONE_SEGMENT)
                 assert np.abs(shifted - alpha).max() <= 1e-12
-            jac = softmax_jacobian(alpha)
+            jac = np.diag(alpha) - np.outer(alpha, alpha)  # the softmax Jacobian
             assert np.array_equal(jac, jac.T)
             assert np.abs(jac.sum(axis=1)).max() <= 1e-12
 
@@ -244,3 +242,19 @@ def test_criterion_8_cli_determinism(tmp_path):
             assert pair[0] == pair[1], f"{name} differs between runs"
         payload = json.loads(blobs["report"][0])
         assert payload["pass"] is True
+
+
+def test_public_surface():
+    """The package exports the formulas, the two routes, the oracle, the
+    diagnostics and the I/O the command line needs, and nothing else."""
+    assert gatgrad.__all__ == [
+        "Graph", "load_graph", "save_graph",
+        "LayerParams", "ForwardTrace", "leaky_relu", "forward_with_trace", "forward_graph",
+        "load_params", "save_params",
+        "GradientSet", "grad_theta_r_sum", "grad_theta_r_pairwise", "grad_theta_l",
+        "grad_bias", "backward_chain",
+        "fd_gradient", "compare_gradients",
+        "closed_form_gap", "diagnose",
+        "generate_instance",
+    ]
+    assert all(hasattr(gatgrad, name) for name in gatgrad.__all__)

@@ -1,6 +1,10 @@
 """Command-line behavior: determinism, exit codes, report contents."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,6 +516,42 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_module_run_exits_2_on_unknown_command(self):
+        """python -m gatgrad.cli runs the CLI, so a bad command is not a silent exit 0."""
+        src = str(Path(gatgrad.cli.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "gatgrad.cli", "frobnicate"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "invalid choice" in done.stderr
+
+    @pytest.mark.parametrize("verb", ["forward", "gradcheck", "diagnose"])
+    def test_width_mismatch_exits_2_naming_both_files(self, tmp_path, capsys, verb):
+        (tmp_path / "narrow").mkdir()
+        _, graph_path, _ = run_gen(tmp_path / "narrow", feature_dim=2)
+        _, _, params_path = run_gen(tmp_path, feature_dim=3)
+        out = tmp_path / "r.json"
+        code = main([verb, "--graph", str(graph_path), "--params", str(params_path),
+                     "--all-nodes", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"graph file {graph_path} has feature_dim 2" in err
+        assert f"params file {params_path} has H 3" in err
+
+    def test_non_finite_theta_l_exits_2_naming_key_and_index(self, instance, capsys):
+        tmp_path, graph_path, params_path = instance
+        raw = json.loads(params_path.read_text())
+        raw["theta_L"][1][2] = float("inf")
+        params_path.write_text(json.dumps(raw))
+        out = tmp_path / "r.json"
+        code = main(["forward", "--graph", str(graph_path), "--params", str(params_path),
+                     "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "non-finite theta_L entry at index (1, 2)" in capsys.readouterr().err
 
     def test_node_and_all_nodes_conflict(self, instance):
         tmp_path, graph_path, params_path = instance

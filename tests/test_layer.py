@@ -16,10 +16,9 @@ from gatgrad import (
     generate_instance,
     leaky_relu,
     load_params,
-    neighbor_softmax,
     save_params,
 )
-from gatgrad.layer import ForwardTrace, _propagate
+from gatgrad.layer import _ONE_SEGMENT, ForwardTrace, _propagate, _segment_softmax
 
 
 def attention_score(params, h_aug_target, h_aug_source):
@@ -139,6 +138,11 @@ class TestAttentionScore:
             attention_score(p, np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0]))
 
 
+def neighbor_softmax(scores):
+    """The layer's softmax over one node's neighbor scores: its one-segment case."""
+    return _segment_softmax(scores, _ONE_SEGMENT)
+
+
 class TestNeighborSoftmax:
     def test_single_score(self):
         assert neighbor_softmax(np.array([5.7])).tolist() == [1.0]
@@ -153,11 +157,6 @@ class TestNeighborSoftmax:
             neighbor_softmax(np.array([0.0, math.log(3.0)])),
             [0.25, 0.75],
             rtol=1e-12,
-        )
-
-    def test_integer_scores(self):
-        np.testing.assert_allclose(
-            neighbor_softmax([0, 0, 1]), np.array([1, 1, math.e]) / (2 + math.e), rtol=1e-15
         )
 
     def test_empty_input(self):
@@ -356,7 +355,30 @@ class TestParamsFiles:
         with pytest.raises(ValueError) as err:
             load_params(path)
         assert str(path) in str(err.value)
-        assert "non-finite theta_l entry at index (2, 1)" in str(err.value)
+        assert "non-finite theta_L entry at index (2, 1)" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key, where, message",
+        [
+            ("a", (1,), "non-finite a entry at index 1"),
+            ("b", (0,), "non-finite b entry at index 0"),
+            ("negative_slope", (), "non-finite negative_slope"),
+        ],
+    )
+    def test_non_finite_value_named_by_its_key(self, tmp_path, key, where, message):
+        """Errors name the params file's own keys, and a scalar has no index."""
+        _, _, params = generate_instance(3, 2, 4, seed=1)
+        path = tmp_path / "params.json"
+        save_params(path, params)
+        raw = json.loads(path.read_text())
+        if where:
+            raw[key][where[0]] = float("nan")
+        else:
+            raw[key] = float("-inf")
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as err:
+            load_params(path)
+        assert str(err.value) == f"malformed params file {path}: {message}"
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "params.json"
