@@ -37,7 +37,7 @@ __all__ = ["closed_form_gap", "diagnose"]
 
 @dataclass(frozen=True)
 class NodeDiagnosis:
-    """Pathology indicators for one target node."""
+    """Pathology indicators for one target node, in the diagnose report's key order."""
 
     node: int
     num_neighbors: int
@@ -46,10 +46,6 @@ class NodeDiagnosis:
     regime_uniformity: float
     attention_entropy: float
     closed_form_gap: float
-
-    def to_json_dict(self) -> dict:
-        """The fields, in order, are the report's keys."""
-        return dict(vars(self))
 
 
 def closed_form_gap(

@@ -18,7 +18,8 @@ That rounding is reported as `resolution`, a few ulps of the loss taken on
 absolute values, and compare_gradients confirms entries that differ by no
 more: where the loss is constant along an entry (a uniform activation
 regime, whose score shift cancels inside the softmax) both sides are
-rounding residues whose relative error means nothing.
+rounding residues whose relative error means nothing. Its verdict for each
+block is the dict the gradcheck report writes under that block's key.
 """
 
 from __future__ import annotations
@@ -109,43 +110,6 @@ def fd_gradient(
     )
 
 
-@dataclass(frozen=True)
-class ParamCheck:
-    """Verdict for one parameter block."""
-
-    max_rel_err: float
-    passed: bool
-    kink_flagged: tuple
-    worst_entry: tuple | int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_rel_err": self.max_rel_err,
-            "pass": self.passed,
-            "kink_flagged": self.kink_flagged,
-            "worst_entry": self.worst_entry,
-        }
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    """Per-parameter comparison verdicts plus the run configuration."""
-
-    checks: dict[str, ParamCheck]
-    tolerance: float
-    resolution: float
-    passed: bool
-
-    def to_json_dict(self, seed: int | None = None) -> dict:
-        out: dict = {key: check.to_json_dict() for key, check in self.checks.items()}
-        out["step"] = COMPLEX_STEP
-        out["tolerance"] = self.tolerance
-        out["resolution"] = self.resolution
-        out["seed"] = seed
-        out["pass"] = self.passed
-        return out
-
-
 def _relative_error(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise |x - y| / max(|x|, |y|, REL_ERR_FLOOR)."""
     scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), REL_ERR_FLOOR)
@@ -160,10 +124,10 @@ def _indices(mask: np.ndarray) -> tuple:
 
 def compare_gradients(
     analytic: GradientSet,
-    numeric: FdGradient | GradientSet,
+    numeric: FdGradient,
     tolerance: float = 1e-6,
     keys: tuple[str, ...] = PARAM_KEYS,
-) -> GradCheckReport:
+) -> dict[str, dict]:
     """Compare analytic gradients against the oracle, parameter by parameter.
 
     An entry passes when its relative error is within the tolerance, or when
@@ -171,50 +135,34 @@ def compare_gradients(
     agree to within the rounding of one evaluation. Kink-flagged entries are
     excluded from the verdict and listed. The tolerance must be positive
     and finite.
+
+    Each key maps to its block's verdict as the report writes it: max_rel_err,
+    pass, kink_flagged and worst_entry (None where no entry is judged).
     """
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    if isinstance(numeric, FdGradient):
-        numeric_sets = numeric.grads.as_dict()
-        flags = numeric.kink_flags
-        resolution = numeric.resolution
-    else:
-        numeric_sets = numeric.as_dict()
-        flags = {}
-        resolution = 0.0
-    analytic_sets = analytic.as_dict()
-    checks: dict[str, ParamCheck] = {}
-    all_passed = True
+    analytic_sets, numeric_sets = analytic.as_dict(), numeric.grads.as_dict()
+    checks = {}
     for key in keys:
         x, y = analytic_sets[key], numeric_sets[key]
         if x.shape != y.shape:
             raise ValueError(f"{key}: analytic shape {x.shape} != numeric {y.shape}")
-        flag = flags.get(key, np.zeros(x.shape, dtype=bool))
+        flag = numeric.kink_flags[key]
         rel = _relative_error(x, y)
-        below_res = np.abs(x - y) <= resolution
-        passed = bool(np.all((rel <= tolerance) | below_res | flag))
+        below_res = np.abs(x - y) <= numeric.resolution
         judged = ~flag & ~below_res
         if judged.any():
             masked = np.where(judged, rel, -1.0)
             worst_flat = int(np.argmax(masked))
-            worst = (
-                worst_flat
-                if x.ndim == 1
-                else tuple(int(v) for v in np.unravel_index(worst_flat, x.shape))
-            )
+            index = np.unravel_index(worst_flat, x.shape)
+            worst = worst_flat if x.ndim == 1 else tuple(int(v) for v in index)
             max_rel = float(masked.reshape(-1)[worst_flat])
         else:
             worst, max_rel = None, 0.0
-        checks[key] = ParamCheck(
-            max_rel_err=max_rel,
-            passed=passed,
-            kink_flagged=_indices(flag),
-            worst_entry=worst,
-        )
-        all_passed &= passed
-    return GradCheckReport(
-        checks=checks,
-        tolerance=tolerance,
-        resolution=resolution,
-        passed=all_passed,
-    )
+        checks[key] = {
+            "max_rel_err": max_rel,
+            "pass": bool(np.all((rel <= tolerance) | below_res | flag)),
+            "kink_flagged": _indices(flag),
+            "worst_entry": worst,
+        }
+    return checks

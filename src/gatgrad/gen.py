@@ -20,9 +20,8 @@ def generate_instance(
     out_dim: int,
     seed: int,
     min_degree: int = 2,
-    negative_slope: float = 0.2,
 ) -> tuple[Graph, np.ndarray, LayerParams]:
-    """Random graph, features, and parameters, all standard normal.
+    """Random graph, features, and parameters, all standard normal (slope 0.2).
 
     Every node receives between min_degree and num_nodes - 1 distinct
     neighbors, never itself. Neighbor order within a node is the draw order.
@@ -51,6 +50,5 @@ def generate_instance(
         theta_l=rng.standard_normal((out_dim, feature_dim + 1)),
         att=rng.standard_normal(out_dim),
         bias=rng.standard_normal(out_dim),
-        negative_slope=negative_slope,
     )
     return graph, features, params

@@ -52,7 +52,7 @@ REL_ERR_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Gradients of the four trainable parameter blocks for one target node."""
+    """Gradients of the four parameter blocks for one target node, copied and frozen."""
 
     theta_r: np.ndarray
     theta_l: np.ndarray
@@ -61,7 +61,7 @@ class GradientSet:
 
     def __post_init__(self) -> None:
         for name in ("theta_r", "theta_l", "att", "bias"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -11,7 +11,16 @@ import pytest
 
 import gatgrad.cli
 import gatgrad.graph
-from gatgrad import GradientSet, backward_chain, generate_instance, load_graph, load_params
+from gatgrad import (
+    GradientSet,
+    LayerParams,
+    backward_chain,
+    generate_instance,
+    load_graph,
+    load_params,
+    save_graph,
+    save_params,
+)
 from gatgrad.cli import main
 
 
@@ -138,6 +147,16 @@ class TestGen:
         for got, want in zip((params.theta_r, params.theta_l, params.att, params.bias), blocks):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "+7"])
+    def test_seed_not_a_non_negative_integer_is_usage_error(self, tmp_path, capsys, seed):
+        """A seed is a non-negative decimal integer, and the error names the flag."""
+        with pytest.raises(SystemExit) as err:
+            run_gen(tmp_path, seed=seed)
+        assert err.value.code == 2
+        want = f"argument --seed: expected a non-negative integer, got {seed!r}"
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "graph.json").exists()
+
     def test_min_degree_honored(self, tmp_path):
         code, graph_path, _ = run_gen(tmp_path, nodes=6, extra=("--min-degree", "3"))
         assert code == 0
@@ -237,6 +256,54 @@ class TestGradcheck:
         for key in ("theta_R", "theta_L", "a", "b", "step", "tolerance", "pass"):
             assert key in payload
         assert payload["gradients"]["meta"]["target_node"] == 0
+
+    @pytest.mark.parametrize("upstream", ["uniform", "random"])
+    def test_report_key_order(self, instance, upstream):
+        """Node entries, the --all-nodes top level and the flat --node payload
+        keep their key order; closed_form appears under uniform only."""
+        flags = ("--upstream", upstream, "--seed", "7")
+        closed = ["closed_form"] if upstream == "uniform" else []
+        entry_keys = [
+            "node", "num_neighbors", "upstream_mode", "upstream",
+            "theta_R", "theta_L", "a", "b", "step", "tolerance", "resolution", "seed", "pass",
+            *closed, "closed_form_gap", "gradients",
+        ]
+        block_keys = ["max_rel_err", "pass", "kink_flagged", "worst_entry"]
+        code, payload = self.check(instance, *flags)
+        assert code == 0
+        assert list(payload) == ["nodes", "step", "tolerance", "seed", "pass"]
+        code, flat = self.check(instance, *flags, node_args=("--node", "0"))
+        assert code == 0
+        assert flat == payload["nodes"][0]
+        for entry in payload["nodes"]:
+            assert list(entry) == entry_keys
+            assert entry["seed"] == 7 and entry["step"] == 1e-30
+            for key in ("theta_R", "theta_L", "a", "b"):
+                assert list(entry[key]) == block_keys
+            if closed:
+                assert list(entry["closed_form"]) == ["theta_R", "theta_L", "b"]
+                for check in entry["closed_form"].values():
+                    assert list(check) == block_keys
+        assert list(flat) == entry_keys
+
+    def test_kink_flagged_node_lists_every_entry_and_passes(self, instance):
+        """All-zero theta blocks put every pre-activation at the kink, so the
+        oracle flags every entry of every node and nothing is judged."""
+        tmp_path, graph_path, params_path = instance
+        params = load_params(params_path)
+        zero = np.zeros_like(params.theta_r)
+        save_params(params_path, LayerParams(zero, zero, params.att, params.bias))
+        code, payload = self.check(instance)
+        assert code == 0 and payload["pass"] is True
+        pairs = [[t, c] for t in range(3) for c in range(3)]
+        for entry in payload["nodes"]:
+            assert entry["pass"] is True
+            blocks = [(key, entry[key]) for key in ("theta_R", "theta_L", "a", "b")]
+            for key, check in blocks + list(entry["closed_form"].items()):
+                want = pairs if key.startswith("theta") else [0, 1, 2]
+                assert check == {
+                    "max_rel_err": 0.0, "pass": True, "kink_flagged": want, "worst_entry": None,
+                }, (entry["node"], key)
 
     def test_unattainable_tolerance_fails_naming_worst_entry(
         self, instance, monkeypatch
@@ -438,8 +505,6 @@ class TestDiagnoseCommand:
             assert entry["closed_form_gap"] <= 1e-10
 
     def test_all_positive_instance_reports_dead_rows(self, tmp_path):
-        from gatgrad import LayerParams, generate_instance, save_graph, save_params
-
         g, feats, params = generate_instance(4, 2, 2, seed=5)
         th = params.theta_r.copy()
         th[:, 0] = 60.0
@@ -511,6 +576,16 @@ class TestUsage:
                      *flags, "--out", str(out)])
         assert code == 2 and not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["diagnose", "gradcheck"])
+    def test_negative_seed_is_usage_error_naming_the_flag(self, instance, capsys, verb):
+        tmp_path, graph_path, params_path = instance
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main([verb, "--graph", str(graph_path), "--params", str(params_path),
+                  "--all-nodes", "--upstream", "random", "--seed", "-3", "--out", str(out)])
+        assert err.value.code == 2 and not out.exists()
+        assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

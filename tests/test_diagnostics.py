@@ -130,7 +130,7 @@ class TestReportJson:
         g, feats, params = generate_instance(4, 2, 2, seed=2)
         report = diagnose(params, g, feats)
         for entry in report:
-            assert list(entry.to_json_dict()) == [
+            assert list(vars(entry)) == [
                 "node",
                 "num_neighbors",
                 "single_neighbor",
