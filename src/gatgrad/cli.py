@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +53,13 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: compare_gradients judges against a positive finite tolerance only."""
+    if not 0.0 < float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return float(text)
 
 
 def _add_upstream_flags(sub: argparse.ArgumentParser) -> None:
@@ -173,7 +181,7 @@ def cmd_gradcheck(args) -> int:
             "seed": args.seed,
             "pass": all(c["pass"] for blocks in verdicts for c in blocks.values()),
             **closed_form,
-            "closed_form_gap": closed_form_gap(trace, params, upstream, chain),
+            "closed_form_gap": closed_form_gap(trace, params, upstream),
             "gradients": _gradients_json(chain, node, trace.num_neighbors, mode),
         }
         entries.append(entry)
@@ -216,10 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gatgrad",
         description="Attention-layer forward evaluation, gradient checking, "
         "and gradient-pathology diagnostics.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # An option is never abbreviated, and subparsers do not inherit allow_abbrev.
+    add_parser = partial(subs.add_parser, allow_abbrev=False)
 
-    gen = subs.add_parser("gen", help="write a seeded random graph/params pair")
+    gen = add_parser("gen", help="write a seeded random graph/params pair")
     gen.add_argument("--nodes", type=int, required=True, help="node count")
     gen.add_argument("--feature-dim", type=int, required=True, help="input width H")
     gen.add_argument("--out-dim", type=int, required=True, help="output width D")
@@ -229,21 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--params", required=True, help="params JSON output path")
     gen.set_defaults(func=cmd_gen)
 
-    fwd = subs.add_parser("forward", help="evaluate node updates")
+    fwd = add_parser("forward", help="evaluate node updates")
     _add_io_flags(fwd)
     _add_node_flags(fwd, required=False)
     fwd.set_defaults(func=cmd_forward)
 
-    check = subs.add_parser(
+    check = add_parser(
         "gradcheck", help="verify analytic gradients against the complex-step oracle"
     )
     _add_io_flags(check)
     _add_node_flags(check, required=True)
     _add_upstream_flags(check)
-    check.add_argument("--tol", type=float, default=1e-6)
+    check.add_argument("--tol", type=_tolerance, default=1e-6)
     check.set_defaults(func=cmd_gradcheck)
 
-    diag = subs.add_parser("diagnose", help="report gradient pathologies")
+    diag = add_parser("diagnose", help="report gradient pathologies")
     _add_io_flags(diag)
     _add_node_flags(diag, required=False)
     _add_upstream_flags(diag)

@@ -4,12 +4,13 @@ A target-side weight row goes dead when every neighbor shares the same
 LeakyReLU regime in that output dimension: the slope differences that feed
 the row vanish identically, so no step size revives it from within that
 regime. Single-neighbor nodes lose the whole attention path (a softmax over
-one score is constant). The attention entropy measures how concentrated the
-attention weights are, and closed_form_gap quantifies how far the row-scaled
-closed forms drift from the full backward chain under a given upstream
-gradient: the largest entry difference over the theta_R, theta_L and b
-blocks, relative to the largest entry of either side (a rounding residue
-when the upstream is a constant vector).
+one score is constant), and isolated nodes, an empty segment, have none. The
+attention entropy measures how concentrated the attention weights are, and
+closed_form_gap quantifies how far the row-scaled closed forms drift from
+the full backward chain under a given upstream gradient: the largest entry
+difference over the theta_R, theta_L and b blocks, relative to the largest
+entry of either side (a rounding residue when the upstream is a constant
+vector).
 
 diagnose computes every indicator for all requested nodes in one
 edge-parallel pass over the layer's segment core (layer._graph_chunks). The
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grads import GradientSet, _check_upstream, _one_segment, _segment_gap, _segments
+from .grads import _check_upstream, _one_segment, _segment_gap, _segments
 from .graph import Graph, _node_id
 from .layer import ForwardTrace, LayerParams, _graph_chunks, _segment_sum
 
@@ -48,25 +49,16 @@ class NodeDiagnosis:
     closed_form_gap: float
 
 
-def closed_form_gap(
-    trace: ForwardTrace,
-    params: LayerParams,
-    upstream: np.ndarray,
-    chain: GradientSet | None = None,
-) -> float:
+def closed_form_gap(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) -> float:
     """Largest discrepancy between the closed forms and backward_chain.
 
     The largest |closed - chain| over the theta_R, theta_L and b blocks,
     relative to the largest |entry| of either side over all three blocks
     (floored at REL_ERR_FLOOR): one scale per node, so rounding residues of
-    small entries do not count as drift. chain is the node's backward_chain,
-    computed when omitted.
+    small entries do not count as drift. An isolated node's gap is 0 (empty sums).
     """
     g = _check_upstream(upstream, params.out_dim)
-    if trace.num_neighbors == 0:
-        return 0.0
-    blocks = None if chain is None else (chain.theta_r[None], chain.theta_l[None])
-    return float(_segment_gap(_one_segment(trace, params.negative_slope), params, g, blocks)[0])
+    return float(_segment_gap(_one_segment(trace, params.negative_slope), params, g)[0])
 
 
 def diagnose(

@@ -5,11 +5,10 @@ per-neighbor summation form and a neighbor-pair form. They are algebraically
 identical and are kept as independent, cross-checked implementations.
 
 The closed forms (grad_theta_r_sum, grad_theta_r_pairwise, grad_theta_l,
-grad_bias) scale output row t by upstream component t. That equals the exact
-loss gradient whenever the upstream gradient is a constant vector; for an
-arbitrary upstream gradient use backward_chain, which propagates the full
-vector through every intermediate. diagnostics.closed_form_gap reports the
-discrepancy between the two for a given upstream.
+grad_bias) scale output row t by upstream component t: the exact loss
+gradient when the upstream is a constant vector. backward_chain propagates
+an arbitrary upstream through every intermediate, and
+diagnostics.closed_form_gap reports how far the two differ.
 
 The formulas are written once, over the edge segments of layer._propagate
 (one per target, reduced as in DGL's edge_softmax backward). The public
@@ -17,6 +16,8 @@ functions are the one-segment case of one node's trace, and
 diagnostics.diagnose runs them over chunks of the graph; only
 grad_theta_r_pairwise stays per node, as the independent cross-check that
 sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
+An isolated node is the empty segment: its neighbor sums are empty, so its
+attention gradients are zeros, signed as a single-neighbor node's are.
 
 Gradients are per target node; summing over nodes is left to callers.
 """
@@ -31,8 +32,8 @@ import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import _ONE_SEGMENT, ForwardTrace, LayerParams, _segment_dot, _segment_ids
-from .layer import _segment_products, _slopes
+from .layer import _ONE_SEGMENT, ForwardTrace, LayerParams, _segment_dot, _segment_firsts
+from .layer import _segment_ids, _segment_products, _slopes
 
 __all__ = [
     "GradientSet",
@@ -84,7 +85,7 @@ def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
 
 
 class _Segments(NamedTuple):
-    """What the backward formulas read, for m non-empty segments of E edges.
+    """What the backward formulas read, for m segments of E edges (a lone one may be empty).
 
     starts and seg as in layer._segment_ids; the augmented rows (m or E, H+1);
     _propagate's edge arrays; the LeakyReLU slopes (E, D), and their spread
@@ -110,7 +111,7 @@ def _segments(starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_a
     slopes = _slopes(pre_act, slope)
     return _Segments(
         starts, seg, h_aug_targets, h_aug_sources, source_proj, post_act, alpha,
-        slopes, slopes - slopes[starts][seg],
+        slopes, slopes - _segment_firsts(slopes, starts, seg),
     )
 
 
@@ -150,7 +151,7 @@ def _segment_chain(segs: _Segments, params: LayerParams, upstream: np.ndarray) -
     # The softmax backward is shift invariant in d_alpha, so it is centered on
     # the segment's first edge: identical neighbors then yield exact zeros.
     d_alpha = segs.source_proj @ upstream
-    d_alpha = d_alpha - d_alpha[starts][seg]
+    d_alpha = d_alpha - _segment_firsts(d_alpha, starts, seg)
     d_score = alpha * (d_alpha - _segment_dot(alpha, d_alpha, starts)[seg])
     d_pre = d_score[:, None] * params.att * segs.slopes
     # Source side: score path plus the direct aggregation path.
@@ -161,14 +162,13 @@ def _segment_chain(segs: _Segments, params: LayerParams, upstream: np.ndarray) -
     return d_theta_r, d_theta_l, d_score
 
 
-def _segment_gap(segs: _Segments, params: LayerParams, upstream: np.ndarray, chain=None):
-    """diagnostics.closed_form_gap of every segment, (m,), given or computing
-    the chain's theta_R and theta_L stacks. The b blocks are the upstream on
-    both sides: no difference, and max |upstream| in the scale."""
+def _segment_gap(segs: _Segments, params: LayerParams, upstream: np.ndarray):
+    """diagnostics.closed_form_gap of every segment, (m,). The b blocks are
+    the upstream on both sides: no difference, and max |upstream| in the scale."""
     weights = _closed_weights(segs)
     forms = (_segment_theta_r_sum, _segment_theta_l)
     closed = [form(segs, params, upstream, weights) for form in forms]
-    exact = _segment_chain(segs, params, upstream)[:2] if chain is None else chain
+    exact = _segment_chain(segs, params, upstream)[:2]
     diff = np.max([np.abs(c - e).max(axis=(1, 2)) for c, e in zip(closed, exact)], axis=0)
     scale = np.max([np.abs(b).max(axis=(1, 2)) for b in (*closed, *exact)], axis=0)
     return diff / np.maximum(np.maximum(scale, np.abs(upstream).max()), REL_ERR_FLOOR)
@@ -185,12 +185,9 @@ def grad_theta_r_sum(
     alpha-weighted centered totals sum to zero, so subtracting a constant
     slope per dimension changes nothing analytically, while rows whose
     activation regime is uniform across neighbors come out exactly zero.
-    Zero matrix for N <= 1.
+    Zero matrix for N <= 1, its zeros signed as upstream * att * h_aug.
     """
     g = _check_upstream(upstream, params.out_dim)
-    n = trace.num_neighbors
-    if n == 0:
-        return np.zeros_like(params.theta_r)
     segs = _one_segment(trace, params.negative_slope)
     return _segment_theta_r_sum(segs, params, g, _closed_weights(segs))[0]
 
@@ -210,12 +207,10 @@ def grad_theta_r_pairwise(
     """
     g = _check_upstream(upstream, params.out_dim)
     n = trace.num_neighbors
-    if n < 2:
-        return np.zeros_like(params.theta_r)
     pos = _slopes(trace.pre_act, 0.0)
     neg = 1.0 - pos
     totals = trace.source_proj.sum(axis=1)
-    rows = max(1, layer.EDGE_BUDGET * params.out_dim // n)
+    rows = max(1, layer.EDGE_BUDGET * params.out_dim // max(n, 1))
     coeff = np.zeros(params.out_dim)
     for lo in range(0, n - 1, rows):
         k, j = slice(lo, min(lo + rows, n - 1)), slice(lo + 1, None)
@@ -237,9 +232,6 @@ def grad_theta_l(
     column is the same bracket against the constant-1 feature entry.
     """
     g = _check_upstream(upstream, params.out_dim)
-    n = trace.num_neighbors
-    if n == 0:
-        return np.zeros_like(params.theta_l)
     segs = _one_segment(trace, params.negative_slope)
     return _segment_theta_l(segs, params, g, _closed_weights(segs))[0]
 
@@ -256,18 +248,10 @@ def backward_chain(
 
     Walks the cached trace backwards: aggregation, softmax, score dot
     product, LeakyReLU, projections. Each step is the transposed-Jacobian
-    product of the corresponding forward operation, with the per-output-entry
-    chain kept intact throughout.
+    product of its forward operation, the per-output-entry chain intact; at
+    an isolated node every sum is empty, leaving zeros and the upstream as b.
     """
     g = _check_upstream(upstream, params.out_dim)
-    n = trace.num_neighbors
-    if n == 0:
-        return GradientSet(
-            theta_r=np.zeros_like(params.theta_r),
-            theta_l=np.zeros_like(params.theta_l),
-            att=np.zeros(params.out_dim),
-            bias=g.copy(),
-        )
     segs = _one_segment(trace, params.negative_slope)
     theta_r, theta_l, d_score = _segment_chain(segs, params, g)
     att = _segment_dot(d_score, segs.post_act, segs.starts)[0]

@@ -174,6 +174,11 @@ def _segment_ids(starts: np.ndarray, num_edges: int):
     return np.repeat(np.arange(len(starts)), np.diff(starts, append=num_edges))
 
 
+def _segment_firsts(values: np.ndarray, starts: np.ndarray, seg) -> np.ndarray:
+    """Each edge's row at its segment's first edge; a lone segment's broadcasts, or is empty."""
+    return values[:1] if len(starts) == 1 else values[starts][seg]
+
+
 def _segment_sum(values: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
     """Sum over each segment of the edge axis; segment k begins at starts[k].
 

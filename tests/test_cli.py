@@ -13,6 +13,7 @@ import gatgrad.cli
 import gatgrad.graph
 from gatgrad import (
     GradientSet,
+    Graph,
     LayerParams,
     backward_chain,
     generate_instance,
@@ -343,6 +344,27 @@ class TestGradcheck:
         assert np.all(np.asarray(grads["a"]) == 0.0)
         assert grads["b"] == [1.0, 1.0]
 
+    @pytest.mark.parametrize(
+        "flags", [(), ("--upstream", "random", "--seed", "7")], ids=["uniform", "random"]
+    )
+    def test_isolated_self_loop_and_single_neighbor_pass_at_1e_12(self, tmp_path, flags):
+        """Nodes 0 and 1 are isolated, node 2's only edge is a self-loop and node 3
+        has one neighbor; beside two ordinary nodes, all pass at tolerance 1e-12."""
+        graph = Graph(6, ((2, 2), (3, 4), (4, 0), (4, 2), (4, 5), (5, 1), (5, 3)))
+        features = np.random.default_rng(3).standard_normal((6, 3))
+        _, _, params = generate_instance(6, 3, 4, seed=3)
+        graph_path, params_path = tmp_path / "graph.json", tmp_path / "params.json"
+        save_graph(graph_path, graph, features)
+        save_params(params_path, params)
+        out = tmp_path / "report.json"
+        code = main(
+            ["gradcheck", "--graph", str(graph_path), "--params", str(params_path),
+             "--all-nodes", "--tol", "1e-12", *flags, "--out", str(out)]
+        )
+        assert code == 0
+        entries = json.loads(out.read_text())["nodes"]
+        assert [e["num_neighbors"] for e in entries] == [0, 0, 1, 1, 3, 2]
+
     def test_upstream_from_file(self, instance):
         tmp_path, graph_path, params_path = instance
         vec_path = tmp_path / "upstream.json"
@@ -414,15 +436,17 @@ class TestGradcheck:
         err = capsys.readouterr().err
         assert str(vec_path) in err and "index 1" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tolerance_is_exit_2(self, instance, tol):
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_non_finite_tolerance_is_exit_2(self, instance, capsys, tol):
+        """A tolerance that is not positive and finite is a usage error naming --tol."""
         tmp_path, graph_path, params_path = instance
         out = tmp_path / "r.json"
-        code = main(
-            ["gradcheck", "--graph", str(graph_path), "--params", str(params_path),
-             "--node", "0", "--tol", tol, "--out", str(out)]
-        )
-        assert code == 2 and not out.exists()
+        with pytest.raises(SystemExit) as err:
+            main(["gradcheck", "--graph", str(graph_path), "--params", str(params_path),
+                  "--node", "0", "--tol", tol, "--out", str(out)])
+        assert err.value.code == 2 and not out.exists()
+        want = f"argument --tol: expected a positive finite number, got {tol!r}"
+        assert want in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", [*TEXT_EDITS, "missing_key", "wrong_value"])
     @pytest.mark.parametrize("kind", ["graph", "params", "upstream"])
@@ -586,6 +610,25 @@ class TestUsage:
                   "--all-nodes", "--upstream", "random", "--seed", "-3", "--out", str(out)])
         assert err.value.code == 2 and not out.exists()
         assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, unrecognized",
+        [
+            (["gen", "--nodes", "3", "--feature-dim", "1", "--out-dim", "1"], "--out"),
+            (["forward", "--all"], "--all"),
+        ],
+        ids=["gen-out", "forward-all"],
+    )
+    def test_abbreviated_option_is_unrecognized(self, instance, capsys, flags, unrecognized):
+        """No option is read from a prefix: gen's --out is not --out-dim, and
+        forward's --all is not --all-nodes."""
+        tmp_path, graph_path, params_path = instance
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main([*flags, "--graph", str(graph_path), "--params", str(params_path),
+                  "--out", str(out)])
+        assert err.value.code == 2 and not out.exists()
+        assert f"unrecognized arguments: {unrecognized}" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

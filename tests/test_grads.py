@@ -230,15 +230,24 @@ class TestAnnihilation:
         return params, graph, feats
 
     def test_zero_and_single_neighbor_kill_attention_path(self):
+        """An isolated node is the empty segment: with the feature row of a
+        single-neighbor node, its theta_R zeros carry the same signs, byte for byte."""
         params, graph, feats = self.small_instance()
+        feats = np.array([feats[0], feats[0]])  # node 0 has one neighbor, node 1 none
         upstream = np.array([1.3, -0.4])
+        routes = []
         for node in (0, 1):
             trace = forward_with_trace(params, graph, feats, node)
-            assert np.all(grad_theta_r_sum(trace, params, upstream) == 0.0)
-            assert np.all(grad_theta_r_pairwise(trace, params, upstream) == 0.0)
             chain = backward_chain(trace, params, upstream)
-            assert np.all(chain.theta_r == 0.0)
+            blocks = (
+                grad_theta_r_sum(trace, params, upstream),
+                grad_theta_r_pairwise(trace, params, upstream),
+                chain.theta_r,
+            )
+            assert all(np.all(block == 0.0) for block in blocks)
             assert np.all(chain.att == 0.0)
+            routes.append([block.tobytes() for block in blocks])
+        assert routes[0] == routes[1]
 
     def test_identical_neighbors_kill_attention_path(self):
         graph = Graph(3, ((0, 1), (0, 2)))
