@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from functools import partial
 
 import numpy as np
@@ -48,18 +49,26 @@ def _add_node_flags(sub: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy seeds its generators with non-negative integers only."""
+def _nonnegative(text: str) -> int:
+    """A --seed or --min-degree value; numpy seeds its generators with these only."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """A --nodes, --feature-dim or --out-dim value."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _tolerance(text: str) -> float:
     """A --tol value: compare_gradients judges against a positive finite tolerance only."""
-    if not 0.0 < float(text) < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return float(text)
+    with suppress(ValueError):  # a non-number is rejected as a non-positive one is
+        if 0.0 < float(text) < np.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
 
 
 def _add_upstream_flags(sub: argparse.ArgumentParser) -> None:
@@ -68,7 +77,7 @@ def _add_upstream_flags(sub: argparse.ArgumentParser) -> None:
         default="uniform",
         help="upstream gradient mode: uniform, random, or file:PATH",
     )
-    sub.add_argument("--seed", type=_seed, default=0, help="seed for random draws")
+    sub.add_argument("--seed", type=_nonnegative, default=0, help="seed for random draws")
 
 
 def _load(args):
@@ -205,10 +214,8 @@ def cmd_diagnose(args) -> int:
     rng = np.random.default_rng(args.seed)
     mode = _mode_label(args.upstream)
     upstream = _upstream_vector(args.upstream, params.out_dim, rng)
-    if args.node is None and not args.all_nodes:
-        nodes = None  # default: every node with at least one neighbor
-    else:
-        nodes = _select_nodes(args, graph)
+    # By default, every node with at least one neighbor.
+    nodes = _select_nodes(args, graph) if args.node is not None or args.all_nodes else None
     report = diagnose(params, graph, features, nodes, upstream)
     payload = {
         "upstream_mode": mode,
@@ -231,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = partial(subs.add_parser, allow_abbrev=False)
 
     gen = add_parser("gen", help="write a seeded random graph/params pair")
-    gen.add_argument("--nodes", type=int, required=True, help="node count")
-    gen.add_argument("--feature-dim", type=int, required=True, help="input width H")
-    gen.add_argument("--out-dim", type=int, required=True, help="output width D")
-    gen.add_argument("--seed", type=_seed, default=0)
-    gen.add_argument("--min-degree", type=int, default=2)
+    gen.add_argument("--nodes", type=_positive, required=True, help="node count")
+    gen.add_argument("--feature-dim", type=_positive, required=True, help="input width H")
+    gen.add_argument("--out-dim", type=_positive, required=True, help="output width D")
+    gen.add_argument("--seed", type=_nonnegative, default=0)
+    gen.add_argument("--min-degree", type=_nonnegative, default=2)
     gen.add_argument("--graph", required=True, help="graph JSON output path")
     gen.add_argument("--params", required=True, help="params JSON output path")
     gen.set_defaults(func=cmd_gen)

@@ -12,8 +12,8 @@ difference over the theta_R, theta_L and b blocks, relative to the largest
 entry of either side (a rounding residue when the upstream is a constant
 vector).
 
-diagnose computes every indicator for all requested nodes in one
-edge-parallel pass over the layer's segment core (layer._graph_chunks). The
+diagnose computes every indicator in one edge-parallel pass over the whole
+graph (layer._graph_chunks) and reports the requested nodes' rows. The
 closed forms, the chain and the gap come from grads.py's segment functions,
 the same ones a single node's gradients are the one-segment case of; this
 module adds only the dead rows and the entropy.
@@ -73,8 +73,9 @@ def diagnose(
     upstream is the gradient entering closed_form_gap (all ones when
     omitted). Nodes come out in the order given, repeats included; a bool,
     float or string id raises TypeError and one outside the graph IndexError.
-    Every indicator comes from one edge-parallel pass over the distinct
-    requested nodes with neighbors.
+    Every indicator comes from one edge-parallel pass over the whole graph,
+    whichever nodes are requested, so a node's entry is the same in every
+    report; a few requested nodes cost that full pass.
     Isolated nodes, if explicitly requested, report vacuously dead rows,
     uniformity 1, zero entropy and zero gap.
     """
@@ -84,14 +85,11 @@ def diagnose(
     else:
         ids = np.array([_node_id(i, graph.num_nodes) for i in nodes], dtype=np.int64)
     g = _check_upstream(np.ones(params.out_dim) if upstream is None else upstream, params.out_dim)
-    requested = np.zeros(graph.num_nodes, dtype=bool)
-    requested[ids] = True
     # One row per graph node; isolated nodes keep these vacuous values.
     dead = np.ones((graph.num_nodes, params.out_dim), dtype=bool)
     entropy, gap = np.zeros(graph.num_nodes), np.zeros(graph.num_nodes)
-    targets = np.flatnonzero(requested & (degrees > 0))
     for run, _, starts, h_aug_targets, h_aug_sources, arrays in _graph_chunks(
-        params, graph, features, targets
+        params, graph, features
     ):
         _, source_proj, pre_act, post_act, _, alpha, _, _ = arrays
         segs = _segments(

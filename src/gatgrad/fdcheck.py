@@ -32,7 +32,7 @@ import numpy as np
 from . import layer
 from .grads import PARAM_KEYS, REL_ERR_FLOOR, GradientSet, _check_upstream
 from .graph import Graph
-from .layer import _ONE_SEGMENT, LayerParams, _propagate, forward_with_trace
+from .layer import _ONE_SEGMENT, BLOCKS, LayerParams, _propagate, forward_with_trace
 
 __all__ = ["fd_gradient", "compare_gradients"]
 
@@ -79,7 +79,7 @@ def fd_gradient(
     g = _check_upstream(upstream, params.out_dim)
     base = forward_with_trace(params, graph, features, node)
     near_kink = bool((np.abs(base.pre_act) < KINK_GUARD).any())
-    blocks = [params.theta_r, params.theta_l, params.att, params.bias]
+    blocks = [getattr(params, name) for name in BLOCKS.values()]
     node_args = (params.negative_slope, base.h_aug_target[None, :], base.h_aug_sources)
     chunk = max(1, layer.EDGE_BUDGET // (2 * max(base.num_neighbors, params.feature_dim + 1)))
     grads: list[np.ndarray] = []

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import _ONE_SEGMENT, ForwardTrace, LayerParams, _segment_dot, _segment_firsts
+from .layer import _ONE_SEGMENT, BLOCKS, ForwardTrace, LayerParams, _segment_dot, _segment_firsts
 from .layer import _segment_ids, _segment_products, _slopes
 
 __all__ = [
@@ -44,8 +44,8 @@ __all__ = [
     "backward_chain",
 ]
 
-# Wire names used by the params/gradient/report JSON formats, in emission order.
-PARAM_KEYS = ("theta_R", "theta_L", "a", "b")
+# The blocks' keys in the params, gradient and report files, in file order.
+PARAM_KEYS = tuple(BLOCKS)
 
 # Floor for the relative-error denominator; keeps the metric defined at zero.
 REL_ERR_FLOOR = 1e-12
@@ -61,18 +61,14 @@ class GradientSet:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("theta_r", "theta_l", "att", "bias"):
+        for name in BLOCKS.values():
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def as_dict(self) -> dict[str, np.ndarray]:
-        return {
-            "theta_R": self.theta_r,
-            "theta_L": self.theta_l,
-            "a": self.att,
-            "b": self.bias,
-        }
+        """The blocks by their file keys, in file order."""
+        return {key: getattr(self, name) for key, name in BLOCKS.items()}
 
 
 def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:

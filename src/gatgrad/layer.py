@@ -50,6 +50,10 @@ __all__ = [
     "save_params",
 ]
 
+# The parameter blocks in file order: each one's key in the params, gradient
+# and report files, and its LayerParams and GradientSet attribute.
+BLOCKS = {"theta_R": "theta_r", "theta_L": "theta_l", "a": "att", "b": "bias"}
+
 
 @dataclass(frozen=True)
 class LayerParams:
@@ -68,7 +72,7 @@ class LayerParams:
     negative_slope: float = 0.2
 
     def __post_init__(self) -> None:
-        for name in ("theta_r", "theta_l", "att", "bias"):
+        for name in BLOCKS.values():
             arr = _finite(np.array(getattr(self, name), dtype=np.float64), name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -144,19 +148,9 @@ class ForwardTrace:
     h_out: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in (
-            "h_aug_target",
-            "h_aug_sources",
-            "target_proj",
-            "source_proj",
-            "pre_act",
-            "post_act",
-            "scores",
-            "alpha",
-            "messages",
-            "h_out",
-        ):
-            getattr(self, name).setflags(write=False)
+        for value in vars(self).values():  # the dataclass fields
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def num_neighbors(self) -> int:
@@ -259,8 +253,13 @@ def _propagate(
     return target_proj, source_proj, pre_act, post_act, scores, alpha, messages, h_out
 
 
-def _checked_features(params: LayerParams, graph: Graph, features: np.ndarray) -> np.ndarray:
-    """The feature matrix as float64, checked against the graph and the params."""
+def _augmented(params: LayerParams, graph: Graph, features: np.ndarray, ids) -> np.ndarray:
+    """Read-only augmented rows [1, h] of the nodes `ids`, in one indexing step.
+
+    The feature matrix is checked first: one row per graph node, of
+    params.feature_dim columns. A non-finite entry of the gathered rows is
+    rejected, naming the node and the feature index.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != graph.num_nodes:
         raise ValueError(
@@ -270,14 +269,6 @@ def _checked_features(params: LayerParams, graph: Graph, features: np.ndarray) -
         raise ValueError(
             f"feature dim {features.shape[1]} != params feature dim {params.feature_dim}"
         )
-    return features
-
-
-def _augmented(features: np.ndarray, ids) -> np.ndarray:
-    """Read-only augmented rows [1, h] of the nodes `ids`, in one indexing step.
-
-    A non-finite entry is rejected, naming the node and the feature index.
-    """
     block = np.empty((len(ids), features.shape[1] + 1))
     block[:, 0] = 1.0
     block[:, 1:] = features[ids]
@@ -299,9 +290,8 @@ def forward_with_trace(
     and the feature index. Pure function of its arguments: repeated calls
     produce bit-identical traces.
     """
-    features = _checked_features(params, graph, features)
     nbrs = graph.neighbors(node)
-    block = _augmented(features, [node, *nbrs])
+    block = _augmented(params, graph, features, [node, *nbrs])
     target_proj, *edge_arrays, h_out = _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
         params.negative_slope, block[:1], block[1:], _ONE_SEGMENT,
@@ -311,16 +301,19 @@ def forward_with_trace(
     )
 
 
-def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray, nodes: np.ndarray):
-    """Evaluate the layer for `nodes` (ascending ids, each with a neighbor) by chunks.
+def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
+    """Evaluate the layer for every node with a neighbor, in ascending order, by chunks.
 
     Consecutive nodes share a chunk while their edges stay within
     EDGE_BUDGET; a node of higher degree is a chunk of its own, so no
-    segment is ever split. The features are checked once. Yields per chunk
-    its nodes, the positions of their edges in graph.sources, the segment
-    starts, the augmented target and source rows, and _propagate's arrays.
+    segment is ever split. The chunks depend on the graph alone, so a node's
+    numbers are the same whichever of them a caller reads. The features are
+    checked once. Yields per chunk its nodes, the positions of their edges
+    in graph.sources, the segment starts, the augmented target and source
+    rows, and _propagate's arrays.
     """
-    h_aug = _augmented(_checked_features(params, graph, features), range(graph.num_nodes))
+    h_aug = _augmented(params, graph, features, range(graph.num_nodes))
+    nodes = np.flatnonzero(np.diff(graph.offsets))
     degrees = np.diff(graph.offsets)[nodes]
     ends = np.cumsum(degrees)
     lo = 0
@@ -351,8 +344,7 @@ def forward_graph(
     """
     alpha = np.empty(len(graph.sources))
     h_out = np.tile(params.bias, (graph.num_nodes, 1))
-    connected = np.flatnonzero(np.diff(graph.offsets))
-    for run, edges, _, _, _, arrays in _graph_chunks(params, graph, features, connected):
+    for run, edges, _, _, _, arrays in _graph_chunks(params, graph, features):
         alpha[edges] = arrays[5]
         h_out[run] = arrays[7]
     return alpha, h_out
@@ -364,10 +356,8 @@ def load_params(path) -> LayerParams:
         d = _index(raw["D"], "D")
         h = _index(raw["H"], "H")
         params = LayerParams(
-            theta_r=_numbers(raw["theta_R"], "theta_R", 2),
-            theta_l=_numbers(raw["theta_L"], "theta_L", 2),
-            att=_numbers(raw["a"], "a", 1),
-            bias=_numbers(raw["b"], "b", 1),
+            **{name: _numbers(raw[key], key, 2 if name.startswith("theta") else 1)
+               for key, name in BLOCKS.items()},
             negative_slope=float(_numbers(raw["negative_slope"], "negative_slope", 0)),
         )
         if params.out_dim != d or params.feature_dim != h:
@@ -377,13 +367,6 @@ def load_params(path) -> LayerParams:
 
 def save_params(path, params: LayerParams) -> None:
     """Write the params JSON file consumed by load_params."""
-    payload = {
-        "D": params.out_dim,
-        "H": params.feature_dim,
-        "negative_slope": params.negative_slope,
-        "theta_R": params.theta_r,
-        "theta_L": params.theta_l,
-        "a": params.att,
-        "b": params.bias,
-    }
+    payload = {"D": params.out_dim, "H": params.feature_dim, "negative_slope": params.negative_slope}
+    payload.update((key, getattr(params, name)) for key, name in BLOCKS.items())
     _write_json(path, payload)

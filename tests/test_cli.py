@@ -113,17 +113,32 @@ class TestGen:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "sizes, message",
+        "flag, value, want",
         [
-            ({"nodes": 0}, "must be positive"),
-            ({"out_dim": -1}, "must be positive"),
-            ({"extra": ("--min-degree", "-1")}, "min_degree must be nonnegative"),
+            ("--nodes", "0", "a positive integer"),
+            ("--feature-dim", "0", "a positive integer"),
+            ("--out-dim", "-1", "a positive integer"),
+            ("--min-degree", "-1", "a non-negative integer"),
         ],
     )
-    def test_invalid_sizes_are_usage_errors(self, tmp_path, capsys, sizes, message):
-        code, graph_path, _ = run_gen(tmp_path, **sizes)
-        assert code == 2 and not graph_path.exists()
-        assert message in capsys.readouterr().err
+    def test_bad_count_names_the_flag(self, tmp_path, capsys, flag, value, want):
+        """A count is checked in the parser, a usage error naming the flag."""
+        with pytest.raises(SystemExit) as err:
+            run_gen(tmp_path, extra=(flag, value))  # the last occurrence wins
+        assert err.value.code == 2 and not (tmp_path / "graph.json").exists()
+        assert f"argument {flag}: expected {want}, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ((0, 1, 1, 0), "out_dim must be positive"),
+            ((3, 1, -1, 0), "out_dim must be positive"),
+            ((3, 1, 1, 0, -1), "min_degree must be nonnegative"),
+        ],
+    )
+    def test_library_keeps_its_size_checks(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            generate_instance(*sizes)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("num_nodes, min_degree", [(9, 2), (5, 4), (1, 0), (4, 0)])
@@ -436,7 +451,7 @@ class TestGradcheck:
         err = capsys.readouterr().err
         assert str(vec_path) in err and "index 1" in err
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
     def test_non_finite_tolerance_is_exit_2(self, instance, capsys, tol):
         """A tolerance that is not positive and finite is a usage error naming --tol."""
         tmp_path, graph_path, params_path = instance
