@@ -71,9 +71,18 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
 
 
+def _upstream(text: str) -> tuple[str, str]:
+    """An --upstream value as (mode, path): uniform, random, or file: and a non-empty path."""
+    mode, _, path = text.partition(":")
+    if text in ("uniform", "random") or (mode == "file" and path):
+        return mode, path
+    raise argparse.ArgumentTypeError(f"expected uniform, random or file:PATH, got {text!r}")
+
+
 def _add_upstream_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--upstream",
+        type=_upstream,
         default="uniform",
         help="upstream gradient mode: uniform, random, or file:PATH",
     )
@@ -98,19 +107,13 @@ def _select_nodes(args, graph) -> list[int]:
     return list(range(graph.num_nodes))
 
 
-def _mode_label(upstream_arg: str) -> str:
-    return "file" if upstream_arg.startswith("file:") else upstream_arg
-
-
-def _upstream_vector(mode: str, out_dim: int, rng: np.random.Generator) -> np.ndarray:
+def _upstream_vector(mode: str, path: str, out_dim: int, rng: np.random.Generator) -> np.ndarray:
     if mode == "uniform":
         return np.ones(out_dim)
     if mode == "random":
         return rng.standard_normal(out_dim)
-    if mode.startswith("file:"):
-        with _reading(mode[5:], "upstream") as raw:
-            return _check_upstream(_numbers(raw, "upstream", 1), out_dim)
-    raise ValueError(f"unknown upstream mode {mode!r}")
+    with _reading(path, "upstream") as raw:
+        return _check_upstream(_numbers(raw, "upstream", 1), out_dim)
 
 
 def _gradients_json(grads: GradientSet, node: int, num_neighbors: int, mode: str) -> dict:
@@ -157,12 +160,12 @@ def cmd_forward(args) -> int:
 def cmd_gradcheck(args) -> int:
     graph, features, params = _load(args)
     rng = np.random.default_rng(args.seed)
-    mode = _mode_label(args.upstream)
+    mode, path = args.upstream
     entries = []
     for node in _select_nodes(args, graph):
         trace = forward_with_trace(params, graph, features, node)
-        if not entries or args.upstream == "random":  # uniform and file: resolved once
-            upstream = _upstream_vector(args.upstream, params.out_dim, rng)
+        if not entries or mode == "random":  # uniform and file: resolved once
+            upstream = _upstream_vector(mode, path, params.out_dim, rng)
         chain = backward_chain(trace, params, upstream)
         numeric = fd_gradient(params, graph, features, node, upstream)
         checks = compare_gradients(chain, numeric, args.tol)
@@ -212,8 +215,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_diagnose(args) -> int:
     graph, features, params = _load(args)
     rng = np.random.default_rng(args.seed)
-    mode = _mode_label(args.upstream)
-    upstream = _upstream_vector(args.upstream, params.out_dim, rng)
+    mode, path = args.upstream
+    upstream = _upstream_vector(mode, path, params.out_dim, rng)
     # By default, every node with at least one neighbor.
     nodes = _select_nodes(args, graph) if args.node is not None or args.all_nodes else None
     report = diagnose(params, graph, features, nodes, upstream)

@@ -46,9 +46,9 @@ RESOLUTION_ULPS = 64.0
 KINK_GUARD = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FdGradient:
-    """Complex-step gradients plus per-entry kink flags.
+    """Complex-step gradients plus per-entry kink flags; hashed by identity.
 
     kink_flags maps each wire name to a boolean mask of entries excluded
     from the verdict: all of them when some unperturbed |pre-activation| is

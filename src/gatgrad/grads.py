@@ -11,11 +11,12 @@ an arbitrary upstream through every intermediate, and
 diagnostics.closed_form_gap reports how far the two differ.
 
 The formulas are written once, over the edge segments of layer._propagate
-(one per target, reduced as in DGL's edge_softmax backward). The public
-functions are the one-segment case of one node's trace, and
-diagnostics.diagnose runs them over chunks of the graph; only
-grad_theta_r_pairwise stays per node, as the independent cross-check that
-sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
+(one per target, reduced as in DGL's edge_softmax backward); _Segments holds
+each term they share, the closed forms' weights too. The public functions
+are the one-segment case of one node's trace, and diagnostics.diagnose runs
+them over chunks of the graph; only grad_theta_r_pairwise stays per node, as
+the independent cross-check that sums the neighbor pairs directly, in blocks
+bounded by layer.EDGE_BUDGET.
 An isolated node is the empty segment: its neighbor sums are empty, so its
 attention gradients are zeros, signed as a single-neighbor node's are.
 
@@ -51,9 +52,9 @@ PARAM_KEYS = tuple(BLOCKS)
 REL_ERR_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientSet:
-    """Gradients of the four parameter blocks for one target node, copied and frozen."""
+    """Frozen copies of the four blocks' gradients for one target node; hashed by identity."""
 
     theta_r: np.ndarray
     theta_l: np.ndarray
@@ -84,10 +85,9 @@ class _Segments(NamedTuple):
     """What the backward formulas read, for m segments of E edges (a lone one may be empty).
 
     starts and seg as in layer._segment_ids; the augmented rows (m or E, H+1);
-    _propagate's edge arrays; the LeakyReLU slopes (E, D), and their spread
-    from the segment's first edge. The theta_R sums weigh the slopes by
-    values that sum to zero over a segment, so they are taken against the
-    spread: a dimension with one regime over the segment comes out exactly 0.
+    _propagate's edge arrays; the LeakyReLU slopes (E, D), their spread from
+    the segment's first edge (grad_theta_r_sum says why), and the weights of
+    both closed forms: alpha times the edge's centered projection total, (E,).
     """
 
     starts: np.ndarray
@@ -99,15 +99,18 @@ class _Segments(NamedTuple):
     alpha: np.ndarray
     slopes: np.ndarray
     spread: np.ndarray
+    weights: np.ndarray
 
 
 def _segments(starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, slope):
     """_Segments of _propagate's arrays, for LeakyReLU negative slope `slope`."""
     seg = _segment_ids(starts, len(alpha))
     slopes = _slopes(pre_act, slope)
+    totals = source_proj.sum(axis=1)
     return _Segments(
         starts, seg, h_aug_targets, h_aug_sources, source_proj, post_act, alpha,
         slopes, slopes - _segment_firsts(slopes, starts, seg),
+        alpha * (totals - _segment_dot(alpha, totals, starts)[seg]),
     )
 
 
@@ -120,21 +123,15 @@ def _one_segment(trace: ForwardTrace, slope: float) -> _Segments:
     )
 
 
-def _closed_weights(segs: _Segments) -> np.ndarray:
-    """alpha * (each edge's projection total, centered on its segment's mean), (E,)."""
-    totals = segs.source_proj.sum(axis=1)
-    return segs.alpha * (totals - _segment_dot(segs.alpha, totals, segs.starts)[segs.seg])
-
-
-def _segment_theta_r_sum(segs: _Segments, params: LayerParams, upstream, weights):
-    """grad_theta_r_sum of every segment, (m, D, H+1), from _closed_weights."""
-    coeff = _segment_dot(weights, segs.spread, segs.starts)
+def _segment_theta_r_sum(segs: _Segments, params: LayerParams, upstream):
+    """grad_theta_r_sum of every segment, (m, D, H+1)."""
+    coeff = _segment_dot(segs.weights, segs.spread, segs.starts)
     return (upstream * params.att * coeff)[:, :, None] * segs.h_aug_targets[:, None, :]
 
 
-def _segment_theta_l(segs: _Segments, params: LayerParams, upstream, weights):
-    """grad_theta_l of every segment, (m, D, H+1), from _closed_weights."""
-    bracket = params.att * segs.slopes * weights[:, None] + segs.alpha[:, None]
+def _segment_theta_l(segs: _Segments, params: LayerParams, upstream):
+    """grad_theta_l of every segment, (m, D, H+1)."""
+    bracket = params.att * segs.slopes * segs.weights[:, None] + segs.alpha[:, None]
     return upstream[:, None] * _segment_products(bracket, segs.h_aug_sources, segs.starts)
 
 
@@ -161,9 +158,8 @@ def _segment_chain(segs: _Segments, params: LayerParams, upstream: np.ndarray) -
 def _segment_gap(segs: _Segments, params: LayerParams, upstream: np.ndarray):
     """diagnostics.closed_form_gap of every segment, (m,). The b blocks are
     the upstream on both sides: no difference, and max |upstream| in the scale."""
-    weights = _closed_weights(segs)
     forms = (_segment_theta_r_sum, _segment_theta_l)
-    closed = [form(segs, params, upstream, weights) for form in forms]
+    closed = [form(segs, params, upstream) for form in forms]
     exact = _segment_chain(segs, params, upstream)[:2]
     diff = np.max([np.abs(c - e).max(axis=(1, 2)) for c, e in zip(closed, exact)], axis=0)
     scale = np.max([np.abs(b).max(axis=(1, 2)) for b in (*closed, *exact)], axis=0)
@@ -185,7 +181,7 @@ def grad_theta_r_sum(
     """
     g = _check_upstream(upstream, params.out_dim)
     segs = _one_segment(trace, params.negative_slope)
-    return _segment_theta_r_sum(segs, params, g, _closed_weights(segs))[0]
+    return _segment_theta_r_sum(segs, params, g)[0]
 
 
 def grad_theta_r_pairwise(
@@ -229,7 +225,7 @@ def grad_theta_l(
     """
     g = _check_upstream(upstream, params.out_dim)
     segs = _one_segment(trace, params.negative_slope)
-    return _segment_theta_l(segs, params, g, _closed_weights(segs))[0]
+    return _segment_theta_l(segs, params, g)[0]
 
 
 def grad_bias(upstream: np.ndarray) -> np.ndarray:

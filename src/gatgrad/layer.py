@@ -55,14 +55,14 @@ __all__ = [
 BLOCKS = {"theta_R": "theta_r", "theta_L": "theta_l", "a": "att", "b": "bias"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerParams:
     """Trainable layer parameters.
 
     theta_r projects the target node, theta_l the message sources. Column 0
     of each matrix is the bias column (it multiplies the constant-1 entry of
     augmented features); columns 1.. are the weight part. Arrays are copied
-    and frozen at construction, so instances are safe to share.
+    and frozen at construction: instances are safe to share, hashed by identity.
     """
 
     theta_r: np.ndarray
@@ -308,21 +308,20 @@ def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
     EDGE_BUDGET; a node of higher degree is a chunk of its own, so no
     segment is ever split. The chunks depend on the graph alone, so a node's
     numbers are the same whichever of them a caller reads. The features are
-    checked once. Yields per chunk its nodes, the positions of their edges
-    in graph.sources, the segment starts, the augmented target and source
-    rows, and _propagate's arrays.
+    checked once. Yields per chunk its nodes, their edges as a slice of
+    graph.sources order (isolated nodes own none), the segment starts, the
+    augmented target and source rows, and _propagate's arrays.
     """
     h_aug = _augmented(params, graph, features, range(graph.num_nodes))
     nodes = np.flatnonzero(np.diff(graph.offsets))
-    degrees = np.diff(graph.offsets)[nodes]
-    ends = np.cumsum(degrees)
+    ends = graph.offsets[nodes + 1]
     lo = 0
     while lo < len(nodes):
         base = ends[lo - 1] if lo else 0
         hi = max(int(np.searchsorted(ends, base + EDGE_BUDGET, side="right")), lo + 1)
-        run, counts = nodes[lo:hi], degrees[lo:hi]
-        starts = ends[lo:hi] - counts - base
-        edges = np.repeat(graph.offsets[run] - starts, counts) + np.arange(ends[hi - 1] - base)
+        run = nodes[lo:hi]
+        starts = graph.offsets[run] - base
+        edges = slice(base, ends[hi - 1])
         targets, sources = h_aug[run], h_aug[graph.sources[edges]]
         arrays = _propagate(
             params.theta_r, params.theta_l, params.att, params.bias,

@@ -604,8 +604,6 @@ class TestUsage:
             ("gradcheck", ["--node", "4"], "node 4 out of range for 4 nodes"),
             ("diagnose", ["--node", "-1"], "node -1 out of range for 4 nodes"),
             ("forward", ["--node", "9"], "node 9 out of range for 4 nodes"),
-            ("gradcheck", ["--all-nodes", "--upstream", "bogus"], "unknown upstream mode 'bogus'"),
-            ("diagnose", ["--upstream", "file"], "unknown upstream mode 'file'"),
         ],
     )
     def test_bad_node_or_upstream_mode_exits_2(self, instance, capsys, verb, flags, message):
@@ -615,6 +613,31 @@ class TestUsage:
                      *flags, "--out", str(out)])
         assert code == 2 and not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, upstream, graph",
+        [
+            ("gradcheck", "bogus", "graph"),
+            ("diagnose", "file", "graph"),
+            ("diagnose", "file:", "graph"),
+            ("gradcheck", "bogus", "missing"),
+        ],
+        ids=["bogus", "file", "file-colon", "bogus-missing-graph"],
+    )
+    def test_bad_upstream_is_usage_error_naming_the_flag(
+        self, instance, capsys, verb, upstream, graph
+    ):
+        """A bad --upstream value is rejected by the parser, naming the flag,
+        before any file is read: even a missing --graph is not reported."""
+        tmp_path, graph_path, params_path = instance
+        graphs = {"graph": graph_path, "missing": tmp_path / "missing.json"}
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main([verb, "--graph", str(graphs[graph]), "--params", str(params_path),
+                  "--all-nodes", "--upstream", upstream, "--out", str(out)])
+        assert err.value.code == 2 and not out.exists()
+        want = f"argument --upstream: expected uniform, random or file:PATH, got {upstream!r}"
+        assert want in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["diagnose", "gradcheck"])
     def test_negative_seed_is_usage_error_naming_the_flag(self, instance, capsys, verb):

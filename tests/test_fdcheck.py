@@ -352,3 +352,20 @@ class TestCompareGradients:
         for key in ("theta_R", "theta_L", "a", "b"):
             assert list(checks[key]) == ["max_rel_err", "pass", "kink_flagged", "worst_entry"]
         assert list(compare_gradients(self.chain, numeric, keys=("b", "a"))) == ["b", "a"]
+
+
+def test_array_records_compare_by_identity():
+    """LayerParams, GradientSet and FdGradient hold read-only arrays, so they
+    compare and hash by identity, as ForwardTrace does: == and hash return,
+    an instance equals itself and not a separately built twin."""
+    graph, features, params = generate_instance(4, 2, 3, seed=1)
+    upstream = np.ones(3)
+    trace = forward_with_trace(params, graph, features, 0)
+    twins = [
+        [LayerParams(params.theta_r, params.theta_l, params.att, params.bias) for _ in "ab"],
+        [backward_chain(trace, params, upstream) for _ in "ab"],
+        [fd_gradient(params, graph, features, 0, upstream) for _ in "ab"],
+    ]
+    for record, twin in twins:
+        assert isinstance(hash(record), int) and isinstance(hash(twin), int)
+        assert record == record and not record == twin and record != twin

@@ -182,9 +182,9 @@ class TestForwardGraph:
         chunks = list(layer._graph_chunks(params, graph, feats))
         assert len(chunks) >= 3
         assert np.concatenate([run for run, *_ in chunks]).tolist() == nodes.tolist()
-        edges = np.concatenate([e for _, e, *_ in chunks])
-        assert edges.tolist() == list(range(len(graph.edges)))
-        for run, edges, starts, *_ in chunks:
+        positions = [np.arange(len(graph.edges))[e] for _, e, *_ in chunks]
+        assert np.concatenate(positions).tolist() == list(range(len(graph.edges)))
+        for (run, _, starts, *_), edges in zip(chunks, positions):
             degrees = np.diff(graph.offsets)[run]
             assert len(edges) <= 4 or len(run) == 1
             assert starts.tolist() == np.concatenate(([0], np.cumsum(degrees)[:-1])).tolist()
@@ -305,14 +305,13 @@ class TestSegmentBackward:
                 starts, targets, sources, source_proj, pre_act, post_act, alpha,
                 params.negative_slope,
             )
-            weights = grads._closed_weights(segs)
             chain_r, chain_l, d_score = grads._segment_chain(segs, params, upstream)
             stacks = (
                 chain_r,
                 chain_l,
                 layer._segment_dot(d_score, segs.post_act, starts),
-                grads._segment_theta_r_sum(segs, params, upstream, weights),
-                grads._segment_theta_l(segs, params, upstream, weights),
+                grads._segment_theta_r_sum(segs, params, upstream),
+                grads._segment_theta_l(segs, params, upstream),
             )
             for k, node in enumerate(run):
                 trace = forward_with_trace(params, graph, features, node)
