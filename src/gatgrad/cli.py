@@ -107,13 +107,14 @@ def _select_nodes(args, graph) -> list[int]:
     return list(range(graph.num_nodes))
 
 
-def _upstream_vector(mode: str, path: str, out_dim: int, rng: np.random.Generator) -> np.ndarray:
-    if mode == "uniform":
-        return np.ones(out_dim)
+def _upstream_vector(mode: str, path: str, shape: tuple, seed: int) -> np.ndarray:
+    """Rows (..., D) of one seeded draw or one broadcast vector; node i's upstream is row i."""
     if mode == "random":
-        return rng.standard_normal(out_dim)
+        return np.random.default_rng(seed).standard_normal(shape)
+    if mode == "uniform":
+        return np.ones(shape)
     with _reading(path, "upstream") as raw:
-        return _check_upstream(_numbers(raw, "upstream", 1), out_dim)
+        return np.broadcast_to(_check_upstream(_numbers(raw, "upstream", 1), shape[-1]), shape)
 
 
 def _gradients_json(grads: GradientSet, node: int, num_neighbors: int, mode: str) -> dict:
@@ -159,13 +160,12 @@ def cmd_forward(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     graph, features, params = _load(args)
-    rng = np.random.default_rng(args.seed)
     mode, path = args.upstream
+    nodes = _select_nodes(args, graph)
+    upstreams = _upstream_vector(mode, path, (max(nodes) + 1, params.out_dim), args.seed)
     entries = []
-    for node in _select_nodes(args, graph):
+    for node, upstream in zip(nodes, upstreams[nodes]):
         trace = forward_with_trace(params, graph, features, node)
-        if not entries or mode == "random":  # uniform and file: resolved once
-            upstream = _upstream_vector(mode, path, params.out_dim, rng)
         chain = backward_chain(trace, params, upstream)
         numeric = fd_gradient(params, graph, features, node, upstream)
         checks = compare_gradients(chain, numeric, args.tol)
@@ -214,9 +214,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_diagnose(args) -> int:
     graph, features, params = _load(args)
-    rng = np.random.default_rng(args.seed)
     mode, path = args.upstream
-    upstream = _upstream_vector(mode, path, params.out_dim, rng)
+    upstream = _upstream_vector(mode, path, (params.out_dim,), args.seed)
     # By default, every node with at least one neighbor.
     nodes = _select_nodes(args, graph) if args.node is not None or args.all_nodes else None
     report = diagnose(params, graph, features, nodes, upstream)

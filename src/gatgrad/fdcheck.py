@@ -9,10 +9,10 @@ has no subtractive cancellation (Squire & Trapp, SIAM Review 40(1), 1998),
 so h = 1e-30 leaves only the rounding of that evaluation. The evaluations
 are independent, so they are batched: copies of a block, one per entry, go
 through the layer core along a leading batch axis, in chunks bounded by
-layer.EDGE_BUDGET. The layer is analytic along every entry away from a
-LeakyReLU kink; a node with a pre-activation within KINK_GUARD of one has
-all its entries flagged and excluded from the verdict, since the derivative
-there is convention-dependent.
+layer.EDGE_BUDGET. The step moves only imaginary parts, and LeakyReLU takes
+its branch on the real part (Martins, Sturdza & Alonso, ACM TOMS 29(3),
+2003), so a pre-activation at the kink is no hazard; an entry whose copy
+rounds one across it is flagged and excluded from the verdict.
 
 That rounding is reported as `resolution`, a few ulps of the loss taken on
 absolute values, and compare_gradients confirms entries that differ by no
@@ -32,7 +32,7 @@ import numpy as np
 from . import layer
 from .grads import PARAM_KEYS, REL_ERR_FLOOR, GradientSet, _check_upstream
 from .graph import Graph
-from .layer import _ONE_SEGMENT, BLOCKS, LayerParams, _propagate, forward_with_trace
+from .layer import _ONE_SEGMENT, BLOCKS, LayerParams, _branch, _propagate, forward_with_trace
 
 __all__ = ["fd_gradient", "compare_gradients"]
 
@@ -42,18 +42,15 @@ COMPLEX_STEP = 1e-30
 # Rounding amplification allowed for one loss evaluation, in units of eps.
 RESOLUTION_ULPS = 64.0
 
-# An unperturbed |pre-activation| below this flags every entry of the node.
-KINK_GUARD = 1e-4
-
 
 @dataclass(frozen=True, eq=False)
 class FdGradient:
     """Complex-step gradients plus per-entry kink flags; hashed by identity.
 
-    kink_flags maps each wire name to a boolean mask of entries excluded
-    from the verdict: all of them when some unperturbed |pre-activation| is
-    below KINK_GUARD. resolution is the smallest analytic/numeric
-    difference the oracle can resolve for this node.
+    kink_flags maps each block's file key to a boolean mask of the entries
+    excluded from the verdict, those whose complex pass took another
+    LeakyReLU branch than the real pass somewhere. resolution is the smallest
+    analytic/numeric difference the oracle can resolve for this node.
     """
 
     grads: GradientSet
@@ -75,26 +72,29 @@ def fd_gradient(
     the other blocks broadcast: EDGE_BUDGET // (2 max(N, H+1)) copies for N
     neighbors keep the complex stack and the edge arrays each within the
     bytes of one (EDGE_BUDGET, D) float64 array of a whole-graph chunk.
+    The a and b copies never reach a pre-activation, so are never flagged.
     """
     g = _check_upstream(upstream, params.out_dim)
     base = forward_with_trace(params, graph, features, node)
-    near_kink = bool((np.abs(base.pre_act) < KINK_GUARD).any())
+    branches = _branch(base.pre_act)
     blocks = [getattr(params, name) for name in BLOCKS.values()]
     node_args = (params.negative_slope, base.h_aug_target[None, :], base.h_aug_sources)
     chunk = max(1, layer.EDGE_BUDGET // (2 * max(base.num_neighbors, params.feature_dim + 1)))
-    grads: list[np.ndarray] = []
+    grads = [np.empty(block.shape) for block in blocks]
+    flags = [np.zeros(block.shape, dtype=bool) for block in blocks]
     for pos, base_block in enumerate(blocks):
-        grad = np.empty(base_block.size)
         for lo in range(0, base_block.size, chunk):
             idx = np.arange(lo, min(lo + chunk, base_block.size))
             stack = np.tile(base_block.reshape(-1).astype(complex), (len(idx), 1))
             stack[np.arange(len(idx)), idx] += 1j * COMPLEX_STEP
             stacked = [*blocks[:pos], stack.reshape(-1, *base_block.shape), *blocks[pos + 1 :]]
-            loss = _propagate(*stacked, *node_args, _ONE_SEGMENT)[-1][:, 0] @ g
+            _, _, pre_act, *_, h_out = _propagate(*stacked, *node_args, _ONE_SEGMENT)
+            loss = h_out[:, 0] @ g
             if not np.isfinite(loss).all():
                 raise ValueError("non-finite loss at a perturbed point")
-            grad[idx] = loss.imag / COMPLEX_STEP
-        grads.append(grad.reshape(base_block.shape))
+            grads[pos].flat[idx] = loss.imag / COMPLEX_STEP
+            flags[pos].flat[idx] = (_branch(pre_act) != branches).any(axis=(-2, -1))
+            del pre_act, h_out, _  # freed, so the next chunk's arrays reuse their memory
     # One evaluation rounds on the scale of the loss taken on absolute values,
     # which can overflow where the loss cancels; an infinite resolution would
     # confirm every entry.
@@ -105,7 +105,7 @@ def fd_gradient(
     resolution = RESOLUTION_ULPS * np.finfo(np.float64).eps * max(1.0, abs_loss)
     return FdGradient(
         grads=GradientSet(*grads),
-        kink_flags={k: np.full(b.shape, near_kink) for k, b in zip(PARAM_KEYS, blocks)},
+        kink_flags=dict(zip(PARAM_KEYS, flags)),
         resolution=float(resolution),
     )
 
@@ -132,9 +132,9 @@ def compare_gradients(
 
     An entry passes when its relative error is within the tolerance, or when
     its disagreement sits within the oracle resolution: both values then
-    agree to within the rounding of one evaluation. Kink-flagged entries are
-    excluded from the verdict and listed. The tolerance must be positive
-    and finite.
+    agree to within the rounding of one evaluation. Entries whose oracle
+    pass changed a LeakyReLU branch (kink_flags) are excluded from the
+    verdict and listed. The tolerance must be positive and finite.
 
     Each key maps to its block's verdict as the report writes it: max_rel_err,
     pass, kink_flagged and worst_entry (None where no entry is judged).

@@ -100,18 +100,19 @@ class LayerParams:
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """Identity on the strictly positive branch, slope * x otherwise.
+    """Identity where _branch(x) holds, slope * x elsewhere: at 0 and below."""
+    return np.where(_branch(x), x, slope * x)
 
-    The value at exactly 0 is 0 either way, but the branch choice matters to
-    the derivative: 0 belongs to the negative branch. The branch is chosen on
-    the real part, so complex input is differentiated along the real branch.
-    """
-    return np.where(x.real > 0.0, x, slope * x)
+
+def _branch(x: np.ndarray) -> np.ndarray:
+    """LeakyReLU's identity branch: a strictly positive real part. 0 is on the other
+    branch, and complex input takes its real part's, which the complex step keeps."""
+    return x.real > 0.0
 
 
 def _slopes(x: np.ndarray, negative_slope: float) -> np.ndarray:
     """leaky_relu's derivative at x, 1 or negative_slope, with leaky_relu's branches."""
-    return np.where(x.real > 0.0, 1.0, negative_slope)
+    return np.where(_branch(x), 1.0, negative_slope)
 
 
 # The one segment of a single node's evaluation.

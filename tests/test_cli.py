@@ -302,24 +302,43 @@ class TestGradcheck:
                     assert list(check) == block_keys
         assert list(flat) == entry_keys
 
-    def test_kink_flagged_node_lists_every_entry_and_passes(self, instance):
-        """All-zero theta blocks put every pre-activation at the kink, so the
-        oracle flags every entry of every node and nothing is judged."""
+    def test_all_zero_theta_blocks_flag_nothing_and_pass(self, instance, monkeypatch):
+        """All-zero theta blocks put every pre-activation exactly at the kink.
+        The complex step leaves every branch where the real pass put it, so
+        nothing is flagged and every node passes at 1e-12 under both
+        upstreams; a 1e-3 defect in one theta_L entry now fails."""
         tmp_path, graph_path, params_path = instance
         params = load_params(params_path)
         zero = np.zeros_like(params.theta_r)
         save_params(params_path, LayerParams(zero, zero, params.att, params.bias))
-        code, payload = self.check(instance)
-        assert code == 0 and payload["pass"] is True
-        pairs = [[t, c] for t in range(3) for c in range(3)]
+        for flags in ((), ("--upstream", "random", "--seed", "7")):
+            code, payload = self.check(instance, "--tol", "1e-12", *flags)
+            assert code == 0 and payload["pass"] is True
+            for entry in payload["nodes"]:
+                assert entry["pass"] is True
+                checks = [entry[key] for key in ("theta_R", "theta_L", "a", "b")]
+                for check in checks + list(entry.get("closed_form", {}).values()):
+                    assert check["pass"] is True and check["kink_flagged"] == []
+        inject_theta_l_defect(monkeypatch, (1, 2))
+        code, payload = self.check(instance, "--tol", "1e-12")
+        assert code == 1
         for entry in payload["nodes"]:
-            assert entry["pass"] is True
-            blocks = [(key, entry[key]) for key in ("theta_R", "theta_L", "a", "b")]
-            for key, check in blocks + list(entry["closed_form"].items()):
-                want = pairs if key.startswith("theta") else [0, 1, 2]
-                assert check == {
-                    "max_rel_err": 0.0, "pass": True, "kink_flagged": want, "worst_entry": None,
-                }, (entry["node"], key)
+            assert entry["theta_L"]["worst_entry"] == [1, 2], entry["node"]
+
+    def test_random_node_report_is_its_all_nodes_entry(self, tmp_path):
+        """Under a random upstream, node i's upstream is row i of one draw, so
+        gradcheck --node i writes node i's --all-nodes entry, for every node."""
+        _, graph_path, params_path = run_gen(tmp_path, seed=3, nodes=12)
+        flags = ["--graph", str(graph_path), "--params", str(params_path),
+                 "--upstream", "random", "--seed", "7"]
+        out = tmp_path / "report.json"
+        assert main(["gradcheck", *flags, "--all-nodes", "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())["nodes"]
+        rows = np.random.default_rng(7).standard_normal((12, 4))
+        for node in range(12):
+            assert entries[node]["upstream"] == rows[node].tolist()
+            assert main(["gradcheck", *flags, "--node", str(node), "--out", str(out)]) == 0
+            assert json.loads(out.read_text()) == entries[node], node
 
     def test_unattainable_tolerance_fails_naming_worst_entry(
         self, instance, monkeypatch

@@ -18,7 +18,7 @@ from gatgrad import (
     generate_instance,
 )
 from gatgrad import layer
-from gatgrad.fdcheck import COMPLEX_STEP, KINK_GUARD, FdGradient
+from gatgrad.fdcheck import COMPLEX_STEP, FdGradient
 from gatgrad.layer import _propagate
 
 
@@ -78,6 +78,31 @@ def oracle_cases(draw):
     )
     upstream = np.ones(d) if draw(st.booleans()) else rng.standard_normal(d)
     return graph, rng.standard_normal((n, h)), params, node, upstream
+
+
+@st.composite
+def near_kink_cases(draw):
+    """(graph, features, params, node, (k, t), value, rng): pre-activation t
+    of the node's edge k is set to value, exactly 0 or +-2**-p for p =
+    20..50, through theta_L[t, 0]. Features are multiples of 1/4 in [-1, 1]
+    and theta entries multiples of 1/8 in [-1/2, 1/2], at H <= 3: every
+    partial sum of a projection is a multiple of 2**-50 below 8 in
+    magnitude, so no sum rounds and the value is met exactly."""
+    n = draw(st.integers(1, 8))
+    h, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    node = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nbrs = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+    graph = Graph(n, tuple((node, j) for j in nbrs))
+    feats = rng.integers(-4, 5, (n, h)) / 4
+    theta_r, theta_l = rng.integers(-4, 5, (2, d, h + 1)) / 8
+    k, t = int(rng.integers(len(nbrs))), int(rng.integers(d))
+    sign, power = draw(st.sampled_from([0.0, 1.0, -1.0])), draw(st.integers(20, 50))
+    value = sign * 2.0**-power
+    att, bias = rng.standard_normal(d), rng.standard_normal(d)
+    base = forward_with_trace(LayerParams(theta_r, theta_l, att, bias), graph, feats, node)
+    theta_l[t, 0] += value - base.pre_act[k, t]
+    return graph, feats, LayerParams(theta_r, theta_l, att, bias), node, (k, t), value, rng
 
 
 class TestBatchedOracle:
@@ -170,7 +195,7 @@ class TestEvaluateLoss:
 
 
 class TestFdConfig:
-    """The oracle's fixed kink guard and the tolerance compare_gradients takes."""
+    """The tolerance compare_gradients takes."""
 
     def setup_method(self):
         g, feats, params = generate_instance(4, 2, 3, seed=7)
@@ -186,7 +211,6 @@ class TestFdConfig:
             theta_l[largest] *= 1.0 + rel
             off = GradientSet(grads.theta_r, theta_l, grads.att, grads.bias)
             assert passed(compare_gradients(off, exact(grads))) is want
-        assert KINK_GUARD == 1e-4
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
     def test_tolerance_positive_and_finite(self, tol):
@@ -220,17 +244,78 @@ class TestFdGradient:
         assert a.resolution == b.resolution
 
     def test_kink_flagging(self):
-        """An instance tuned to sit on a kink flags every perturbed entry."""
+        """A pre-activation exactly at the kink flags nothing: the complex step
+        leaves it on the negative branch, where the chain's slopes put it too,
+        and the chain passes at 1e-12."""
         graph = Graph(2, ((0, 1),))
         feats = np.array([[1.0], [1.0]])
         # pre-activation = theta_r bias + theta_l bias + weights = exactly 0
         params = LayerParams([[0.5, 0.5]], [[-0.5, -0.5]], [1.0], [0.0])
+        trace = forward_with_trace(params, graph, feats, 0)
+        assert trace.pre_act[0, 0] == 0.0
         out = fd_gradient(params, graph, feats, 0, np.ones(1))
-        assert all(mask.all() for mask in out.kink_flags.values())
+        assert not any(mask.any() for mask in out.kink_flags.values())
+        chain = backward_chain(trace, params, np.ones(1))
+        assert passed(compare_gradients(chain, out, 1e-12))
 
     def test_no_flags_away_from_kinks(self):
         out = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
         assert not any(mask.any() for mask in out.kink_flags.values())
+
+    @settings(deadline=None, max_examples=60)
+    @given(near_kink_cases())
+    def test_pre_activation_at_or_near_the_kink_is_judged(self, case):
+        """One pre-activation is exactly 0 or +-2**-p, p = 20..50 (9.5e-7 down
+        to 8.9e-16). Nothing is flagged, the chain passes at 1e-12 under a
+        uniform and a random upstream, and a 1e-9 relative defect in the
+        largest theta_L entry fails, named."""
+        graph, feats, params, node, (k, t), value, rng = case
+        trace = forward_with_trace(params, graph, feats, node)
+        assert trace.pre_act[k, t] == value
+        for upstream in (np.ones(params.out_dim), rng.standard_normal(params.out_dim)):
+            numeric = fd_gradient(params, graph, feats, node, upstream)
+            assert not any(mask.any() for mask in numeric.kink_flags.values())
+            chain = backward_chain(trace, params, upstream)
+            assert passed(compare_gradients(chain, numeric, 1e-12))
+            bad = chain.theta_l.copy()
+            worst = np.unravel_index(np.argmax(np.abs(bad)), bad.shape)
+            bad[worst] *= 1.0 + 1e-9
+            corrupted = GradientSet(chain.theta_r, bad, chain.att, chain.bias)
+            checks = compare_gradients(corrupted, numeric, 1e-12)
+            assert not checks["theta_L"]["pass"]
+            assert checks["theta_L"]["worst_entry"] == tuple(int(v) for v in worst)
+
+    def test_branch_change_in_one_copy_flags_that_entry(self, monkeypatch):
+        """A core whose stacked pre-activation of theta_L entry (0, 1) lands on
+        the other side of the kink than the node's trace: exactly that entry
+        is flagged, the gradients are unchanged, and the entry leaves the
+        verdict, so a gross defect there passes."""
+        entry, upstream = (0, 1), np.ones(3)
+        flat = np.ravel_multi_index(entry, self.params.theta_l.shape)
+
+        def crossing(*args):
+            arrays = _propagate(*args)
+            theta_l = args[1]
+            if theta_l.ndim == 3:  # a stack of theta_L copies
+                copy = np.flatnonzero(theta_l.reshape(len(theta_l), -1)[:, flat].imag)
+                arrays[2][copy, 0, 0] *= -1.0
+            return arrays
+
+        clean = fd_gradient(self.params, self.g, self.feats, 0, upstream)
+        monkeypatch.setattr("gatgrad.fdcheck._propagate", crossing)
+        numeric = fd_gradient(self.params, self.g, self.feats, 0, upstream)
+        assert clean.kink_flags["theta_L"].sum() == 0
+        for key, mask in numeric.kink_flags.items():
+            assert np.array_equal(numeric.grads.as_dict()[key], clean.grads.as_dict()[key])
+            assert np.flatnonzero(mask).tolist() == ([flat] if key == "theta_L" else [])
+        chain = backward_chain(forward_with_trace(self.params, self.g, self.feats, 0),
+                               self.params, upstream)
+        bad = chain.theta_l.copy()
+        bad[entry] += 1.0
+        corrupted = GradientSet(chain.theta_r, bad, chain.att, chain.bias)
+        checks = compare_gradients(corrupted, numeric, 1e-12)
+        assert passed(checks) and checks["theta_L"]["kink_flagged"] == (entry,)
+        assert not passed(compare_gradients(corrupted, clean, 1e-12))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_rejected(self):
