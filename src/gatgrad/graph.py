@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -97,11 +98,28 @@ def _holds_ids(arr: np.ndarray) -> bool:
     return all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds)
 
 
+def _pair_array(edges) -> np.ndarray:
+    """Edges given as anything but an ndarray, as an array.
+
+    A list or tuple of int pairs (lists or tuples, [] included) becomes
+    (E, 2) int64 after C-speed passes over the pairs and their ids, with no
+    object array; anything else an object array, whose bad edge
+    _edge_array names.
+    """
+    pairs = isinstance(edges, (list, tuple)) and set(map(type, edges)) <= {list, tuple}
+    if pairs and set(map(len, edges)) <= {2}:
+        ids = list(chain.from_iterable(edges))
+        if set(map(type, ids)) <= {int}:
+            try:
+                return np.fromiter(ids, np.int64, len(ids)).reshape(-1, 2)
+            except OverflowError:  # an int beyond int64, out of range for any graph
+                pass
+    return np.array(edges, dtype=object)
+
+
 def _edge_array(edges, n: int) -> np.ndarray:
     """Distinct pairs of ids in [0, n) as (E, 2) int64; errors name the first bad edge."""
-    arr = edges if isinstance(edges, np.ndarray) else np.array(edges, dtype=object)
-    if arr.shape == (0,) and arr is not edges:  # [] or (), never an array
-        arr = np.empty((0, 2), np.int64)
+    arr = edges if isinstance(edges, np.ndarray) else _pair_array(edges)
     if arr.ndim != 2 or arr.shape[1] != 2 or not _holds_ids(arr):
         for k, edge in enumerate(arr.tolist() if arr.ndim else ()):
             row = np.array(edge, dtype=object)
@@ -180,12 +198,13 @@ def load_graph(path) -> tuple[Graph, np.ndarray]:
 
 
 def save_graph(path, graph: Graph, features: np.ndarray) -> None:
-    """Write the graph JSON file consumed by load_graph."""
+    """Write the graph JSON file consumed by load_graph; refuse features it would reject."""
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(f"features must be a matrix, got shape {features.shape}")
     if features.shape[0] != graph.num_nodes:
-        raise ValueError(
-            f"feature matrix has {features.shape[0]} rows for {graph.num_nodes} nodes"
-        )
+        raise ValueError(f"features has {features.shape[0]} rows for {graph.num_nodes} nodes")
+    _finite(features, "features")
     payload = {
         "num_nodes": graph.num_nodes,
         "feature_dim": int(features.shape[1]),
@@ -211,12 +230,17 @@ def _write_json(path, payload: dict) -> None:
     _BULK_NUMBERS are waiting, one call encodes them all, its output is
     split back into one text per leaf and one per scalar, and the text
     finished so far is written out, so memory stays bounded on any payload.
-    Strings, keys (strings only) and the layout are written here.
+    A non-empty 2-D array of bools or numbers skips the per-row leaves: each
+    block of whole rows, about _BULK_NUMBERS numbers, is one compact encoder
+    call whose texts are interleaved with the separators and written out
+    before the next block is formatted. Strings, keys (strings only) and the
+    layout are written here.
     """
     parts: list = []  # output strings; a number holds its place until encoded
     leaves, leaf_at, scalars, scalar_at = [], [], [], []
     waiting = 0  # numbers in leaves and scalars
     encode = json.JSONEncoder(separators=(",\n", ": ")).encode
+    encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
     def flush() -> None:
         nonlocal waiting
@@ -233,11 +257,31 @@ def _write_json(path, payload: dict) -> None:
             pending.clear()
         waiting = 0
 
+    def emit_rows(matrix: np.ndarray, depth: int) -> None:
+        outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+        separators = ["," + inner] * (matrix.shape[1] - 1) + [outer + "]," + outer + "[" + inner]
+        parts.append("[" + outer + "[" + inner)
+        step = max(1, _BULK_NUMBERS // matrix.shape[1])
+        for start in range(0, len(matrix), step):
+            block = matrix[start : start + step]
+            # Numbers never hold a comma, so the split is unambiguous.
+            texts = encode_compact(block.ravel().tolist())[1:-1].split(",")
+            text = [None] * (2 * len(texts))
+            text[::2] = texts
+            text[1::2] = separators * len(block)
+            if start + step >= len(matrix):
+                text[-1] = outer + "]\n" + "  " * depth + "]"
+            parts.append("".join(text))
+            flush()
+
     def emit(value, depth: int) -> None:
         nonlocal waiting
         if waiting >= _BULK_NUMBERS:
             flush()
         if isinstance(value, np.ndarray):
+            if value.ndim == 2 and value.size and value.dtype.kind in "biuf":
+                emit_rows(value, depth)
+                return
             value = value.tolist()
         if isinstance(value, str):
             parts.append(encode_basestring_ascii(value))

@@ -1,12 +1,14 @@
 """Topology, feature augmentation, and graph file round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gatgrad.graph
 from gatgrad import (
     Graph,
     LayerParams,
@@ -181,6 +183,23 @@ class TestGraph:
 
     @pytest.mark.parametrize(
         "edges",
+        [[[0, 2], [2, 2], [0, 1]], ((0, 2), (2, 2), (0, 1)), [(0, 2), [2, 2], (0, 1)],
+         [(0, np.int64(2)), (2, 2), (0, 1)], [np.array([0, 2]), (2, 2), (0, 1)]],
+    )
+    def test_pairs_in_lists_tuples_or_arrays_accepted(self, edges):
+        g = Graph(3, edges)
+        assert g.edges.tolist() == [[0, 2], [2, 2], [0, 1]] and g.edges.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "pair, shown", [({0: 1, 1: 2}, "{0: 1, 1: 2}"), ({0, 1}, "{0, 1}"), ("01", "'01'")]
+    )
+    def test_two_item_non_pair_rejected(self, pair, shown):
+        """A dict, set or string of length 2 is not a pair, even of int items."""
+        with pytest.raises(ValueError, match=f"edges\\[1\\] {re.escape(shown)} is not a pair"):
+            Graph(3, [[0, 1], pair])
+
+    @pytest.mark.parametrize(
+        "edges",
         [np.array([[0, 1.0]]), np.array([[0, 1]], dtype=bool), np.array([[0, 1, 2]]),
          np.array([0, 1]), np.array([["0", "1"]])],
     )
@@ -261,11 +280,14 @@ class TestGraphFiles:
         assert np.array_equal(feats2, feats)
 
     def test_resave_is_byte_identical(self, tmp_path):
-        g, feats = self._sample()
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_graph(p1, g, feats)
-        save_graph(p2, *load_graph(p1))
-        assert p1.read_bytes() == p2.read_bytes()
+        """Also for features and edges that each span several writer blocks."""
+        g, feats, _ = generate_instance(250, 40, 1, seed=0)
+        assert min(feats.size, g.edges.size) > 2 * gatgrad.graph._BULK_NUMBERS
+        for k, (g, feats) in enumerate([self._sample(), (g, feats)]):
+            p1, p2 = tmp_path / f"a{k}.json", tmp_path / f"b{k}.json"
+            save_graph(p1, g, feats)
+            save_graph(p2, *load_graph(p1))
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_zero_width_features(self, tmp_path):
         path = tmp_path / "graph.json"
@@ -335,3 +357,20 @@ class TestGraphFiles:
     def test_save_rejects_wrong_feature_row_count(self, tmp_path):
         with pytest.raises(ValueError, match="2 rows for 3 nodes"):
             save_graph(tmp_path / "graph.json", Graph(3, ()), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            ([[1.0, np.nan], [0.0, 1.0], [2.0, 3.0]], "non-finite features entry at index (0, 1)"),
+            ([[1.0], [np.inf], [0.0]], "non-finite features entry at index (1, 0)"),
+            ([[1.0], [2.0], [-np.inf]], "non-finite features entry at index (2, 0)"),
+            (np.zeros((3, 2, 1)), "features must be a matrix, got shape (3, 2, 1)"),
+            (np.zeros(3), "features must be a matrix, got shape (3,)"),
+            (0.0, "features must be a matrix, got shape ()"),
+        ],
+    )
+    def test_save_refuses_features_load_would_reject(self, tmp_path, features, message):
+        path = tmp_path / "graph.json"
+        with pytest.raises(ValueError) as err:
+            save_graph(path, Graph(3, ((0, 1),)), features)
+        assert message in str(err.value) and not path.exists()

@@ -72,7 +72,84 @@ def test_matches_json_dumps(tmp_path_factory, bulk_numbers, payload):
     assert path.read_bytes() == expected_bytes(payload)
 
 
-@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, object()])
+SPECIALS = [-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]
+
+
+def matrices(width: int) -> dict:
+    """2-D arrays of `width` columns in each dtype, memory layout and edge shape."""
+    rng = np.random.default_rng(width)
+    floats = rng.standard_normal((40, width))
+    floats.flat[: len(SPECIALS)] = SPECIALS
+    ints = rng.integers(-(2**63), 2**63 - 1, (40, width), endpoint=True)
+    ints.flat[:2] = [-(2**63), 2**63 - 1]
+    return {
+        "float64": floats,
+        "float32": floats.astype(np.float32),
+        "int64": ints,
+        "uint64": ints.view(np.uint64),
+        "bool": rng.random((40, width)) < 0.5,
+        "object": floats.astype(object),
+        "fortran": np.asfortranarray(floats),
+        "strided": floats[:, ::2],
+        "transposed": floats.T,
+        "no columns": np.zeros((width, 0)),
+        "no rows": np.zeros((0, width)),
+        "one row": floats[:1],
+    }
+
+
+def nested(value, depth: int):
+    """value `depth` levels down a payload, alternately in a list and a dict."""
+    for level in range(depth):
+        value = {"key": value, "after": 1.5} if level % 2 else [True, value, "x"]
+    return value
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("name", list(matrices(1)))
+def test_matrix_blocks_match_json_dumps(tmp_path, width, name):
+    """_BULK_NUMBERS below, at and above one or a few rows' numbers, at depths 0-3."""
+    matrix = matrices(width)[name]
+    w = matrix.shape[1]
+    sizes = (1, w - 1, w, w + 1, 2 * w + 1, 3 * w, gatgrad.graph._BULK_NUMBERS)
+    for bulk in {max(1, size) for size in sizes}:
+        for depth in range(4):
+            payload = nested(matrix, depth)
+            path = tmp_path / f"{bulk}-{depth}.json"
+            with mock.patch.object(gatgrad.graph, "_BULK_NUMBERS", bulk):
+                _write_json(path, payload)
+            assert path.read_bytes() == expected_bytes(payload), (bulk, depth)
+
+
+def test_matrix_written_a_block_at_a_time(tmp_path, monkeypatch):
+    """No single write holds more than about one block of a large matrix."""
+    sizes = []
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            sizes.append(len(text))
+            return self.fh.write(text)
+
+    monkeypatch.setattr(gatgrad.graph, "open", lambda *a, **k: Recording(open(*a, **k)),
+                        raising=False)
+    payload = {"features": np.random.default_rng(0).standard_normal((5000, 8))}
+    _write_json(tmp_path / "out.json", payload)
+    assert (tmp_path / "out.json").read_bytes() == expected_bytes(payload)
+    assert len(sizes) >= 10 and max(sizes) < 40 * gatgrad.graph._BULK_NUMBERS
+
+
+@pytest.mark.parametrize(
+    "value", [np.int64(1), np.bool_(True), {1, 2}, object(), np.ones((2, 2), complex)]
+)
 def test_unserializable_value_rejected_as_json_does(tmp_path, value):
     with pytest.raises(TypeError):
         json.dumps(value)
