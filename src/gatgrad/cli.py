@@ -167,16 +167,16 @@ def cmd_gradcheck(args) -> int:
     for node, upstream in zip(nodes, upstreams[nodes]):
         trace = forward_with_trace(params, graph, features, node)
         chain = backward_chain(trace, params, upstream)
-        numeric = fd_gradient(params, graph, features, node, upstream)
+        numeric = fd_gradient(trace, params, upstream)
         checks = compare_gradients(chain, numeric, args.tol)
+        closed = GradientSet(
+            theta_r=grad_theta_r_sum(trace, params, upstream),
+            theta_l=grad_theta_l(trace, params, upstream),
+            att=chain.att,
+            bias=grad_bias(upstream),
+        )
         closed_form = {}  # the closed forms are exact under a uniform upstream only
         if mode == "uniform":
-            closed = GradientSet(
-                theta_r=grad_theta_r_sum(trace, params, upstream),
-                theta_l=grad_theta_l(trace, params, upstream),
-                att=chain.att,
-                bias=grad_bias(upstream),
-            )
             closed_form["closed_form"] = compare_gradients(
                 closed, numeric, args.tol, keys=("theta_R", "theta_L", "b")
             )
@@ -193,7 +193,7 @@ def cmd_gradcheck(args) -> int:
             "seed": args.seed,
             "pass": all(c["pass"] for blocks in verdicts for c in blocks.values()),
             **closed_form,
-            "closed_form_gap": closed_form_gap(trace, params, upstream),
+            "closed_form_gap": closed_form_gap(closed, chain),
             "gradients": _gradients_json(chain, node, trace.num_neighbors, mode),
         }
         entries.append(entry)
@@ -222,7 +222,7 @@ def cmd_diagnose(args) -> int:
     payload = {
         "upstream_mode": mode,
         "upstream": upstream.tolist(),
-        "nodes": [vars(entry) for entry in report],
+        "nodes": [entry._asdict() for entry in report],
     }
     _write_json(args.out, payload)
     return 0

@@ -7,27 +7,29 @@ regime. Single-neighbor nodes lose the whole attention path (a softmax over
 one score is constant), and isolated nodes, an empty segment, have none. The
 attention entropy measures how concentrated the attention weights are, and
 closed_form_gap quantifies how far the row-scaled closed forms drift from
-the full backward chain under a given upstream gradient: the largest entry
-difference over the theta_R, theta_L and b blocks, relative to the largest
-entry of either side (a rounding residue when the upstream is a constant
-vector).
+the full backward chain, given both routes' gradients under one upstream:
+the largest entry difference over the theta_R, theta_L and b blocks,
+relative to the largest entry of either side (a rounding residue when the
+upstream is a constant vector).
 
 diagnose computes every indicator in one edge-parallel pass over the whole
 graph (layer._graph_chunks) and reports the requested nodes' rows. The
-closed forms, the chain and the gap come from grads.py's segment functions,
-the same ones a single node's gradients are the one-segment case of; this
-module adds only the dead rows and the entropy.
+closed forms and the chain come from grads.py's segment functions, the
+same ones a single node's gradients are the one-segment case of, so a
+chunk's gap can differ from a lone node's in the last digits; this module
+adds only the dead rows and the entropy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .grads import _check_upstream, _one_segment, _segment_gap, _segments
+from .grads import GradientSet, _check_upstream, _segment_chain, _segment_gap, _segments
+from .grads import _segment_theta_l, _segment_theta_r_sum
 from .graph import Graph, _node_id
-from .layer import ForwardTrace, LayerParams, _graph_chunks, _segment_sum
+from .layer import LayerParams, _graph_chunks, _segment_sum
 
 # perfbench/spans.py wraps these by this module's name; nothing here calls them.
 from .grads import backward_chain, grad_bias, grad_theta_l, grad_theta_r_sum  # noqa: F401
@@ -36,8 +38,7 @@ from .layer import forward_with_trace  # noqa: F401
 __all__ = ["closed_form_gap", "diagnose"]
 
 
-@dataclass(frozen=True)
-class NodeDiagnosis:
+class NodeDiagnosis(NamedTuple):
     """Pathology indicators for one target node, in the diagnose report's key order."""
 
     node: int
@@ -49,16 +50,17 @@ class NodeDiagnosis:
     closed_form_gap: float
 
 
-def closed_form_gap(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) -> float:
+def closed_form_gap(closed: GradientSet, chain: GradientSet) -> float:
     """Largest discrepancy between the closed forms and backward_chain.
 
     The largest |closed - chain| over the theta_R, theta_L and b blocks,
     relative to the largest |entry| of either side over all three blocks
     (floored at REL_ERR_FLOOR): one scale per node, so rounding residues of
-    small entries do not count as drift. An isolated node's gap is 0 (empty sums).
+    small entries do not count as drift. Both routes give the upstream as b:
+    chain.bias enters the scale only. An isolated node's gap is 0 (empty sums).
     """
-    g = _check_upstream(upstream, params.out_dim)
-    return float(_segment_gap(_one_segment(trace, params.negative_slope), params, g)[0])
+    stacks = [(grads.theta_r[None], grads.theta_l[None]) for grads in (closed, chain)]
+    return float(_segment_gap(*stacks, chain.bias)[0])
 
 
 def diagnose(
@@ -99,7 +101,8 @@ def diagnose(
         # A row is dead where every edge of the segment has its first edge's slope.
         dead[run] = ~np.logical_or.reduceat(segs.spread != 0.0, starts, axis=0)
         entropy[run] = -_segment_sum(alpha * np.log(np.where(alpha > 0.0, alpha, 1.0)), starts, -1)
-        gap[run] = _segment_gap(segs, params, g)
+        closed = [form(segs, params, g) for form in (_segment_theta_r_sum, _segment_theta_l)]
+        gap[run] = _segment_gap(closed, _segment_chain(segs, params, g)[:2], g)
     dead = dead[ids]
     return tuple(
         NodeDiagnosis(node, count, count <= 1, tuple(row), uniformity, ent, node_gap)

@@ -1,7 +1,7 @@
 """Independent complex-step oracle for the layer gradients.
 
-The loss is upstream . h_out for one target node, so its gradient with
-respect to h_out is the upstream vector itself.
+The loss is upstream . h_out for the target node of a forward trace, so its
+gradient with respect to h_out is the upstream vector itself.
 
 Each scalar parameter entry, bias columns included, carries an imaginary
 step i*h through its own evaluation of the layer: dL/dp = Im L(p + i h) / h
@@ -31,8 +31,10 @@ import numpy as np
 
 from . import layer
 from .grads import PARAM_KEYS, REL_ERR_FLOOR, GradientSet, _check_upstream
-from .graph import Graph
-from .layer import _ONE_SEGMENT, BLOCKS, LayerParams, _branch, _propagate, forward_with_trace
+from .layer import _ONE_SEGMENT, BLOCKS, ForwardTrace, LayerParams, _branch, _propagate
+
+# perfbench/spans.py wraps this by this module's name; nothing here calls it.
+from .layer import forward_with_trace  # noqa: F401
 
 __all__ = ["fd_gradient", "compare_gradients"]
 
@@ -58,28 +60,24 @@ class FdGradient:
     resolution: float
 
 
-def fd_gradient(
-    params: LayerParams,
-    graph: Graph,
-    features: np.ndarray,
-    node: int,
-    upstream: np.ndarray,
-) -> FdGradient:
+def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) -> FdGradient:
     """Complex-step derivative of the loss upstream . h_out over every parameter entry.
 
-    The node is evaluated once through forward_with_trace. Each block's
-    perturbed copies then go through the one-segment layer core in chunks,
-    the other blocks broadcast: EDGE_BUDGET // (2 max(N, H+1)) copies for N
-    neighbors keep the complex stack and the edge arrays each within the
-    bytes of one (EDGE_BUDGET, D) float64 array of a whole-graph chunk.
+    The node is the trace's; the oracle runs no forward pass of its own.
+    Each block's perturbed copies go from the trace's augmented rows through
+    the one-segment layer core in chunks, the other blocks broadcast:
+    EDGE_BUDGET // (2 max(N, H+1)) copies for N neighbors keep the complex
+    stack and the edge arrays each within the bytes of one (EDGE_BUDGET, D)
+    float64 array of a whole-graph chunk. Of the trace's results only pre_act
+    (the branch flags) and alpha with source_proj (the resolution) are read,
+    so the derivative stays independent of the routes it checks.
     The a and b copies never reach a pre-activation, so are never flagged.
     """
     g = _check_upstream(upstream, params.out_dim)
-    base = forward_with_trace(params, graph, features, node)
-    branches = _branch(base.pre_act)
+    branches = _branch(trace.pre_act)
     blocks = [getattr(params, name) for name in BLOCKS.values()]
-    node_args = (params.negative_slope, base.h_aug_target[None, :], base.h_aug_sources)
-    chunk = max(1, layer.EDGE_BUDGET // (2 * max(base.num_neighbors, params.feature_dim + 1)))
+    node_args = (params.negative_slope, trace.h_aug_target[None, :], trace.h_aug_sources)
+    chunk = max(1, layer.EDGE_BUDGET // (2 * max(trace.num_neighbors, params.feature_dim + 1)))
     grads = [np.empty(block.shape) for block in blocks]
     flags = [np.zeros(block.shape, dtype=bool) for block in blocks]
     for pos, base_block in enumerate(blocks):
@@ -98,7 +96,7 @@ def fd_gradient(
     # One evaluation rounds on the scale of the loss taken on absolute values,
     # which can overflow where the loss cancels; an infinite resolution would
     # confirm every entry.
-    abs_h_out = np.abs(params.bias) + base.alpha @ np.abs(base.source_proj)
+    abs_h_out = np.abs(params.bias) + trace.alpha @ np.abs(trace.source_proj)
     abs_loss = float(np.abs(g) @ abs_h_out)
     if not math.isfinite(abs_loss):
         raise ValueError("non-finite loss scale")

@@ -155,14 +155,12 @@ def _segment_chain(segs: _Segments, params: LayerParams, upstream: np.ndarray) -
     return d_theta_r, d_theta_l, d_score
 
 
-def _segment_gap(segs: _Segments, params: LayerParams, upstream: np.ndarray):
-    """diagnostics.closed_form_gap of every segment, (m,). The b blocks are
-    the upstream on both sides: no difference, and max |upstream| in the scale."""
-    forms = (_segment_theta_r_sum, _segment_theta_l)
-    closed = [form(segs, params, upstream) for form in forms]
-    exact = _segment_chain(segs, params, upstream)[:2]
-    diff = np.max([np.abs(c - e).max(axis=(1, 2)) for c, e in zip(closed, exact)], axis=0)
-    scale = np.max([np.abs(b).max(axis=(1, 2)) for b in (*closed, *exact)], axis=0)
+def _segment_gap(closed, chain, upstream: np.ndarray):
+    """diagnostics.closed_form_gap of every segment, (m,), from the closed forms'
+    and the chain's (theta_R, theta_L) stacks (m, D, H+1). The b blocks are the
+    upstream on both sides: no difference, and max |upstream| in the scale."""
+    diff = np.max([np.abs(c - e).max(axis=(1, 2)) for c, e in zip(closed, chain)], axis=0)
+    scale = np.max([np.abs(b).max(axis=(1, 2)) for b in (*closed, *chain)], axis=0)
     return diff / np.maximum(np.maximum(scale, np.abs(upstream).max()), REL_ERR_FLOOR)
 
 

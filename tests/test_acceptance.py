@@ -59,8 +59,8 @@ def upstream_pairs(instances):
     for graph, feats, params, d in instances:
         for node in range(graph.num_nodes):
             trace = forward_with_trace(params, graph, feats, node)
-            yield trace, graph, feats, params, np.ones(d)
-            yield trace, graph, feats, params, rng.standard_normal(d)
+            yield trace, params, np.ones(d)
+            yield trace, params, rng.standard_normal(d)
 
 
 def test_criterion_1_oracle_agreement(instances):
@@ -68,9 +68,9 @@ def test_criterion_1_oracle_agreement(instances):
     with criterion(1, "backward chain matches the complex-step oracle at 1e-12"):
         start = time.monotonic()
         checked = 0
-        for trace, graph, feats, params, upstream in upstream_pairs(instances):
+        for trace, params, upstream in upstream_pairs(instances):
             chain = backward_chain(trace, params, upstream)
-            numeric = fd_gradient(params, graph, feats, trace.node, upstream)
+            numeric = fd_gradient(trace, params, upstream)
             checks = compare_gradients(chain, numeric, 1e-12)
             assert all(c["pass"] for c in checks.values()), (
                 trace.node,
@@ -183,7 +183,7 @@ def test_criterion_6_closed_forms_match_oracle(instances):
             upstream = np.ones(d)
             for node in range(graph.num_nodes):
                 trace = forward_with_trace(params, graph, feats, node)
-                numeric = fd_gradient(params, graph, feats, node, upstream)
+                numeric = fd_gradient(trace, params, upstream)
                 for theta_r in (grad_theta_r_sum, grad_theta_r_pairwise):
                     closed = GradientSet(
                         theta_r=theta_r(trace, params, upstream),

@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, exit codes, report contents."""
 
+import collections
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from gatgrad import (
     save_graph,
     save_params,
 )
+from gatgrad import fdcheck, grads, layer
 from gatgrad.cli import main
 
 
@@ -324,6 +326,57 @@ class TestGradcheck:
         assert code == 1
         for entry in payload["nodes"]:
             assert entry["theta_L"]["worst_entry"] == [1, 2], entry["node"]
+
+    @pytest.mark.parametrize("flags", [(), ("--upstream", "random", "--seed", "7")])
+    def test_one_evaluation_per_node(self, tmp_path, monkeypatch, flags):
+        """--all-nodes evaluates each of k nodes once: k forward passes, k
+        backward chains and k calls of each closed form, under either
+        upstream, and the oracle runs no forward pass of its own."""
+        _, graph_path, params_path = run_gen(tmp_path, seed=3, nodes=12)
+        calls = collections.Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (gatgrad.cli, fdcheck, layer):
+            count(module, "forward_with_trace")
+        for name in ("_segment_chain", "_segment_theta_r_sum", "_segment_theta_l"):
+            count(grads, name)
+        oracle = gatgrad.cli.fd_gradient
+
+        def forward_free(*args):
+            before = calls["forward_with_trace"]
+            numeric = oracle(*args)
+            assert calls["forward_with_trace"] == before, "the oracle ran a forward pass"
+            return numeric
+
+        monkeypatch.setattr(gatgrad.cli, "fd_gradient", forward_free)
+        out = tmp_path / "report.json"
+        assert main(["gradcheck", "--graph", str(graph_path), "--params", str(params_path),
+                     "--all-nodes", *flags, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["nodes"]) == 12
+        assert calls == {name: 12 for name in (
+            "forward_with_trace", "_segment_chain", "_segment_theta_r_sum", "_segment_theta_l"
+        )}
+
+    def test_gap_compares_the_reported_gradients(self, instance, monkeypatch):
+        """closed_form_gap is taken between the report's own closed-form and
+        chain gradients: a 1e-3 defect in one theta_L entry of the chain
+        lifts every node's gap above a rounding residue."""
+        code, payload = self.check(instance)
+        assert code == 0
+        assert all(entry["closed_form_gap"] <= 1e-10 for entry in payload["nodes"])
+        inject_theta_l_defect(monkeypatch, (1, 2))
+        code, payload = self.check(instance)
+        assert code == 1
+        for entry in payload["nodes"]:
+            assert entry["closed_form_gap"] > 1e-10, entry["node"]
 
     def test_random_node_report_is_its_all_nodes_entry(self, tmp_path):
         """Under a random upstream, node i's upstream is row i of one draw, so

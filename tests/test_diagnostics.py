@@ -6,15 +6,32 @@ import numpy as np
 import pytest
 
 from gatgrad import (
+    GradientSet,
     Graph,
     LayerParams,
+    backward_chain,
     closed_form_gap,
     diagnose,
     forward_with_trace,
     generate_instance,
+    grad_bias,
+    grad_theta_l,
     grad_theta_r_pairwise,
+    grad_theta_r_sum,
 )
 from gatgrad.layer import _ONE_SEGMENT, _segment_softmax
+
+
+def gradient_sets(trace, params, upstream):
+    """A node's closed-form and backward_chain GradientSets, as gradcheck builds them."""
+    chain = backward_chain(trace, params, upstream)
+    closed = GradientSet(
+        grad_theta_r_sum(trace, params, upstream),
+        grad_theta_l(trace, params, upstream),
+        chain.att,
+        grad_bias(upstream),
+    )
+    return closed, chain
 
 
 def all_positive_instance():
@@ -104,7 +121,7 @@ class TestClosedFormGap:
         for node in range(5):
             trace = forward_with_trace(params, g, feats, node)
             for scale in (1.0, -2.5):
-                gap = closed_form_gap(trace, params, scale * np.ones(4))
+                gap = closed_form_gap(*gradient_sets(trace, params, scale * np.ones(4)))
                 assert gap <= 1e-10
 
     def test_nonzero_under_generic_upstream(self):
@@ -115,7 +132,7 @@ class TestClosedFormGap:
         for node in range(5):
             trace = forward_with_trace(params, g, feats, node)
             if trace.num_neighbors >= 2:
-                gaps.append(closed_form_gap(trace, params, upstream))
+                gaps.append(closed_form_gap(*gradient_sets(trace, params, upstream)))
         assert max(gaps) > 1e-3
 
     def test_reported_via_diagnose_spec(self):
@@ -130,7 +147,7 @@ class TestReportJson:
         g, feats, params = generate_instance(4, 2, 2, seed=2)
         report = diagnose(params, g, feats)
         for entry in report:
-            assert list(vars(entry)) == [
+            assert list(entry._asdict()) == [
                 "node",
                 "num_neighbors",
                 "single_neighbor",

@@ -115,11 +115,12 @@ class TestBatchedOracle:
         an edge budget of 1 (one copy per call), 7 and the default."""
         graph, feats, params, node, upstream = case
         want = per_entry_oracle(params, graph, feats, node, upstream)
-        chain = backward_chain(forward_with_trace(params, graph, feats, node), params, upstream)
+        trace = forward_with_trace(params, graph, feats, node)
+        chain = backward_chain(trace, params, upstream)
         for budget in (1, 7, layer.EDGE_BUDGET):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(layer, "EDGE_BUDGET", budget)
-                got = fd_gradient(params, graph, feats, node, upstream)
+                got = fd_gradient(trace, params, upstream)
             for key, block in got.grads.as_dict().items():
                 err = np.abs(block - want.as_dict()[key]).max(initial=0.0)
                 assert err <= 0.05 * got.resolution, (budget, key, err / got.resolution)
@@ -148,7 +149,7 @@ class TestBatchedOracle:
         monkeypatch.setattr(
             "gatgrad.fdcheck._propagate", lambda *args: calls.append(args[0]) or _propagate(*args)
         )
-        got = fd_gradient(params, graph, feats, 0, upstream)
+        got = fd_gradient(forward_with_trace(params, graph, feats, 0), params, upstream)
         chunk = max(1, layer.EDGE_BUDGET // 48)
         sizes = [min(chunk, 272 - lo) for lo in range(0, 272, chunk)]
         assert [len(theta) for theta in calls[: len(sizes)]] == sizes
@@ -171,7 +172,8 @@ class TestBatchedOracle:
         monkeypatch.setattr(
             "gatgrad.fdcheck._propagate", lambda *args: calls.append(args) or _propagate(*args)
         )
-        fd_gradient(params, graph, rng.standard_normal((41, h)), 0, np.ones(d))
+        trace = forward_with_trace(params, graph, rng.standard_normal((41, h)), 0)
+        fd_gradient(trace, params, np.ones(d))
         limit = layer.EDGE_BUDGET * d * 8
         for args in calls:
             copies = max(len(block) for block in args[:4] if block.dtype == complex)
@@ -184,14 +186,15 @@ class TestEvaluateLoss:
 
     def setup_method(self):
         self.g, self.feats, self.params = generate_instance(4, 2, 3, seed=7)
+        self.trace = forward_with_trace(self.params, self.g, self.feats, 0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            fd_gradient(self.params, self.g, self.feats, 0, np.zeros(2))
+            fd_gradient(self.trace, self.params, np.zeros(2))
 
     def test_non_finite_vector_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            fd_gradient(self.params, self.g, self.feats, 0, np.array([1.0, np.inf, 1.0]))
+            fd_gradient(self.trace, self.params, np.array([1.0, np.inf, 1.0]))
 
 
 class TestFdConfig:
@@ -199,7 +202,7 @@ class TestFdConfig:
 
     def setup_method(self):
         g, feats, params = generate_instance(4, 2, 3, seed=7)
-        self.numeric = fd_gradient(params, g, feats, 0, np.ones(3))
+        self.numeric = fd_gradient(forward_with_trace(params, g, feats, 0), params, np.ones(3))
 
     def test_defaults(self):
         """The default tolerance is 1e-6: the largest theta_L entry 0.9e-6 off
@@ -221,24 +224,25 @@ class TestFdConfig:
 class TestFdGradient:
     def setup_method(self):
         self.g, self.feats, self.params = generate_instance(4, 2, 3, seed=7)
+        self.trace = forward_with_trace(self.params, self.g, self.feats, 0)
 
     def test_bias_entries_exactly_linear(self):
         """Dot loss is linear in the bias, so the derivative recovers g."""
         upstream = np.array([0.7, -1.1, 0.4])
-        out = fd_gradient(self.params, self.g, self.feats, 0, upstream)
+        out = fd_gradient(self.trace, self.params, upstream)
         np.testing.assert_allclose(out.grads.bias, upstream, atol=1e-9)
 
     def test_single_neighbor_attention_entries_vanish(self):
         graph = Graph(2, ((0, 1),))
         feats = np.array([[0.5], [2.0]])
         params = LayerParams([[0.3, 1.1]], [[-0.4, 0.9]], [1.7], [0.2])
-        out = fd_gradient(params, graph, feats, 0, np.ones(1))
+        out = fd_gradient(forward_with_trace(params, graph, feats, 0), params, np.ones(1))
         assert np.abs(out.grads.theta_r).max() <= 1e-9
         assert np.abs(out.grads.att).max() <= 1e-9
 
     def test_repeated_runs_bit_identical(self):
-        a = fd_gradient(self.params, self.g, self.feats, 1, np.ones(3))
-        b = fd_gradient(self.params, self.g, self.feats, 1, np.ones(3))
+        traces = [forward_with_trace(self.params, self.g, self.feats, 1) for _ in "ab"]
+        a, b = (fd_gradient(trace, self.params, np.ones(3)) for trace in traces)
         for key in a.grads.as_dict():
             assert np.array_equal(a.grads.as_dict()[key], b.grads.as_dict()[key])
         assert a.resolution == b.resolution
@@ -253,13 +257,13 @@ class TestFdGradient:
         params = LayerParams([[0.5, 0.5]], [[-0.5, -0.5]], [1.0], [0.0])
         trace = forward_with_trace(params, graph, feats, 0)
         assert trace.pre_act[0, 0] == 0.0
-        out = fd_gradient(params, graph, feats, 0, np.ones(1))
+        out = fd_gradient(trace, params, np.ones(1))
         assert not any(mask.any() for mask in out.kink_flags.values())
         chain = backward_chain(trace, params, np.ones(1))
         assert passed(compare_gradients(chain, out, 1e-12))
 
     def test_no_flags_away_from_kinks(self):
-        out = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
+        out = fd_gradient(self.trace, self.params, np.ones(3))
         assert not any(mask.any() for mask in out.kink_flags.values())
 
     @settings(deadline=None, max_examples=60)
@@ -273,7 +277,7 @@ class TestFdGradient:
         trace = forward_with_trace(params, graph, feats, node)
         assert trace.pre_act[k, t] == value
         for upstream in (np.ones(params.out_dim), rng.standard_normal(params.out_dim)):
-            numeric = fd_gradient(params, graph, feats, node, upstream)
+            numeric = fd_gradient(trace, params, upstream)
             assert not any(mask.any() for mask in numeric.kink_flags.values())
             chain = backward_chain(trace, params, upstream)
             assert passed(compare_gradients(chain, numeric, 1e-12))
@@ -301,15 +305,14 @@ class TestFdGradient:
                 arrays[2][copy, 0, 0] *= -1.0
             return arrays
 
-        clean = fd_gradient(self.params, self.g, self.feats, 0, upstream)
+        clean = fd_gradient(self.trace, self.params, upstream)
         monkeypatch.setattr("gatgrad.fdcheck._propagate", crossing)
-        numeric = fd_gradient(self.params, self.g, self.feats, 0, upstream)
+        numeric = fd_gradient(self.trace, self.params, upstream)
         assert clean.kink_flags["theta_L"].sum() == 0
         for key, mask in numeric.kink_flags.items():
             assert np.array_equal(numeric.grads.as_dict()[key], clean.grads.as_dict()[key])
             assert np.flatnonzero(mask).tolist() == ([flat] if key == "theta_L" else [])
-        chain = backward_chain(forward_with_trace(self.params, self.g, self.feats, 0),
-                               self.params, upstream)
+        chain = backward_chain(self.trace, self.params, upstream)
         bad = chain.theta_l.copy()
         bad[entry] += 1.0
         corrupted = GradientSet(chain.theta_r, bad, chain.att, chain.bias)
@@ -323,8 +326,9 @@ class TestFdGradient:
         params = LayerParams([[0.1, 0.1]], [[0.1, 0.1]], [1.0], [1e200])
         graph = Graph(1, ())
         feats = np.array([[0.0]])
+        trace = forward_with_trace(params, graph, feats, 0)
         with pytest.raises(ValueError, match="non-finite loss at a perturbed point"):
-            fd_gradient(params, graph, feats, 0, np.array([1e200]))
+            fd_gradient(trace, params, np.array([1e200]))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_mid_chunk_rejected(self):
@@ -340,8 +344,9 @@ class TestFdGradient:
         params = LayerParams(
             [[0.1, 0.2, 0.3, 0.4]], [[0.1, 0.2, 0.0, 0.3]], [1.0], [0.0]
         )
+        trace = forward_with_trace(params, graph, feats, 0)
         with pytest.raises(ValueError, match="non-finite loss at a perturbed point"):
-            fd_gradient(params, graph, feats, 0, np.array([1e100]))
+            fd_gradient(trace, params, np.array([1e100]))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_loss_scale_rejected(self):
@@ -350,15 +355,16 @@ class TestFdGradient:
         params = LayerParams(theta, theta, [1.0, 1.0], [1e308, -1e308])
         graph = Graph(1, ())
         feats = np.array([[0.0]])
+        trace = forward_with_trace(params, graph, feats, 0)
         with pytest.raises(ValueError, match="non-finite loss scale"):
-            fd_gradient(params, graph, feats, 0, np.ones(2))
+            fd_gradient(trace, params, np.ones(2))
 
 
 class TestCompareGradients:
     def setup_method(self):
         self.g, self.feats, self.params = generate_instance(4, 2, 3, seed=7)
-        trace = forward_with_trace(self.params, self.g, self.feats, 0)
-        self.chain = backward_chain(trace, self.params, np.ones(3))
+        self.trace = forward_with_trace(self.params, self.g, self.feats, 0)
+        self.chain = backward_chain(self.trace, self.params, np.ones(3))
 
     def test_identical_inputs_pass_with_zero_error(self):
         checks = compare_gradients(self.chain, exact(self.chain))
@@ -376,7 +382,7 @@ class TestCompareGradients:
         assert checks["theta_R"]["pass"]
 
     def test_kink_flagged_entries_excluded_from_verdict(self):
-        numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
+        numeric = fd_gradient(self.trace, self.params, np.ones(3))
         bad_theta_r = self.chain.theta_r.copy()
         bad_theta_r[0, 0] += 1.0
         corrupted = GradientSet(
@@ -391,7 +397,7 @@ class TestCompareGradients:
 
     def test_below_resolution_zeros_are_confirmed_not_judged(self):
         """A zero analytic entry may differ from the oracle by pure rounding."""
-        numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
+        numeric = fd_gradient(self.trace, self.params, np.ones(3))
         noisy = numeric.grads.theta_r.copy()
         zero_rows = np.all(self.chain.theta_r == 0.0, axis=1)
         if zero_rows.any():
@@ -407,7 +413,7 @@ class TestCompareGradients:
     def test_unattainable_tolerance_fails(self):
         """1e-9 relative on the largest theta_L entry passes at the default
         tolerance and fails at 1e-10, named; the clean chain passes at 1e-12."""
-        numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
+        numeric = fd_gradient(self.trace, self.params, np.ones(3))
         assert passed(compare_gradients(self.chain, numeric, 1e-12))
         bad = self.chain.theta_l.copy()
         worst = np.unravel_index(np.argmax(np.abs(bad)), bad.shape)
@@ -431,7 +437,7 @@ class TestCompareGradients:
         """Each block's verdict in the report's key order; the run keys around
         them (step, tolerance, resolution, seed) are laid out by the CLI, and
         tests/test_cli.py checks them."""
-        numeric = fd_gradient(self.params, self.g, self.feats, 0, np.ones(3))
+        numeric = fd_gradient(self.trace, self.params, np.ones(3))
         checks = compare_gradients(self.chain, numeric)
         assert list(checks) == ["theta_R", "theta_L", "a", "b"]
         for key in ("theta_R", "theta_L", "a", "b"):
@@ -449,7 +455,7 @@ def test_array_records_compare_by_identity():
     twins = [
         [LayerParams(params.theta_r, params.theta_l, params.att, params.bias) for _ in "ab"],
         [backward_chain(trace, params, upstream) for _ in "ab"],
-        [fd_gradient(params, graph, features, 0, upstream) for _ in "ab"],
+        [fd_gradient(trace, params, upstream) for _ in "ab"],
     ]
     for record, twin in twins:
         assert isinstance(hash(record), int) and isinstance(hash(twin), int)

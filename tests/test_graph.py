@@ -13,7 +13,6 @@ from gatgrad import (
     Graph,
     LayerParams,
     diagnose,
-    fd_gradient,
     forward_with_trace,
     generate_instance,
     load_graph,
@@ -131,7 +130,6 @@ class TestGraph:
         calls = [
             lambda: graph.neighbors(node),
             lambda: forward_with_trace(params, graph, feats, node),
-            lambda: fd_gradient(params, graph, feats, node, np.ones(3)),
             lambda: diagnose(params, graph, feats, nodes=[0, node]),
         ]
         for call in calls:

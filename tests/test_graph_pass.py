@@ -8,14 +8,13 @@ scaled so that most attention weights underflow to zero) and, with
 layer.EDGE_BUDGET patched small, passes split into many chunks.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gatgrad import (
+    GradientSet,
     Graph,
     LayerParams,
     backward_chain,
@@ -264,7 +263,7 @@ class TestDiagnoseGraphPass:
             full = {e.node: e for e in diagnose(params, graph, features, None, upstream)}
         vacuous = NodeDiagnosis(0, 0, True, (True,) * params.out_dim, 1.0, 0.0, 0.0)
         for entry in report:
-            want = full.get(entry.node, dataclasses.replace(vacuous, node=entry.node))
+            want = full.get(entry.node, vacuous._replace(node=entry.node))
             assert repr(entry) == repr(want)  # repr round-trips every float exactly
 
     @pytest.mark.parametrize("seed", range(3))
@@ -456,14 +455,22 @@ class TestClosedFormGapDefinition:
             diff = max(np.abs(c - e).max() for c, e in zip(closed, exact))
             scale = max(np.abs(b).max() for b in (*closed, *exact))
             want = diff / max(scale, REL_ERR_FLOOR)
-            assert closed_form_gap(trace, params, upstream) == pytest.approx(want, rel=1e-15)
+            closed_set = GradientSet(*closed[:2], chain.att, closed[2])
+            assert closed_form_gap(closed_set, chain) == pytest.approx(want, rel=1e-15)
 
     def test_zero_upstream_gives_zero_gap(self):
         graph, feats, params = generate_instance(5, 2, 3, seed=8)
         (entry,) = diagnose(params, graph, feats, [0], np.zeros(3))
         assert entry.closed_form_gap == 0.0
         trace = forward_with_trace(params, graph, feats, 0)
-        assert closed_form_gap(trace, params, np.zeros(3)) == 0.0
+        chain = backward_chain(trace, params, np.zeros(3))
+        closed = GradientSet(
+            grad_theta_r_sum(trace, params, np.zeros(3)),
+            grad_theta_l(trace, params, np.zeros(3)),
+            chain.att,
+            grad_bias(np.zeros(3)),
+        )
+        assert closed_form_gap(closed, chain) == 0.0
 
 
 def test_underflowed_weight_adds_nothing_to_entropy():
