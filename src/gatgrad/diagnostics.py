@@ -4,7 +4,7 @@ A target-side weight row goes dead when every neighbor shares the same
 LeakyReLU regime in that output dimension: the slope differences that feed
 the row vanish identically, so no step size revives it from within that
 regime. Single-neighbor nodes lose the whole attention path (a softmax over
-one score is constant), and isolated nodes, an empty segment, have none. The
+one score is constant), and isolated nodes, a block of degree 0, have none. The
 attention entropy measures how concentrated the attention weights are, and
 closed_form_gap quantifies how far the row-scaled closed forms drift from
 the full backward chain, given both routes' gradients under one upstream:
@@ -12,12 +12,12 @@ the largest entry difference over the theta_R, theta_L and b blocks,
 relative to the largest entry of either side (a rounding residue when the
 upstream is a constant vector).
 
-diagnose computes every indicator in one edge-parallel pass over the whole
-graph (layer._graph_chunks) and reports the requested nodes' rows. The
-closed forms and the chain come from grads.py's segment functions, the
-same ones a single node's gradients are the one-segment case of, so a
-chunk's gap can differ from a lone node's in the last digits; this module
-adds only the dead rows and the entropy.
+diagnose computes every indicator in one pass over the whole graph, in the
+blocks of nodes of one degree of layer._graph_chunks, and reports the
+requested nodes' rows. The closed forms and the chain come from grads.py's
+block functions, which take every product and sum per target, so a node's
+gap equals closed_form_gap of its own routes, bit for bit; this module adds
+only the dead rows and the entropy.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .grads import GradientSet, _check_upstream, _segment_chain, _segment_gap, _segments
 from .grads import _segment_theta_l, _segment_theta_r_sum
 from .graph import Graph, _node_id
-from .layer import LayerParams, _graph_chunks, _segment_sum
+from .layer import LayerParams, _graph_chunks
 
 # perfbench/spans.py wraps these by this module's name; nothing here calls them.
 from .grads import backward_chain, grad_bias, grad_theta_l, grad_theta_r_sum  # noqa: F401
@@ -75,11 +75,11 @@ def diagnose(
     upstream is the gradient entering closed_form_gap (all ones when
     omitted). Nodes come out in the order given, repeats included; a bool,
     float or string id raises TypeError and one outside the graph IndexError.
-    Every indicator comes from one edge-parallel pass over the whole graph,
+    Every indicator comes from one block-by-block pass over the whole graph,
     whichever nodes are requested, so a node's entry is the same in every
     report; a few requested nodes cost that full pass.
-    Isolated nodes, if explicitly requested, report vacuously dead rows,
-    uniformity 1, zero entropy and zero gap.
+    Isolated nodes, if explicitly requested, are a block of degree 0: their
+    rows are vacuously dead, with uniformity 1, zero entropy and zero gap.
     """
     degrees = np.diff(graph.offsets)
     if nodes is None:
@@ -87,22 +87,20 @@ def diagnose(
     else:
         ids = np.array([_node_id(i, graph.num_nodes) for i in nodes], dtype=np.int64)
     g = _check_upstream(np.ones(params.out_dim) if upstream is None else upstream, params.out_dim)
-    # One row per graph node; isolated nodes keep these vacuous values.
-    dead = np.ones((graph.num_nodes, params.out_dim), dtype=bool)
-    entropy, gap = np.zeros(graph.num_nodes), np.zeros(graph.num_nodes)
-    for run, _, starts, h_aug_targets, h_aug_sources, arrays in _graph_chunks(
-        params, graph, features
-    ):
+    dead = np.empty((graph.num_nodes, params.out_dim), dtype=bool)
+    entropy, gap = np.empty(graph.num_nodes), np.empty(graph.num_nodes)
+    for block, _, h_aug_targets, h_aug_sources, arrays in _graph_chunks(params, graph, features):
         _, source_proj, pre_act, post_act, _, alpha, _, _ = arrays
         segs = _segments(
-            starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha,
+            h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha,
             params.negative_slope,
         )
-        # A row is dead where every edge of the segment has its first edge's slope.
-        dead[run] = ~np.logical_or.reduceat(segs.spread != 0.0, starts, axis=0)
-        entropy[run] = -_segment_sum(alpha * np.log(np.where(alpha > 0.0, alpha, 1.0)), starts, -1)
+        # A row is dead where every edge of the target has its first edge's slope.
+        dead[block] = ~(segs.spread != 0.0).any(axis=1)
+        # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.
+        entropy[block] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
         closed = [form(segs, params, g) for form in (_segment_theta_r_sum, _segment_theta_l)]
-        gap[run] = _segment_gap(closed, _segment_chain(segs, params, g)[:2], g)
+        gap[block] = _segment_gap(closed, _segment_chain(segs, params, g)[:2], g)
     dead = dead[ids]
     return tuple(
         NodeDiagnosis(node, count, count <= 1, tuple(row), uniformity, ent, node_gap)

@@ -8,7 +8,7 @@ step i*h through its own evaluation of the layer: dL/dp = Im L(p + i h) / h
 has no subtractive cancellation (Squire & Trapp, SIAM Review 40(1), 1998),
 so h = 1e-30 leaves only the rounding of that evaluation. The evaluations
 are independent, so they are batched: copies of a block, one per entry, go
-through the layer core along a leading batch axis, in chunks bounded by
+through the layer core in place of its block of targets, in chunks bounded by
 layer.EDGE_BUDGET. The step moves only imaginary parts, and LeakyReLU takes
 its branch on the real part (Martins, Sturdza & Alonso, ACM TOMS 29(3),
 2003), so a pre-activation at the kink is no hazard; an entry whose copy
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import layer
 from .grads import PARAM_KEYS, REL_ERR_FLOOR, GradientSet, _check_upstream
-from .layer import _ONE_SEGMENT, BLOCKS, ForwardTrace, LayerParams, _branch, _propagate
+from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _propagate
 
 # perfbench/spans.py wraps this by this module's name; nothing here calls it.
 from .layer import forward_with_trace  # noqa: F401
@@ -65,10 +65,11 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
 
     The node is the trace's; the oracle runs no forward pass of its own.
     Each block's perturbed copies go from the trace's augmented rows through
-    the one-segment layer core in chunks, the other blocks broadcast:
+    the layer core in chunks, the other blocks broadcast, the copies taking
+    the place of a block's targets:
     EDGE_BUDGET // (2 max(N, H+1)) copies for N neighbors keep the complex
     stack and the edge arrays each within the bytes of one (EDGE_BUDGET, D)
-    float64 array of a whole-graph chunk. Of the trace's results only pre_act
+    float64 array of a whole-graph block. Of the trace's results only pre_act
     (the branch flags) and alpha with source_proj (the resolution) are read,
     so the derivative stays independent of the routes it checks.
     The a and b copies never reach a pre-activation, so are never flagged.
@@ -76,7 +77,7 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
     g = _check_upstream(upstream, params.out_dim)
     branches = _branch(trace.pre_act)
     blocks = [getattr(params, name) for name in BLOCKS.values()]
-    node_args = (params.negative_slope, trace.h_aug_target[None, :], trace.h_aug_sources)
+    node_args = (params.negative_slope, trace.h_aug_target[None], trace.h_aug_sources[None])
     chunk = max(1, layer.EDGE_BUDGET // (2 * max(trace.num_neighbors, params.feature_dim + 1)))
     grads = [np.empty(block.shape) for block in blocks]
     flags = [np.zeros(block.shape, dtype=bool) for block in blocks]
@@ -86,8 +87,8 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
             stack = np.tile(base_block.reshape(-1).astype(complex), (len(idx), 1))
             stack[np.arange(len(idx)), idx] += 1j * COMPLEX_STEP
             stacked = [*blocks[:pos], stack.reshape(-1, *base_block.shape), *blocks[pos + 1 :]]
-            _, _, pre_act, *_, h_out = _propagate(*stacked, *node_args, _ONE_SEGMENT)
-            loss = h_out[:, 0] @ g
+            _, _, pre_act, *_, h_out = _propagate(*stacked, *node_args)
+            loss = h_out @ g
             if not np.isfinite(loss).all():
                 raise ValueError("non-finite loss at a perturbed point")
             grads[pos].flat[idx] = loss.imag / COMPLEX_STEP

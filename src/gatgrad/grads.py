@@ -10,14 +10,16 @@ gradient when the upstream is a constant vector. backward_chain propagates
 an arbitrary upstream through every intermediate, and
 diagnostics.closed_form_gap reports how far the two differ.
 
-The formulas are written once, over the edge segments of layer._propagate
-(one per target, reduced as in DGL's edge_softmax backward); _Segments holds
-each term they share, the closed forms' weights too. The public functions
-are the one-segment case of one node's trace, and diagnostics.diagnose runs
-them over chunks of the graph; only grad_theta_r_pairwise stays per node, as
-the independent cross-check that sums the neighbor pairs directly, in blocks
-bounded by layer.EDGE_BUDGET.
-An isolated node is the empty segment: its neighbor sums are empty, so its
+The formulas are written once, over the blocks of layer._propagate: k
+targets of one degree n, their neighbor arrays (k, n, .). Each product and
+sum is taken per target (layer._dot, and one matrix product per target for
+the (D, H+1) blocks), so a target's gradients are the same in any block.
+_Segments holds each term the formulas share, the closed forms' weights too.
+The public functions are the block of one node's trace, and
+diagnostics.diagnose runs them over the blocks of the whole graph; only
+grad_theta_r_pairwise stays per node, as the independent cross-check that
+sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
+An isolated node is a block of degree 0: its neighbor sums are empty, so its
 attention gradients are zeros, signed as a single-neighbor node's are.
 
 Gradients are per target node; summing over nodes is left to callers.
@@ -33,8 +35,7 @@ import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import _ONE_SEGMENT, BLOCKS, ForwardTrace, LayerParams, _segment_dot, _segment_firsts
-from .layer import _segment_ids, _segment_products, _slopes
+from .layer import BLOCKS, ForwardTrace, LayerParams, _dot, _slopes
 
 __all__ = [
     "GradientSet",
@@ -82,16 +83,14 @@ def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
 
 
 class _Segments(NamedTuple):
-    """What the backward formulas read, for m segments of E edges (a lone one may be empty).
+    """What the backward formulas read, for a block of k targets of degree n.
 
-    starts and seg as in layer._segment_ids; the augmented rows (m or E, H+1);
-    _propagate's edge arrays; the LeakyReLU slopes (E, D), their spread from
-    the segment's first edge (grad_theta_r_sum says why), and the weights of
-    both closed forms: alpha times the edge's centered projection total, (E,).
+    The augmented rows (k, H+1) and (k, n, H+1); _propagate's edge arrays;
+    the LeakyReLU slopes (k, n, D), their spread from each target's first
+    edge (grad_theta_r_sum says why), and the weights of both closed forms:
+    alpha times the edge's centered projection total, (k, n).
     """
 
-    starts: np.ndarray
-    seg: np.ndarray
     h_aug_targets: np.ndarray
     h_aug_sources: np.ndarray
     source_proj: np.ndarray
@@ -102,66 +101,65 @@ class _Segments(NamedTuple):
     weights: np.ndarray
 
 
-def _segments(starts, h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, slope):
+def _segments(h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, slope):
     """_Segments of _propagate's arrays, for LeakyReLU negative slope `slope`."""
-    seg = _segment_ids(starts, len(alpha))
     slopes = _slopes(pre_act, slope)
-    totals = source_proj.sum(axis=1)
+    totals = source_proj.sum(axis=2)
     return _Segments(
-        starts, seg, h_aug_targets, h_aug_sources, source_proj, post_act, alpha,
-        slopes, slopes - _segment_firsts(slopes, starts, seg),
-        alpha * (totals - _segment_dot(alpha, totals, starts)[seg]),
+        h_aug_targets, h_aug_sources, source_proj, post_act, alpha,
+        slopes, slopes - slopes[:, :1], alpha * (totals - _dot(alpha, totals[..., None])),
     )
 
 
 @lru_cache(maxsize=1)
-def _one_segment(trace: ForwardTrace, slope: float) -> _Segments:
-    """A node's trace as the one-segment case, kept for the node's next route."""
+def _one_node(trace: ForwardTrace, slope: float) -> _Segments:
+    """A node's trace as a block of one, kept for the node's next route."""
     return _segments(
-        _ONE_SEGMENT, trace.h_aug_target[None], trace.h_aug_sources,
-        trace.source_proj, trace.pre_act, trace.post_act, trace.alpha, slope,
+        trace.h_aug_target[None], trace.h_aug_sources[None], trace.source_proj[None],
+        trace.pre_act[None], trace.post_act[None], trace.alpha[None], slope,
     )
 
 
 def _segment_theta_r_sum(segs: _Segments, params: LayerParams, upstream):
-    """grad_theta_r_sum of every segment, (m, D, H+1)."""
-    coeff = _segment_dot(segs.weights, segs.spread, segs.starts)
+    """grad_theta_r_sum of every target, (k, D, H+1)."""
+    coeff = _dot(segs.weights, segs.spread)
     return (upstream * params.att * coeff)[:, :, None] * segs.h_aug_targets[:, None, :]
 
 
 def _segment_theta_l(segs: _Segments, params: LayerParams, upstream):
-    """grad_theta_l of every segment, (m, D, H+1)."""
-    bracket = params.att * segs.slopes * segs.weights[:, None] + segs.alpha[:, None]
-    return upstream[:, None] * _segment_products(bracket, segs.h_aug_sources, segs.starts)
+    """grad_theta_l of every target, (k, D, H+1)."""
+    bracket = params.att * segs.slopes * segs.weights[..., None] + segs.alpha[..., None]
+    return upstream[:, None] * (bracket.swapaxes(1, 2) @ segs.h_aug_sources)
 
 
 def _segment_chain(segs: _Segments, params: LayerParams, upstream: np.ndarray) -> tuple:
-    """backward_chain's theta_R and theta_L blocks (m, D, H+1) of every
-    segment, and the score gradients d_score (E,). The att blocks are
-    _segment_dot(d_score, post_act, starts), the bias blocks the upstream."""
-    starts, seg, alpha = segs.starts, segs.seg, segs.alpha
+    """backward_chain's theta_R and theta_L blocks (k, D, H+1) of every
+    target, and the score gradients d_score (k, n). The att blocks are
+    _dot(d_score, post_act), the bias blocks the upstream."""
+    alpha = segs.alpha
     # d_alpha[k] contracts the upstream with the projected source feature.
     # The softmax backward is shift invariant in d_alpha, so it is centered on
-    # the segment's first edge: identical neighbors then yield exact zeros.
+    # the target's first edge: identical neighbors then yield exact zeros.
     d_alpha = segs.source_proj @ upstream
-    d_alpha = d_alpha - _segment_firsts(d_alpha, starts, seg)
-    d_score = alpha * (d_alpha - _segment_dot(alpha, d_alpha, starts)[seg])
-    d_pre = d_score[:, None] * params.att * segs.slopes
+    d_alpha = d_alpha - d_alpha[:, :1]
+    d_score = alpha * (d_alpha - _dot(alpha, d_alpha[..., None]))
+    d_pre = d_score[..., None] * params.att * segs.slopes
     # Source side: score path plus the direct aggregation path.
-    d_theta_l = _segment_products(d_pre, segs.h_aug_sources, starts)
-    d_theta_l += upstream[:, None] * _segment_dot(alpha, segs.h_aug_sources, starts)[:, None]
-    d_target = params.att * _segment_dot(d_score, segs.spread, starts)
+    d_theta_l = d_pre.swapaxes(1, 2) @ segs.h_aug_sources
+    d_theta_l += upstream[:, None] * _dot(alpha, segs.h_aug_sources)[:, None]
+    d_target = params.att * _dot(d_score, segs.spread)
     d_theta_r = d_target[:, :, None] * segs.h_aug_targets[:, None, :]
     return d_theta_r, d_theta_l, d_score
 
 
 def _segment_gap(closed, chain, upstream: np.ndarray):
-    """diagnostics.closed_form_gap of every segment, (m,), from the closed forms'
-    and the chain's (theta_R, theta_L) stacks (m, D, H+1). The b blocks are the
+    """diagnostics.closed_form_gap of every target, (k,), from the closed forms'
+    and the chain's (theta_R, theta_L) stacks (k, D, H+1). The b blocks are the
     upstream on both sides: no difference, and max |upstream| in the scale."""
-    diff = np.max([np.abs(c - e).max(axis=(1, 2)) for c, e in zip(closed, chain)], axis=0)
-    scale = np.max([np.abs(b).max(axis=(1, 2)) for b in (*closed, *chain)], axis=0)
-    return diff / np.maximum(np.maximum(scale, np.abs(upstream).max()), REL_ERR_FLOOR)
+    closed, chain = np.concatenate(closed, axis=2), np.concatenate(chain, axis=2)
+    both = np.abs(np.concatenate((closed, chain), axis=2))
+    scale = both.max(axis=(1, 2), initial=np.abs(upstream).max())
+    return np.abs(closed - chain).max(axis=(1, 2)) / np.maximum(scale, REL_ERR_FLOOR)
 
 
 def grad_theta_r_sum(
@@ -178,7 +176,7 @@ def grad_theta_r_sum(
     Zero matrix for N <= 1, its zeros signed as upstream * att * h_aug.
     """
     g = _check_upstream(upstream, params.out_dim)
-    segs = _one_segment(trace, params.negative_slope)
+    segs = _one_node(trace, params.negative_slope)
     return _segment_theta_r_sum(segs, params, g)[0]
 
 
@@ -193,7 +191,7 @@ def grad_theta_r_pairwise(
     +-(1 - negative_slope), so row blocks of the pair triangle meet the 0/1
     regime indicators in two matrix products. A block has at most
     layer.EDGE_BUDGET * D // N rows, the floats of one (EDGE_BUDGET, D) array
-    of a whole-graph chunk, so memory stays O(N * D) at any degree.
+    of a whole-graph block, so memory stays O(N * D) at any degree.
     """
     g = _check_upstream(upstream, params.out_dim)
     n = trace.num_neighbors
@@ -222,7 +220,7 @@ def grad_theta_l(
     column is the same bracket against the constant-1 feature entry.
     """
     g = _check_upstream(upstream, params.out_dim)
-    segs = _one_segment(trace, params.negative_slope)
+    segs = _one_node(trace, params.negative_slope)
     return _segment_theta_l(segs, params, g)[0]
 
 
@@ -242,9 +240,9 @@ def backward_chain(
     an isolated node every sum is empty, leaving zeros and the upstream as b.
     """
     g = _check_upstream(upstream, params.out_dim)
-    segs = _one_segment(trace, params.negative_slope)
+    segs = _one_node(trace, params.negative_slope)
     theta_r, theta_l, d_score = _segment_chain(segs, params, g)
-    att = _segment_dot(d_score, segs.post_act, segs.starts)[0]
+    att = _dot(d_score, segs.post_act)[0]
     return GradientSet(
         theta_r=theta_r[0], theta_l=theta_l[0], att=att, bias=g.copy()
     )

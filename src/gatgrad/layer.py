@@ -8,28 +8,25 @@ The update for target node i with neighbors j is
 
 where h_aug(j) = [1, h(j)]. All arithmetic is 64-bit.
 
-The arithmetic lives in one private core over edge segments: it takes the
-augmented rows of m targets and of their neighbors, one contiguous segment
-of edges per target, projects both, spreads each target's projection over
-its segment, and takes the softmax and the aggregation per segment
-(np.maximum.reduceat / np.add.reduceat, as DGL's edge_softmax). Every
+The arithmetic lives in one private core over blocks of targets that share
+one degree n: it takes the augmented rows of k targets (k, H+1) and of their
+neighbors (k, n, H+1), and takes every product and sum per target with
+batched numpy (matmul over the leading axis, max and sum over the neighbor
+axis). BLAS and numpy's reductions round each slice of those as they round
+the lone operation, so a node's numbers are the same in any block. Every
 caller goes through it:
 
-- forward_with_trace evaluates one node as the one-segment case, caching
-  every intermediate so the backward pass can be assembled without
-  recomputation. A lone segment is reduced with the plain reductions, so a
-  node's trace rounds exactly as the per-node formulas do.
-- forward_graph evaluates every node in one edge-parallel pass over the
-  graph's CSR view, in chunks of at most EDGE_BUDGET edges that never split
-  a node; diagnostics.diagnose runs on the same chunks.
-- The complex-step oracle runs the one-segment core, in complex
-  arithmetic, on a stack of copies of a parameter block, each with one
-  entry imaginary-perturbed: the stack is a leading batch axis, against
-  which the other blocks broadcast, since the core counts its edge and
-  segment axes from the end.
+- forward_with_trace evaluates one node as a block of one, caching every
+  intermediate so the backward pass can be assembled without recomputation.
+- forward_graph evaluates every node through _graph_chunks, one numpy pass
+  per block: nodes walked by degree, in blocks of at most EDGE_BUDGET edges.
+  Its rows equal forward_with_trace's bit for bit; diagnostics.diagnose
+  runs on the same blocks.
+- The complex-step oracle runs the core, in complex arithmetic, on one
+  target against a stack of copies of a parameter block, each with one
+  entry imaginary-perturbed: the B copies take the place of the k targets.
 
-grads.py's backward formulas reduce over the same segments, through
-_segment_dot and _segment_products.
+grads.py's backward formulas read the same (k, n, .) blocks, through _dot.
 """
 
 from __future__ import annotations
@@ -115,13 +112,9 @@ def _slopes(x: np.ndarray, negative_slope: float) -> np.ndarray:
     return np.where(_branch(x), 1.0, negative_slope)
 
 
-# The one segment of a single node's evaluation.
-_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
-_ONE_SEGMENT.setflags(write=False)
-
 # Edges the whole-graph passes evaluate at once. It bounds their working
 # memory to a few dozen arrays of EDGE_BUDGET x D floats (a few MB at
-# D = 16) on any graph, while the Python overhead per chunk stays negligible.
+# D = 16) on any graph; a graph costs one block per distinct degree at least.
 EDGE_BUDGET = 1 << 12
 
 
@@ -158,99 +151,45 @@ class ForwardTrace:
         return len(self.neighbors)
 
 
-def _segment_ids(starts: np.ndarray, num_edges: int):
-    """Index that spreads per-segment rows over the edges: each edge's segment.
+def _dot(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """weights[i] @ values[i] for each target i of a block: (k, n) against (k, n, X).
 
-    A lone segment's rows, of length 1 along the segment axis, broadcast over
-    its edges as they are, so its index is the whole axis.
+    One product per target, the same one a lone node takes, so a target's
+    result does not depend on the other targets of its block.
     """
-    if len(starts) == 1:
-        return slice(None)
-    return np.repeat(np.arange(len(starts)), np.diff(starts, append=num_edges))
+    return (weights[:, None, :] @ values)[:, 0]
 
 
-def _segment_firsts(values: np.ndarray, starts: np.ndarray, seg) -> np.ndarray:
-    """Each edge's row at its segment's first edge; a lone segment's broadcasts, or is empty."""
-    return values[:1] if len(starts) == 1 else values[starts][seg]
-
-
-def _segment_sum(values: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over each segment of the edge axis; segment k begins at starts[k].
-
-    Segments are non-empty, except that a lone segment may be empty. A lone
-    segment is summed whole, exactly as values.sum(axis), so a one-node
-    evaluation rounds as the per-node formulas do.
-    """
-    if len(starts) == 1:
-        return values.sum(axis=axis, keepdims=True)
-    return np.add.reduceat(values, starts, axis=axis)
-
-
-def _segment_dot(weights: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """weights[s] @ values[s] for each segment s of the edge axis, (m, ...).
-
-    A lone segment is the plain product weights @ values, so a one-node
-    evaluation rounds as the per-node formulas do.
-    """
-    if len(starts) == 1:
-        return (weights @ values)[None]
-    weights = weights.reshape(-1, *(1,) * (values.ndim - 1))
-    return np.add.reduceat(weights * values, starts, axis=0)
-
-
-def _segment_products(left: np.ndarray, right: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """left[s].T @ right[s] for each segment s of the edge axis, (m, D, K).
-
-    A lone segment is the plain product left.T @ right. Otherwise segments
-    of equal length are stacked into one batched product, so no (E, D, K)
-    outer product is formed.
-    """
-    if len(starts) == 1:
-        return (left.T @ right)[None]
-    counts = np.diff(starts, append=len(left))
-    out = np.empty((len(starts), left.shape[1], right.shape[1]))
-    for count in np.flatnonzero(np.bincount(counts)):
-        which = np.flatnonzero(counts == count)
-        rows = starts[which][:, None] + np.arange(count)
-        out[which] = left[rows].transpose(0, 2, 1) @ right[rows]
-    return out
-
-
-def _segment_softmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Softmax within each segment of the last axis, shifted by its largest real part."""
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last (neighbor) axis, shifted by its largest real part."""
     if not np.isfinite(scores).all():
         raise ValueError("non-finite attention score")
-    seg = _segment_ids(starts, scores.shape[-1])
-    if len(starts) == 1:
-        top = scores.real.max(axis=-1, initial=-np.inf, keepdims=True)
-    else:
-        top = np.maximum.reduceat(scores.real, starts, axis=-1)
-    z = np.exp(scores - top[..., seg])
-    return z / _segment_sum(z, starts, -1)[..., seg]
+    z = np.exp(scores - scores.real.max(axis=-1, initial=-np.inf, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
-def _propagate(
-    theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources, starts
-) -> tuple:
+def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources) -> tuple:
     """The layer's arithmetic over validated float64 (or complex) arrays.
 
-    h_aug_targets (m, H+1) holds one augmented row per target and
-    h_aug_sources (E, H+1) the rows of their neighbors, one segment per
-    target; segment k begins at edge starts[k]. Returns target_proj (m, D),
-    source_proj, pre_act, post_act (E, D), scores, alpha (E,), messages
-    (E, D) and h_out (m, D), in ForwardTrace field order. A parameter block
-    may carry a leading batch axis, (B, D, H+1) or (B, D): the other blocks
-    broadcast against it, and the results that depend on it gain that axis.
+    A block of k targets of one degree n: h_aug_targets (k, H+1) holds one
+    augmented row per target and h_aug_sources (k, n, H+1) the rows of each
+    one's neighbors. Returns target_proj (k, D), source_proj, pre_act,
+    post_act (k, n, D), scores, alpha (k, n), messages (k, n, D) and h_out
+    (k, D), in ForwardTrace field order. Every product and sum is taken per
+    target, so each target rounds as it does alone (k = 1): BLAS would round
+    a row of one (k, H+1) @ (H+1, D) product differently as k grows. A
+    parameter block may carry a leading axis of B stacked copies, (B, D, H+1)
+    or (B, D), against one target (k = 1): the results that depend on it
+    take B in place of k.
     """
-    seg = _segment_ids(starts, len(h_aug_sources))
-    target_proj = h_aug_targets @ np.swapaxes(theta_r, -1, -2)
-    source_proj = h_aug_sources @ np.swapaxes(theta_l, -1, -2)
-    pre_act = target_proj[..., seg, :] + source_proj
+    target_proj = (h_aug_targets[:, None, :] @ theta_r.swapaxes(-1, -2))[:, 0]
+    source_proj = h_aug_sources @ theta_l.swapaxes(-1, -2)
+    pre_act = target_proj[:, None, :] + source_proj
     post_act = leaky_relu(pre_act, slope)
     scores = (post_act @ att[..., None])[..., 0]
-    alpha = _segment_softmax(scores, starts)
+    alpha = _softmax(scores)
     messages = alpha[..., None] * source_proj
-    h_out = bias[..., None, :] + _segment_sum(messages, starts, -2)
+    h_out = bias + messages.sum(axis=1)
     return target_proj, source_proj, pre_act, post_act, scores, alpha, messages, h_out
 
 
@@ -286,67 +225,64 @@ def forward_with_trace(
 ) -> ForwardTrace:
     """Evaluate the layer for one target node, caching all intermediates.
 
-    The node is the one-segment case of the layer's arithmetic. A non-finite
-    feature entry of the target or a neighbor is rejected, naming the node
-    and the feature index. Pure function of its arguments: repeated calls
-    produce bit-identical traces.
+    The node is a block of one target. A non-finite feature entry of the
+    target or a neighbor is rejected, naming the node and the feature index.
+    Pure function of its arguments: repeated calls produce bit-identical
+    traces, equal to the node's row of forward_graph.
     """
     nbrs = graph.neighbors(node)
     block = _augmented(params, graph, features, [node, *nbrs])
-    target_proj, *edge_arrays, h_out = _propagate(
+    arrays = _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
-        params.negative_slope, block[:1], block[1:], _ONE_SEGMENT,
+        params.negative_slope, block[:1], block[None, 1:],
     )
-    return ForwardTrace(
-        int(node), nbrs, block[0], block[1:], target_proj[0], *edge_arrays, h_out[0]
-    )
+    return ForwardTrace(int(node), nbrs, block[0], block[1:], *(a[0] for a in arrays))
 
 
 def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
-    """Evaluate the layer for every node with a neighbor, in ascending order, by chunks.
+    """Evaluate the layer for every node, in blocks of nodes of one degree.
 
-    Consecutive nodes share a chunk while their edges stay within
-    EDGE_BUDGET; a node of higher degree is a chunk of its own, so no
-    segment is ever split. The chunks depend on the graph alone, so a node's
-    numbers are the same whichever of them a caller reads. The features are
-    checked once. Yields per chunk its nodes, their edges as a slice of
-    graph.sources order (isolated nodes own none), the segment starts, the
-    augmented target and source rows, and _propagate's arrays.
+    Nodes are walked by ascending degree, isolated nodes (degree 0) first,
+    and by id within a degree. A block holds at most EDGE_BUDGET edges, or a
+    single node of higher degree. _propagate takes every product and sum per
+    target, so a node's numbers are the same in any block, and equal
+    forward_with_trace's bit for bit. The features are checked once. Yields
+    per block its nodes (k,), their edges (k, n) as positions in
+    graph.sources order, the augmented target (k, H+1) and source
+    (k, n, H+1) rows, and _propagate's arrays.
     """
     h_aug = _augmented(params, graph, features, range(graph.num_nodes))
-    nodes = np.flatnonzero(np.diff(graph.offsets))
-    ends = graph.offsets[nodes + 1]
-    lo = 0
-    while lo < len(nodes):
-        base = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, base + EDGE_BUDGET, side="right")), lo + 1)
-        run = nodes[lo:hi]
-        starts = graph.offsets[run] - base
-        edges = slice(base, ends[hi - 1])
-        targets, sources = h_aug[run], h_aug[graph.sources[edges]]
-        arrays = _propagate(
-            params.theta_r, params.theta_l, params.att, params.bias,
-            params.negative_slope, targets, sources, starts,
-        )
-        yield run, edges, starts, targets, sources, arrays
-        lo = hi
+    degrees = np.diff(graph.offsets)
+    order = np.argsort(degrees, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(degrees[order])) + 1):
+        n = int(degrees[group[0]])
+        size = max(1, EDGE_BUDGET // n) if n else len(group)
+        for lo in range(0, len(group), size):
+            nodes = group[lo : lo + size]
+            edges = graph.offsets[nodes][:, None] + np.arange(n)
+            targets, sources = h_aug[nodes], h_aug[graph.sources[edges]]
+            arrays = _propagate(
+                params.theta_r, params.theta_l, params.att, params.bias,
+                params.negative_slope, targets, sources,
+            )
+            yield nodes, edges, targets, sources, arrays
 
 
 def forward_graph(
     params: LayerParams, graph: Graph, features: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the layer for every node in one edge-parallel pass.
+    """Evaluate the layer for every node, one numpy pass per block of _graph_chunks.
 
     Returns alpha (E,), the attention weights in graph.sources order (node
     i's weights are alpha[graph.offsets[i]:graph.offsets[i + 1]]), and h_out
-    (num_nodes, D); an isolated node's h_out is the bias. Agrees with
-    forward_with_trace node by node to rounding.
+    (num_nodes, D); an isolated node's h_out is the bias plus an empty sum.
+    Each row equals forward_with_trace's for its node, bit for bit.
     """
     alpha = np.empty(len(graph.sources))
-    h_out = np.tile(params.bias, (graph.num_nodes, 1))
-    for run, edges, _, _, _, arrays in _graph_chunks(params, graph, features):
+    h_out = np.empty((graph.num_nodes, params.out_dim))
+    for nodes, edges, _, _, arrays in _graph_chunks(params, graph, features):
         alpha[edges] = arrays[5]
-        h_out[run] = arrays[7]
+        h_out[nodes] = arrays[7]
     return alpha, h_out
 
 

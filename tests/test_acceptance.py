@@ -29,7 +29,7 @@ from gatgrad import (
 )
 from gatgrad.cli import main
 from gatgrad.fdcheck import _relative_error
-from gatgrad.layer import _ONE_SEGMENT, _segment_softmax
+from gatgrad.layer import _softmax
 
 
 @contextlib.contextmanager
@@ -165,10 +165,10 @@ def test_criterion_5_softmax_laws():
         rng = np.random.default_rng(55)
         for _ in range(300):
             scores = rng.standard_normal(rng.integers(1, 9))
-            alpha = _segment_softmax(scores, _ONE_SEGMENT)
+            alpha = _softmax(scores)
             assert abs(alpha.sum() - 1.0) <= 1e-12
             for offset in (1e3, -1e3):
-                shifted = _segment_softmax(scores + offset, _ONE_SEGMENT)
+                shifted = _softmax(scores + offset)
                 assert np.abs(shifted - alpha).max() <= 1e-12
             jac = np.diag(alpha) - np.outer(alpha, alpha)  # the softmax Jacobian
             assert np.array_equal(jac, jac.T)

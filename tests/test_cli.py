@@ -615,6 +615,21 @@ class TestDiagnoseCommand:
             assert entry["num_neighbors"] >= 1
             assert entry["closed_form_gap"] <= 1e-10
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gaps_equal_gradcheck_gaps(self, tmp_path, seed):
+        """Under the uniform upstream, gradcheck --all-nodes and diagnose
+        --all-nodes give every node the same closed_form_gap, bit for bit:
+        gradcheck takes it from the node alone, diagnose from the node's block
+        of the whole-graph pass."""
+        _, graph_path, params_path = run_gen(tmp_path, seed, 12, 16, 16)
+        io = ["--graph", str(graph_path), "--params", str(params_path), "--all-nodes"]
+        gaps = []
+        for verb in ("gradcheck", "diagnose"):
+            out = tmp_path / f"{verb}.json"
+            assert main([verb, *io, "--out", str(out)]) == 0
+            gaps.append([e["closed_form_gap"] for e in json.loads(out.read_text())["nodes"]])
+        assert gaps[0] == gaps[1]
+
     def test_all_positive_instance_reports_dead_rows(self, tmp_path):
         g, feats, params = generate_instance(4, 2, 2, seed=5)
         th = params.theta_r.copy()

@@ -19,7 +19,7 @@ from gatgrad import (
     grad_theta_r_pairwise,
     grad_theta_r_sum,
 )
-from gatgrad.layer import _ONE_SEGMENT, _segment_softmax
+from gatgrad.layer import _softmax
 
 
 def gradient_sets(trace, params, upstream):
@@ -110,8 +110,8 @@ class TestDiagnose:
         for _ in range(50):
             scores = rng.standard_normal(rng.integers(2, 7))
             ent = lambda a: float(-(a * np.log(a)).sum())
-            base = ent(_segment_softmax(scores, _ONE_SEGMENT))
-            shifted = ent(_segment_softmax(scores + 500.0, _ONE_SEGMENT))
+            base = ent(_softmax(scores))
+            shifted = ent(_softmax(scores + 500.0))
             assert abs(base - shifted) <= 1e-12
 
 
@@ -189,9 +189,10 @@ class TestNodeSelection:
 
     def test_isolated_node_values(self):
         params, graph, feats = self.instance()
-        (entry,) = diagnose(params, graph, feats, nodes=[1], upstream=np.array([-2.0]))
-        assert entry.num_neighbors == 0 and entry.single_neighbor
-        assert entry.dead_theta_r == (True,)
-        assert entry.regime_uniformity == 1.0
-        assert entry.attention_entropy == 0.0
-        assert entry.closed_form_gap == 0.0
+        for upstream in (-2.0, 1.0, 0.0):
+            (entry,) = diagnose(params, graph, feats, nodes=[1], upstream=np.array([upstream]))
+            assert entry.num_neighbors == 0 and entry.single_neighbor
+            assert entry.dead_theta_r == (True,)
+            assert entry.regime_uniformity == 1.0
+            # An isolated node is a block of degree 0; repr tells 0.0 from -0.0.
+            assert repr((entry.attention_entropy, entry.closed_form_gap)) == "(0.0, 0.0)"

@@ -45,7 +45,7 @@ def per_entry_oracle(params, graph, features, node, upstream):
             work.reshape(-1)[idx] += 1j * COMPLEX_STEP
             h_out = _propagate(
                 *blocks[:pos], work, *blocks[pos + 1 :], params.negative_slope,
-                trace.h_aug_target[None], trace.h_aug_sources, np.zeros(1, dtype=np.intp),
+                trace.h_aug_target[None], trace.h_aug_sources[None],
             )[-1][0]
             grad[idx] = (upstream @ h_out).imag / COMPLEX_STEP
         grads.append(grad.reshape(block.shape))

@@ -18,7 +18,7 @@ from gatgrad import (
     load_params,
     save_params,
 )
-from gatgrad.layer import _ONE_SEGMENT, ForwardTrace, _propagate, _segment_softmax
+from gatgrad.layer import ForwardTrace, _propagate, _softmax
 
 
 def attention_score(params, h_aug_target, h_aug_source):
@@ -41,13 +41,11 @@ def forward_per_neighbor(params, graph, features, node):
         h_aug_sources = np.stack([np.array([1.0, *features[j]]) for j in nbrs])
     else:
         h_aug_sources = np.zeros((0, params.feature_dim + 1))
-    target_proj, *edge_arrays, h_out = _propagate(
+    arrays = _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
-        params.negative_slope, h_aug_target[None, :], h_aug_sources, np.zeros(1, dtype=int),
+        params.negative_slope, h_aug_target[None, :], h_aug_sources[None],
     )
-    return ForwardTrace(
-        node, nbrs, h_aug_target, h_aug_sources, target_proj[0], *edge_arrays, h_out[0]
-    )
+    return ForwardTrace(node, nbrs, h_aug_target, h_aug_sources, *(a[0] for a in arrays))
 
 
 def isolated_and_self_loop(seed, n=6, h=3, d=4):
@@ -139,8 +137,8 @@ class TestAttentionScore:
 
 
 def neighbor_softmax(scores):
-    """The layer's softmax over one node's neighbor scores: its one-segment case."""
-    return _segment_softmax(scores, _ONE_SEGMENT)
+    """The layer's softmax over one node's neighbor scores."""
+    return _softmax(scores)
 
 
 class TestNeighborSoftmax:
@@ -402,25 +400,27 @@ CORE_RESULTS = (
 
 
 class TestBatchAxis:
-    """A parameter block with a leading batch axis broadcasts through the core."""
+    """A parameter block with a leading axis of stacked copies broadcasts
+    through the core against one target, the copies taking the place of the
+    block's targets: the complex-step oracle's use."""
 
-    @pytest.mark.parametrize("counts", [(5,), (0,), (1,), (3, 1, 4, 2)])
+    @pytest.mark.parametrize("counts", [(5,), (0,), (1,), (40,)])
     @pytest.mark.parametrize("stacked", [(0,), (1,), (2,), (3,), (0, 1, 2, 3)])
     def test_stacked_copies_equal_unbatched_bitwise(self, counts, stacked):
         """B stacked copies of the same float64 blocks give B copies of the
-        unbatched result, bit for bit, for a lone segment (empty, single
-        neighbor or several) and for several segments."""
-        rng = np.random.default_rng(len(counts) * 10 + sum(counts))
-        _, _, params = generate_instance(4, 3, 5, seed=sum(counts))
-        targets = np.column_stack([np.ones(len(counts)), rng.standard_normal((len(counts), 3))])
-        sources = np.column_stack([np.ones(sum(counts)), rng.standard_normal((sum(counts), 3))])
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
+        unbatched result, bit for bit, for a target with no neighbor, a
+        single neighbor, several, or more than numpy sums in one unrolled run."""
+        (count,) = counts
+        rng = np.random.default_rng(10 + count)
+        _, _, params = generate_instance(4, 3, 5, seed=count)
+        targets = np.column_stack([np.ones(1), rng.standard_normal((1, 3))])
+        sources = np.column_stack([np.ones(count), rng.standard_normal((count, 3))])[None]
         blocks = [params.theta_r, params.theta_l, params.att, params.bias]
-        rest = (params.negative_slope, targets, sources, starts)
+        rest = (params.negative_slope, targets, sources)
         single = _propagate(*blocks, *rest)
         batch = [np.stack([b] * 3) if pos in stacked else b for pos, b in enumerate(blocks)]
         batched = _propagate(*batch, *rest)
         for (name, depends), one, many in zip(CORE_RESULTS, single, batched):
-            want = (3, *one.shape) if depends & set(stacked) else one.shape
+            want = (3, *one.shape[1:]) if depends & set(stacked) else one.shape
             assert many.shape == want, name
             assert np.array_equal(np.broadcast_to(one, want), many), name
