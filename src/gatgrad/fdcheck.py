@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layer
-from .grads import PARAM_KEYS, REL_ERR_FLOOR, GradientSet, _check_upstream
+from .grads import REL_ERR_FLOOR, GradientSet, _check_upstream
 from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _propagate
 
 # perfbench/spans.py wraps this by this module's name; nothing here calls it.
@@ -104,7 +104,7 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
     resolution = RESOLUTION_ULPS * np.finfo(np.float64).eps * max(1.0, abs_loss)
     return FdGradient(
         grads=GradientSet(*grads),
-        kink_flags=dict(zip(PARAM_KEYS, flags)),
+        kink_flags=dict(zip(BLOCKS, flags)),
         resolution=float(resolution),
     )
 
@@ -125,7 +125,7 @@ def compare_gradients(
     analytic: GradientSet,
     numeric: FdGradient,
     tolerance: float = 1e-6,
-    keys: tuple[str, ...] = PARAM_KEYS,
+    keys: tuple[str, ...] = tuple(BLOCKS),
 ) -> dict[str, dict]:
     """Compare analytic gradients against the oracle, parameter by parameter.
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import BLOCKS, ForwardTrace, LayerParams, _dot, _slopes
+from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _dot, _slopes
 
 __all__ = [
     "GradientSet",
@@ -45,9 +45,6 @@ __all__ = [
     "grad_bias",
     "backward_chain",
 ]
-
-# The blocks' keys in the params, gradient and report files, in file order.
-PARAM_KEYS = tuple(BLOCKS)
 
 # Floor for the relative-error denominator; keeps the metric defined at zero.
 REL_ERR_FLOOR = 1e-12
@@ -195,8 +192,8 @@ def grad_theta_r_pairwise(
     """
     g = _check_upstream(upstream, params.out_dim)
     n = trace.num_neighbors
-    pos = _slopes(trace.pre_act, 0.0)
-    neg = 1.0 - pos
+    pos = _branch(trace.pre_act)
+    neg = ~pos
     totals = trace.source_proj.sum(axis=1)
     rows = max(1, layer.EDGE_BUDGET * params.out_dim // max(n, 1))
     coeff = np.zeros(params.out_dim)

@@ -224,34 +224,34 @@ def _write_json(path, payload: dict) -> None:
     """Write payload as json.dump(payload, fh, indent=2) does, plus a newline.
 
     A numpy array is written as its tolist(). json.dump with an indent runs
-    the pure-Python encoder, value by value; here the numbers go through the
-    C encoder in bulk instead. A numeric leaf (a non-empty list of ints,
-    floats and bools) enters it whole and a scalar number on its own; once
-    _BULK_NUMBERS are waiting, one call encodes them all, its output is
+    the pure-Python encoder, value by value; here the numbers go in bulk
+    through one compact C encoder, json.JSONEncoder(separators=(",", ":")),
+    whose output is split on its commas. A numeric leaf (a non-empty list of
+    ints, floats and bools) enters it whole and a scalar number on its own;
+    once _BULK_NUMBERS are waiting, one call encodes them all, its output is
     split back into one text per leaf and one per scalar, and the text
     finished so far is written out, so memory stays bounded on any payload.
     A non-empty 2-D array of bools or numbers skips the per-row leaves: each
-    block of whole rows, about _BULK_NUMBERS numbers, is one compact encoder
-    call whose texts are interleaved with the separators and written out
-    before the next block is formatted. Strings, keys (strings only) and the
-    layout are written here.
+    block of whole rows, about _BULK_NUMBERS numbers, is one encoder call
+    whose texts are interleaved with the separators and written out before
+    the next block is formatted. Strings, keys (strings only) and the layout
+    are written here.
     """
     parts: list = []  # output strings; a number holds its place until encoded
     leaves, leaf_at, scalars, scalar_at = [], [], [], []
     waiting = 0  # numbers in leaves and scalars
-    encode = json.JSONEncoder(separators=(",\n", ": ")).encode
-    encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+    encode = json.JSONEncoder(separators=(",", ":")).encode
 
     def flush() -> None:
         nonlocal waiting
-        # Numbers never hold "]" or a newline, so the split is unambiguous;
-        # the scalars ride along as the last list.
-        *texts, scalar_text = encode([*leaves, scalars])[2:-2].split("],\n[")
-        for at, text in zip(scalar_at, scalar_text.split(",\n")):
+        # Numbers never hold a comma or a bracket, so the splits are
+        # unambiguous; the scalars ride along as the last list.
+        *texts, scalar_text = encode([*leaves, scalars])[2:-2].split("],[")
+        for at, text in zip(scalar_at, scalar_text.split(",")):
             parts[at] = text
         for at, text in zip(leaf_at, texts):
             inner = "\n" + "  " * (parts[at] + 1)
-            parts[at] = "[" + inner + text.replace("\n", inner) + "\n" + "  " * parts[at] + "]"
+            parts[at] = "[" + inner + text.replace(",", "," + inner) + "\n" + "  " * parts[at] + "]"
         fh.write("".join(parts))
         for pending in (parts, leaves, leaf_at, scalars, scalar_at):
             pending.clear()
@@ -264,8 +264,7 @@ def _write_json(path, payload: dict) -> None:
         step = max(1, _BULK_NUMBERS // matrix.shape[1])
         for start in range(0, len(matrix), step):
             block = matrix[start : start + step]
-            # Numbers never hold a comma, so the split is unambiguous.
-            texts = encode_compact(block.ravel().tolist())[1:-1].split(",")
+            texts = encode(block.ravel().tolist())[1:-1].split(",")
             text = [None] * (2 * len(texts))
             text[::2] = texts
             text[1::2] = separators * len(block)

@@ -19,7 +19,7 @@ caller goes through it:
 - forward_with_trace evaluates one node as a block of one, caching every
   intermediate so the backward pass can be assembled without recomputation.
 - forward_graph evaluates every node through _graph_chunks, one numpy pass
-  per block: nodes walked by degree, in blocks of at most EDGE_BUDGET edges.
+  per block: nodes by degree, in blocks of at most EDGE_BUDGET edges and nodes.
   Its rows equal forward_with_trace's bit for bit; diagnostics.diagnose
   runs on the same blocks.
 - The complex-step oracle runs the core, in complex arithmetic, on one
@@ -112,8 +112,8 @@ def _slopes(x: np.ndarray, negative_slope: float) -> np.ndarray:
     return np.where(_branch(x), 1.0, negative_slope)
 
 
-# Edges the whole-graph passes evaluate at once. It bounds their working
-# memory to a few dozen arrays of EDGE_BUDGET x D floats (a few MB at
+# Edges, and nodes, the whole-graph passes evaluate at once. It bounds their
+# working memory to a few dozen arrays of EDGE_BUDGET x D floats (a few MB at
 # D = 16) on any graph; a graph costs one block per distinct degree at least.
 EDGE_BUDGET = 1 << 12
 
@@ -243,20 +243,20 @@ def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
     """Evaluate the layer for every node, in blocks of nodes of one degree.
 
     Nodes are walked by ascending degree, isolated nodes (degree 0) first,
-    and by id within a degree. A block holds at most EDGE_BUDGET edges, or a
-    single node of higher degree. _propagate takes every product and sum per
-    target, so a node's numbers are the same in any block, and equal
-    forward_with_trace's bit for bit. The features are checked once. Yields
-    per block its nodes (k,), their edges (k, n) as positions in
-    graph.sources order, the augmented target (k, H+1) and source
-    (k, n, H+1) rows, and _propagate's arrays.
+    and by id within a degree. A block holds at most EDGE_BUDGET edges and
+    EDGE_BUDGET nodes, isolated ones too, or a single node of higher degree.
+    _propagate takes every product and sum per target, so a node's numbers
+    are the same in any block, and equal forward_with_trace's bit for bit.
+    The features are checked once. Yields per block its nodes (k,), their
+    edges (k, n) as positions in graph.sources order, the augmented target
+    (k, H+1) and source (k, n, H+1) rows, and _propagate's arrays.
     """
     h_aug = _augmented(params, graph, features, range(graph.num_nodes))
     degrees = np.diff(graph.offsets)
     order = np.argsort(degrees, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(degrees[order])) + 1):
         n = int(degrees[group[0]])
-        size = max(1, EDGE_BUDGET // n) if n else len(group)
+        size = max(1, EDGE_BUDGET // max(n, 1))
         for lo in range(0, len(group), size):
             nodes = group[lo : lo + size]
             edges = graph.offsets[nodes][:, None] + np.arange(n)

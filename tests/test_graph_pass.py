@@ -166,8 +166,9 @@ class TestForwardGraph:
 
     def test_chunks_never_split_a_node(self):
         """Every node and every edge is in exactly one block; a block holds
-        nodes of one degree, at most EDGE_BUDGET edges or a single node, and
-        its edges are each node's CSR range."""
+        nodes of one degree n, at most EDGE_BUDGET // max(n, 1) of them or a
+        single node (so at most EDGE_BUDGET edges and EDGE_BUDGET nodes,
+        isolated nodes too), and its edges are each node's CSR range."""
         graph, feats, params = generate_instance(9, 2, 3, seed=4, min_degree=1)
         graph = Graph(11, graph.edges)  # nodes 9 and 10 isolated
         feats = np.vstack([feats, np.ones((2, 2))])
@@ -182,11 +183,36 @@ class TestForwardGraph:
             assert sorted(edges.tolist()) == list(range(len(graph.edges)))
             for block, edges, targets, sources, arrays in blocks:
                 (n,) = set(degrees[block].tolist())
+                assert len(block) <= max(1, budget // max(n, 1))
                 assert edges.size <= budget or len(block) == 1
                 assert np.array_equal(edges, graph.offsets[block][:, None] + np.arange(n))
                 assert targets.shape == (len(block), 3)
                 assert sources.shape == (len(block), n, 3)
                 assert arrays[5].shape == (len(block), n)
+
+    def test_isolated_nodes_come_in_budget_blocks(self):
+        """Ten isolated nodes at a budget of 3 take four blocks of degree 0,
+        of 3, 3, 3 and 1 nodes, and each node's forward row and diagnose gap
+        are still its own, bit for bit."""
+        graph, feats, params = generate_instance(4, 2, 3, seed=5, min_degree=1)
+        graph = Graph(14, graph.edges)  # nodes 4 to 13 isolated
+        feats = np.vstack([feats, np.random.default_rng(5).standard_normal((10, 2))])
+        upstream = np.random.default_rng(6).standard_normal(3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layer, "EDGE_BUDGET", 3)
+            blocks = [block for block, edges, *_ in layer._graph_chunks(params, graph, feats)
+                      if edges.shape[1] == 0]
+            check_forward(graph, feats, params)
+            report = diagnose(params, graph, feats, range(14), upstream)
+        assert [b.tolist() for b in blocks] == [[4, 5, 6], [7, 8, 9], [10, 11, 12], [13]]
+        for entry in report:
+            trace = forward_with_trace(params, graph, feats, entry.node)
+            chain = backward_chain(trace, params, upstream)
+            closed = GradientSet(
+                grad_theta_r_sum(trace, params, upstream), grad_theta_l(trace, params, upstream),
+                chain.att, grad_bias(upstream),
+            )
+            assert entry.closed_form_gap == closed_form_gap(closed, chain)
 
     def test_non_finite_feature_names_node_and_index(self):
         graph = Graph(3, ((0, 1),))
