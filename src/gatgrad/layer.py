@@ -40,7 +40,6 @@ from .graph import Graph, _finite, _index, _numbers, _reading, _write_json
 __all__ = [
     "LayerParams",
     "ForwardTrace",
-    "leaky_relu",
     "forward_with_trace",
     "forward_graph",
     "load_params",
@@ -96,11 +95,6 @@ class LayerParams:
         return self.theta_r.shape[1] - 1
 
 
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """Identity where _branch(x) holds, slope * x elsewhere: at 0 and below."""
-    return np.where(_branch(x), x, slope * x)
-
-
 def _branch(x: np.ndarray) -> np.ndarray:
     """LeakyReLU's identity branch: a strictly positive real part. 0 is on the other
     branch, and complex input takes its real part's, which the complex step keeps."""
@@ -108,7 +102,8 @@ def _branch(x: np.ndarray) -> np.ndarray:
 
 
 def _slopes(x: np.ndarray, negative_slope: float) -> np.ndarray:
-    """leaky_relu's derivative at x, 1 or negative_slope, with leaky_relu's branches."""
+    """LeakyReLU's derivative, 1 where _branch(x) holds and negative_slope elsewhere;
+    _propagate applies LeakyReLU itself as _slopes(x) * x, exactly: 1.0 * x is x."""
     return np.where(_branch(x), 1.0, negative_slope)
 
 
@@ -175,17 +170,17 @@ def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources)
     augmented row per target and h_aug_sources (k, n, H+1) the rows of each
     one's neighbors. Returns target_proj (k, D), source_proj, pre_act,
     post_act (k, n, D), scores, alpha (k, n), messages (k, n, D) and h_out
-    (k, D), in ForwardTrace field order. Every product and sum is taken per
-    target, so each target rounds as it does alone (k = 1): BLAS would round
-    a row of one (k, H+1) @ (H+1, D) product differently as k grows. A
-    parameter block may carry a leading axis of B stacked copies, (B, D, H+1)
-    or (B, D), against one target (k = 1): the results that depend on it
-    take B in place of k.
+    (k, D), in ForwardTrace field order; post_act = _slopes(pre_act) * pre_act.
+    Every product and sum is taken per target, so each target rounds as it
+    does alone (k = 1): BLAS would round a row of one (k, H+1) @ (H+1, D)
+    product differently as k grows. A parameter block may carry a leading
+    axis of B stacked copies, (B, D, H+1) or (B, D), against one target
+    (k = 1): the results that depend on it take B in place of k.
     """
     target_proj = (h_aug_targets[:, None, :] @ theta_r.swapaxes(-1, -2))[:, 0]
     source_proj = h_aug_sources @ theta_l.swapaxes(-1, -2)
     pre_act = target_proj[:, None, :] + source_proj
-    post_act = leaky_relu(pre_act, slope)
+    post_act = _slopes(pre_act, slope) * pre_act
     scores = (post_act @ att[..., None])[..., 0]
     alpha = _softmax(scores)
     messages = alpha[..., None] * source_proj
@@ -194,11 +189,11 @@ def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources)
 
 
 def _augmented(params: LayerParams, graph: Graph, features: np.ndarray, ids) -> np.ndarray:
-    """Read-only augmented rows [1, h] of the nodes `ids`, in one indexing step.
+    """Read-only augmented rows [1, h] of the nodes `ids`, a list or a slice.
 
     The feature matrix is checked first: one row per graph node, of
-    params.feature_dim columns. A non-finite entry of the gathered rows is
-    rejected, naming the node and the feature index.
+    params.feature_dim columns. A slice's rows are a view, copied once into the
+    result. A non-finite entry is rejected, naming the node and feature index.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != graph.num_nodes:
@@ -209,13 +204,14 @@ def _augmented(params: LayerParams, graph: Graph, features: np.ndarray, ids) -> 
         raise ValueError(
             f"feature dim {features.shape[1]} != params feature dim {params.feature_dim}"
         )
-    block = np.empty((len(ids), features.shape[1] + 1))
+    rows = features[ids]
+    block = np.empty((len(rows), rows.shape[1] + 1))
     block[:, 0] = 1.0
-    block[:, 1:] = features[ids]
+    block[:, 1:] = rows
     finite = np.isfinite(block)
     if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ValueError(f"non-finite feature entry at index {col - 1} of node {ids[row]}")
+        (row, col), nodes = np.argwhere(~finite)[0], np.arange(graph.num_nodes)[ids]
+        raise ValueError(f"non-finite feature entry at index {col - 1} of node {nodes[row]}")
     block.setflags(write=False)
     return block
 
@@ -251,7 +247,7 @@ def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
     edges (k, n) as positions in graph.sources order, the augmented target
     (k, H+1) and source (k, n, H+1) rows, and _propagate's arrays.
     """
-    h_aug = _augmented(params, graph, features, range(graph.num_nodes))
+    h_aug = _augmented(params, graph, features, slice(None))
     degrees = np.diff(graph.offsets)
     order = np.argsort(degrees, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(degrees[order])) + 1):

@@ -249,7 +249,7 @@ def test_public_surface():
     diagnostics and the I/O the command line needs, and nothing else."""
     assert gatgrad.__all__ == [
         "Graph", "load_graph", "save_graph",
-        "LayerParams", "ForwardTrace", "leaky_relu", "forward_with_trace", "forward_graph",
+        "LayerParams", "ForwardTrace", "forward_with_trace", "forward_graph",
         "load_params", "save_params",
         "GradientSet", "grad_theta_r_sum", "grad_theta_r_pairwise", "grad_theta_l",
         "grad_bias", "backward_chain",

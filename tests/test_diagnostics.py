@@ -19,7 +19,8 @@ from gatgrad import (
     grad_theta_r_pairwise,
     grad_theta_r_sum,
 )
-from gatgrad.layer import _softmax
+from gatgrad.fdcheck import COMPLEX_STEP
+from gatgrad.layer import _propagate, _softmax
 
 
 def gradient_sets(trace, params, upstream):
@@ -243,3 +244,39 @@ class TestDeadRowPrediction:
         only the all-positive case as dead -98 to -109."""
         measured, predicted, se = dead_fraction_and_prediction(seed=0)
         assert abs(measured - predicted) <= 4 * se
+
+
+class TestDeadRowsAreStaticAttention:
+    def test_all_dead_nodes_attend_independently_of_the_target(self):
+        """Where every theta_R row of a node is dead, each row's neighbors
+        share one LeakyReLU slope, so the target's part of every score is one
+        shift that the softmax removes: alpha does not depend on the target's
+        features (GATv2 falls back to static attention). The complex-step
+        derivative of alpha along each target feature, from one _propagate
+        call on complex copies of the target row, is then a rounding residue
+        of the score scale, while a node with a live row moves alpha far more.
+        A large theta_L bias column, +3 in rows 0 and 2 and -3 in rows 1 and
+        3, kills most rows, some with every neighbor on the negative branch;
+        generate_instance makes no self-loop, so the target is never its own
+        source."""
+        graph, feats, params = generate_instance(40, 4, 4, seed=0)
+        theta_l = params.theta_l.copy()
+        theta_l[:, 0] = [3.0, -3.0, 3.0, -3.0]
+        params = LayerParams(params.theta_r, theta_l, params.att, params.bias, 0.2)
+        scale = (np.abs(params.att) @ np.abs(params.theta_r[:, 1:])).max()
+        bound = 4 * np.finfo(float).eps * scale
+        dead, live = [], []
+        for entry in diagnose(params, graph, feats):
+            trace = forward_with_trace(params, graph, feats, entry.node)
+            h, n = params.feature_dim, entry.num_neighbors
+            targets = trace.h_aug_target + 1j * COMPLEX_STEP * np.eye(h + 1)[1:]
+            sources = np.broadcast_to(trace.h_aug_sources, (h, n, h + 1))
+            alpha = _propagate(
+                params.theta_r, params.theta_l, params.att, params.bias,
+                params.negative_slope, targets, sources,
+            )[5]
+            derivative = np.abs(alpha.imag / COMPLEX_STEP).max()
+            (dead if all(entry.dead_theta_r) else live).append(derivative)
+        assert len(dead) == 5 and len(live) == 35
+        assert max(dead) <= bound
+        assert max(live) >= 1e6 * bound

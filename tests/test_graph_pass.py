@@ -8,6 +8,8 @@ arithmetic scaled so that most attention weights underflow to zero) and,
 with layer.EDGE_BUDGET patched small, degrees split into many blocks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -213,6 +215,30 @@ class TestForwardGraph:
                 chain.att, grad_bias(upstream),
             )
             assert entry.closed_form_gap == closed_form_gap(closed, chain)
+
+    def test_augmented_rows_hold_the_features_once(self, monkeypatch):
+        """_graph_chunks' augmented rows of every node peak, under tracemalloc,
+        within a quarter of the array returned: the feature rows are copied
+        into it once, not gathered into a second copy first (1.9x of it)."""
+        graph = Graph(20_000, ((0, 1), (1, 0), (2, 2)))
+        rng = np.random.default_rng(0)
+        feats = rng.standard_normal((20_000, 16))
+        params = LayerParams(*rng.standard_normal((2, 16, 17)), *rng.standard_normal((2, 16)))
+        augmented, measured = layer._augmented, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                rows = augmented(*args)
+                measured.append((tracemalloc.get_traced_memory()[1], rows.nbytes))
+            finally:
+                tracemalloc.stop()
+            return rows
+
+        monkeypatch.setattr(layer, "_augmented", traced)
+        forward_graph(params, graph, feats)
+        ((peak, size),) = measured
+        assert size == 20_000 * 17 * 8 and peak <= 1.25 * size
 
     def test_non_finite_feature_names_node_and_index(self):
         graph = Graph(3, ((0, 1),))

@@ -14,11 +14,15 @@ from gatgrad import (
     LayerParams,
     forward_with_trace,
     generate_instance,
-    leaky_relu,
     load_params,
     save_params,
 )
 from gatgrad.layer import ForwardTrace, _propagate, _softmax
+
+
+def leaky_relu(x, slope):
+    """Reference: x where it is positive, slope * x at 0 and below."""
+    return np.where(x > 0.0, x, slope * x)
 
 
 def attention_score(params, h_aug_target, h_aug_source):
@@ -105,13 +109,28 @@ class TestLayerParams:
             p.theta_r[0, 0] = 5.0
 
 
+def propagated_post_act(pre_act, slope):
+    """_propagate's post_act for a target whose neighbors' pre-activations
+    (D = 1) are exactly `pre_act`: theta_L copies the source feature and the
+    target adds 0."""
+    sources = np.column_stack([np.ones(len(pre_act)), pre_act])[None]
+    theta_r, theta_l = np.zeros((1, 2)), np.array([[0.0, 1.0]])
+    arrays = _propagate(theta_r, theta_l, np.ones(1), np.zeros(1), slope, np.ones((1, 2)), sources)
+    return arrays[3][0, :, 0]
+
+
 class TestLeakyRelu:
+    """The layer applies LeakyReLU as _slopes(x) * x inside _propagate."""
+
     def test_zero_takes_negative_branch_value(self):
-        # Value at 0 is 0 either way; the slope convention shows up in grads.
-        assert leaky_relu(np.array([0.0]), 0.2)[0] == 0.0
+        # The value at 0 is 0 on either branch; a complex step off exactly 0
+        # shows the branch: its imaginary part is scaled by the slope.
+        assert propagated_post_act(np.array([0.0]), 0.2).tolist() == [0.0]
+        step = propagated_post_act(np.array([1e-30j]), 0.2)
+        assert step.real.tolist() == [0.0] and step.imag.tolist() == [0.2 * 1e-30]
 
     def test_branches(self):
-        out = leaky_relu(np.array([-2.0, 3.0]), 0.25)
+        out = propagated_post_act(np.array([-2.0, 3.0]), 0.25)
         assert out.tolist() == [-0.5, 3.0]
 
 
