@@ -116,9 +116,8 @@ def _relative_error(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _indices(mask: np.ndarray) -> tuple:
-    if mask.ndim == 1:
-        return tuple(int(i) for i in np.flatnonzero(mask))
-    return tuple(tuple(int(v) for v in ix) for ix in np.argwhere(mask))
+    rows = np.argwhere(mask).tolist() if mask.any() else ()  # most masks have no True
+    return tuple(i for (i,) in rows) if mask.ndim == 1 else tuple(map(tuple, rows))
 
 
 def compare_gradients(

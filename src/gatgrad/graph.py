@@ -19,15 +19,18 @@ under `_reading`, which names the file in every error its content causes;
 a node id is checked by `_node_id` and a float array's finiteness by
 `_finite`. Every file gatgrad writes goes through `_write_json`, which
 writes what `json.dump(payload, fh, indent=2)` writes, plus a trailing
-newline.
+newline. A matrix's rows, and a list's records while they share one layout,
+are written as a table, a block of rows at a time; a list's other records
+are written value by value.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, takewhile
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -231,11 +234,16 @@ def _write_json(path, payload: dict) -> None:
     once _BULK_NUMBERS are waiting, one call encodes them all, its output is
     split back into one text per leaf and one per scalar, and the text
     finished so far is written out, so memory stays bounded on any payload.
-    A non-empty 2-D array of bools or numbers skips the per-row leaves: each
-    block of whole rows, about _BULK_NUMBERS numbers, is one encoder call
-    whose texts are interleaved with the separators and written out before
-    the next block is formatted. Strings, keys (strings only) and the layout
-    are written here.
+    A table is written like the rows of a matrix: each block of whole rows,
+    about _BULK_NUMBERS numbers, is one encoder call whose texts are
+    interleaved with one row's layout, repeated, and written out before the
+    next block is built. The rows of a non-empty 2-D array of bools or
+    numbers are a table. So are a list's or tuple's records, if the first
+    two share a layout, up to the first record whose layout differs: a dict
+    with the same keys in the same order, each value a number (int, float
+    or bool) or a non-empty numeric leaf (1-D array, list or tuple) of the
+    same length. That record and the rest go value by value. Strings, keys
+    (strings only) and the layout are written here.
     """
     parts: list = []  # output strings; a number holds its place until encoded
     leaves, leaf_at, scalars, scalar_at = [], [], [], []
@@ -257,31 +265,68 @@ def _write_json(path, payload: dict) -> None:
             pending.clear()
         waiting = 0
 
-    def emit_rows(matrix: np.ndarray, depth: int) -> None:
-        outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-        separators = ["," + inner] * (matrix.shape[1] - 1) + [outer + "]," + outer + "[" + inner]
-        parts.append("[" + outer + "[" + inner)
-        step = max(1, _BULK_NUMBERS // matrix.shape[1])
-        for start in range(0, len(matrix), step):
-            block = matrix[start : start + step]
-            texts = encode(block.ravel().tolist())[1:-1].split(",")
+    def emit_rows(blocks, layout: list, depth: int) -> int:
+        """Write list items at depth, layout's texts around each one's numbers; return how many."""
+        between = [layout[-1] + ",\n" + "  " * depth + layout[0], *layout[1:-1]]
+        rows = 0
+        for numbers in blocks:
+            texts = encode(numbers)[1:-1].split(",")
             text = [None] * (2 * len(texts))
-            text[::2] = texts
-            text[1::2] = separators * len(block)
-            if start + step >= len(matrix):
-                text[-1] = outer + "]\n" + "  " * depth + "]"
+            text[::2] = between * (len(texts) // len(between))
+            text[1::2] = texts
+            if not rows:
+                text[0] = layout[0]
+            rows += len(texts) // len(between)
             parts.append("".join(text))
             flush()
+        parts.append(layout[-1])
+        return rows
+
+    def record(item) -> tuple:
+        """A dict's keys and leaf lengths (0 for a number) and numbers; () for another item."""
+        lengths, numbers = [], []
+        for x in item.values() if isinstance(item, dict) else ():
+            if type(x) in _NUMBERS:
+                lengths.append(0)
+                numbers.append(x)
+                continue
+            if type(x) is np.ndarray and x.ndim == 1 and x.size and x.dtype.kind in "biuf":
+                x = x.tolist()
+            elif type(x) not in (list, tuple) or not x or not set(map(type, x)) <= _NUMBERS:
+                return ()
+            lengths.append(len(x))
+            numbers += x
+        return ((tuple(item), lengths), numbers) if numbers else ()
+
+    def emit_table(value, depth: int) -> int:
+        """Write the leading items of value, at depth, that share one layout; return how many."""
+        if isinstance(value, np.ndarray):
+            step = max(1, _BULK_NUMBERS // value.shape[1])
+            blocks = (value[k : k + step].ravel().tolist() for k in range(0, len(value), step))
+            inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+            layout = ["[" + inner] + ["," + inner] * (value.shape[1] - 1) + [outer + "]"]
+            return emit_rows(blocks, layout, depth)
+        first = record(value[0]) if len(value) > 1 else ()
+        if not first or not all(isinstance(key, str) for key in first[0][0]):
+            return 0
+        shape, numbers = first
+        if record(value[1])[:1] != (shape,):  # a table of one record saves nothing
+            return 0
+        rows = takewhile(lambda row: row and row[0] == shape, map(record, value))
+        chunks = iter(lambda: list(islice(rows, max(1, _BULK_NUMBERS // len(numbers)))), [])
+        blocks = (list(chain.from_iterable(row[1] for row in chunk)) for chunk in chunks)
+        template = {key: [None] * n if n else None for key, n in zip(*shape)}
+        # Keys escape their newlines, so a null before a newline is a number's place.
+        dumped = json.dumps(template, indent=2).replace("\n", "\n" + "  " * depth)
+        return emit_rows(blocks, re.split(r"null(?=,?\n)", dumped), depth)
 
     def emit(value, depth: int) -> None:
         nonlocal waiting
         if waiting >= _BULK_NUMBERS:
             flush()
         if isinstance(value, np.ndarray):
-            if value.ndim == 2 and value.size and value.dtype.kind in "biuf":
-                emit_rows(value, depth)
-                return
-            value = value.tolist()
+            if not (value.ndim == 2 and value.size and value.dtype.kind in "biuf"):
+                value = value.tolist()
         if isinstance(value, str):
             parts.append(encode_basestring_ascii(value))
         elif value is None:
@@ -296,15 +341,16 @@ def _write_json(path, payload: dict) -> None:
             parts.append(depth)
             leaves.append(value)
             waiting += len(value)
-        elif isinstance(value, (list, tuple, dict)):
+        elif isinstance(value, (list, tuple, dict, np.ndarray)):
             is_dict = isinstance(value, dict)
-            if not value:
+            if not len(value):
                 parts.append("{}" if is_dict else "[]")
                 return
             inner = "\n" + "  " * (depth + 1)
             parts.append(("{" if is_dict else "[") + inner)
             separator = "," + inner
-            for k, item in enumerate(value.items() if is_dict else value):
+            start = 0 if is_dict else emit_table(value, depth + 1)
+            for k, item in enumerate(value.items() if is_dict else value[start:], start):
                 if k:
                     parts.append(separator)
                 if is_dict:

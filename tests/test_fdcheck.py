@@ -395,6 +395,26 @@ class TestCompareGradients:
         assert not passed(compare_gradients(corrupted, numeric))
         assert (0, 0) in compare_gradients(corrupted, flagged)["theta_R"]["kink_flagged"]
 
+    def test_kink_flagged_lists_entries_in_row_major_order(self, monkeypatch):
+        """Flagged entries as Python ints, in row-major order; a block with no
+        flag lists none without searching its mask."""
+        numeric = fd_gradient(self.trace, self.params, np.ones(3))
+        flags = {key: np.zeros_like(mask) for key, mask in numeric.kink_flags.items()}
+        flags["theta_R"][[0, 2, 2], [2, 0, 1]] = True
+        flags["a"][[0, 2]] = True
+        checks = compare_gradients(self.chain, dataclasses.replace(numeric, kink_flags=flags))
+        assert checks["theta_R"]["kink_flagged"] == ((0, 2), (2, 0), (2, 1))
+        assert checks["a"]["kink_flagged"] == (0, 2)
+        entries = checks["a"]["kink_flagged"] + sum(checks["theta_R"]["kink_flagged"], ())
+        assert {type(i) for i in entries} == {int}
+
+        def no_search(mask):
+            raise AssertionError("searched a mask with no flag")
+
+        monkeypatch.setattr(np, "argwhere", no_search)
+        checks = compare_gradients(self.chain, numeric)
+        assert [check["kink_flagged"] for check in checks.values()] == [()] * 4
+
     def test_below_resolution_zeros_are_confirmed_not_judged(self):
         """A zero analytic entry may differ from the oracle by pure rounding."""
         numeric = fd_gradient(self.trace, self.params, np.ones(3))

@@ -121,8 +121,9 @@ def test_matrix_blocks_match_json_dumps(tmp_path, width, name):
             assert path.read_bytes() == expected_bytes(payload), (bulk, depth)
 
 
-def test_matrix_written_a_block_at_a_time(tmp_path, monkeypatch):
-    """No single write holds more than about one block of a large matrix."""
+@pytest.fixture
+def write_sizes(monkeypatch):
+    """The length of every text the writer hands to its file, in order."""
     sizes = []
 
     class Recording:
@@ -141,10 +142,86 @@ def test_matrix_written_a_block_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gatgrad.graph, "open", lambda *a, **k: Recording(open(*a, **k)),
                         raising=False)
+    return sizes
+
+
+def test_matrix_written_a_block_at_a_time(tmp_path, write_sizes):
+    """No single write holds more than about one block of a large matrix."""
     payload = {"features": np.random.default_rng(0).standard_normal((5000, 8))}
     _write_json(tmp_path / "out.json", payload)
     assert (tmp_path / "out.json").read_bytes() == expected_bytes(payload)
-    assert len(sizes) >= 10 and max(sizes) < 40 * gatgrad.graph._BULK_NUMBERS
+    assert len(write_sizes) >= 10 and max(write_sizes) < 40 * gatgrad.graph._BULK_NUMBERS
+
+
+def test_table_written_a_block_at_a_time(tmp_path, write_sizes):
+    """No single write holds more than about one block of a long list of records."""
+    rng = np.random.default_rng(0)
+    records = [
+        {"node": k, "neighbors": rng.integers(0, 20_000, 8), "alpha": rng.random(8),
+         "h_out": rng.standard_normal(8)}
+        for k in range(20_000)
+    ]
+    _write_json(tmp_path / "out.json", {"nodes": records})
+    assert (tmp_path / "out.json").read_bytes() == expected_bytes({"nodes": records})
+    assert len(write_sizes) >= 10 and max(write_sizes) < 40 * gatgrad.graph._BULK_NUMBERS
+
+
+LEAVES = {
+    "list": lambda n: st.lists(numbers, min_size=n, max_size=n),
+    "tuple": lambda n: st.lists(numbers, min_size=n, max_size=n).map(tuple),
+    "int64": lambda n: hnp.arrays(np.int64, n),
+    "float64": lambda n: hnp.arrays(np.float64, n, elements=st.floats()),
+    "bool": lambda n: hnp.arrays(np.bool_, n),
+}
+# Each change gives a record another layout than the others (a key order only
+# where the records have two keys or more).
+CHANGES = {
+    "key order": lambda record, key: dict(reversed(record.items())),
+    "leaf length": lambda record, key: record | {key: [1.5] * (np.size(record[key]) + 1)},
+    "empty leaf": lambda record, key: record | {key: np.zeros(0)},
+    "empty list": lambda record, key: record | {key: []},
+    "nested dict": lambda record, key: record | {key: {"value": record[key]}},
+    "string": lambda record, key: record | {key: "text"},
+    "numpy scalar": lambda record, key: record | {key: np.int64(1)},
+}
+
+
+@st.composite
+def tables(draw):
+    """A list or tuple of records of one layout, the layout perhaps changed at one record."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    leaves = [draw(st.none() | st.tuples(st.sampled_from(list(LEAVES)), st.integers(1, 4)))
+              for _ in keys]
+    records = [
+        {key: draw(numbers if leaf is None else LEAVES[leaf[0]](leaf[1]))
+         for key, leaf in zip(keys, leaves)}
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+    at = draw(st.none() | st.integers(0, len(records) - 1))
+    if at is not None:
+        change = CHANGES[draw(st.sampled_from(list(CHANGES)))]
+        records[at] = change(records[at], draw(st.sampled_from(keys)))
+    return tuple(records) if draw(st.booleans()) else records
+
+
+@pytest.mark.parametrize("bulk_numbers", [1, 5, gatgrad.graph._BULK_NUMBERS])
+@settings(max_examples=150, deadline=None)
+@given(records=tables(), depth=st.integers(0, 2))
+def test_tables_match_json_dumps(tmp_path_factory, bulk_numbers, records, depth):
+    """Records sharing one layout, and lists whose layout changes at a record:
+    by key order, a leaf's length, an empty leaf, a nested dict, a string, or
+    a numpy scalar, which json.dumps rejects."""
+    payload = nested(records, depth)
+    path = tmp_path_factory.mktemp("writer") / "out.json"
+    with mock.patch.object(gatgrad.graph, "_BULK_NUMBERS", bulk_numbers):
+        try:
+            want = expected_bytes(payload)
+        except TypeError:
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                _write_json(path, payload)
+            return
+        _write_json(path, payload)
+    assert path.read_bytes() == want
 
 
 @pytest.mark.parametrize(
@@ -187,7 +264,15 @@ def oracle_instance(tmp_path, monkeypatch):
     return graph, params
 
 
-@pytest.mark.parametrize("instance", [readme_instance, oracle_instance])
+def regular_instance(tmp_path, _monkeypatch):
+    """Every node has degree 11, so the forward report's records share one layout."""
+    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
+    assert main(["gen", "--nodes", "12", "--feature-dim", "16", "--out-dim", "16", "--seed", "0",
+                 "--min-degree", "11", "--graph", str(graph), "--params", str(params)]) == 0
+    return graph, params
+
+
+@pytest.mark.parametrize("instance", [readme_instance, oracle_instance, regular_instance])
 def test_every_written_file_matches_json_dumps(tmp_path, monkeypatch, recorded, instance):
     graph, params = instance(tmp_path, monkeypatch)
     io = ["--graph", str(graph), "--params", str(params)]
