@@ -198,7 +198,7 @@ def cmd_gradcheck(args) -> int:
         }
         entries.append(entry)
     all_passed = all(entry["pass"] for entry in entries)
-    if len(entries) == 1 and args.node is not None:
+    if args.node is not None:
         payload = entries[0]
     else:
         payload = {

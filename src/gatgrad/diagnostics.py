@@ -89,18 +89,14 @@ def diagnose(
     g = _check_upstream(np.ones(params.out_dim) if upstream is None else upstream, params.out_dim)
     dead = np.empty((graph.num_nodes, params.out_dim), dtype=bool)
     entropy, gap = np.empty(graph.num_nodes), np.empty(graph.num_nodes)
-    for block, _, h_aug_targets, h_aug_sources, arrays in _graph_chunks(params, graph, features):
-        _, source_proj, pre_act, post_act, _, alpha, _, _ = arrays
-        segs = _segments(
-            h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha,
-            params.negative_slope,
-        )
+    for nodes, _, block in _graph_chunks(params, graph, features):
+        segs, alpha = _segments(block, params.negative_slope), block.alpha
         # A row is dead where every edge of the target has its first edge's slope.
-        dead[block] = ~(segs.spread != 0.0).any(axis=1)
+        dead[nodes] = ~(segs.spread != 0.0).any(axis=1)
         # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.
-        entropy[block] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
+        entropy[nodes] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
         closed = [form(segs, params, g) for form in (_segment_theta_r_sum, _segment_theta_l)]
-        gap[block] = _segment_gap(closed, _segment_chain(segs, params, g)[:2], g)
+        gap[nodes] = _segment_gap(closed, _segment_chain(segs, params, g)[:2], g)
     dead = dead[ids]
     return tuple(
         NodeDiagnosis(node, count, count <= 1, tuple(row), uniformity, ent, node_gap)

@@ -87,13 +87,13 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
             stack = np.tile(base_block.reshape(-1).astype(complex), (len(idx), 1))
             stack[np.arange(len(idx)), idx] += 1j * COMPLEX_STEP
             stacked = [*blocks[:pos], stack.reshape(-1, *base_block.shape), *blocks[pos + 1 :]]
-            _, _, pre_act, *_, h_out = _propagate(*stacked, *node_args)
-            loss = h_out @ g
+            copies = _propagate(*stacked, *node_args)
+            loss = copies.h_out @ g
             if not np.isfinite(loss).all():
                 raise ValueError("non-finite loss at a perturbed point")
             grads[pos].flat[idx] = loss.imag / COMPLEX_STEP
-            flags[pos].flat[idx] = (_branch(pre_act) != branches).any(axis=(-2, -1))
-            del pre_act, h_out, _  # freed, so the next chunk's arrays reuse their memory
+            flags[pos].flat[idx] = (_branch(copies.pre_act) != branches).any(axis=(-2, -1))
+            del copies  # freed, so the next chunk's arrays reuse their memory
     # One evaluation rounds on the scale of the loss taken on absolute values,
     # which can overflow where the loss cancels; an infinite resolution would
     # confirm every entry.

@@ -10,12 +10,12 @@ gradient when the upstream is a constant vector. backward_chain propagates
 an arbitrary upstream through every intermediate, and
 diagnostics.closed_form_gap reports how far the two differ.
 
-The formulas are written once, over the blocks of layer._propagate: k
+The formulas are written once, over the _Blocks of layer._propagate: k
 targets of one degree n, their neighbor arrays (k, n, .). Each product and
 sum is taken per target (layer._dot, and one matrix product per target for
 the (D, H+1) blocks), so a target's gradients are the same in any block.
-_Segments holds each term the formulas share, the closed forms' weights too.
-The public functions are the block of one node's trace, and
+_Segments is a _Block with the terms the formulas share, the closed forms'
+weights too. The public functions are the block of one node's trace, and
 diagnostics.diagnose runs them over the blocks of the whole graph; only
 grad_theta_r_pairwise stays per node, as the independent cross-check that
 sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
@@ -27,15 +27,15 @@ Gradients are per target node; summing over nodes is left to callers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _dot, _slopes
+from .layer import BLOCKS, ForwardTrace, LayerParams, _Block, _branch, _dot, _slopes
 
 __all__ = [
     "GradientSet",
@@ -79,48 +79,31 @@ def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
     return _finite(g, "upstream gradient")
 
 
-class _Segments(NamedTuple):
-    """What the backward formulas read, for a block of k targets of degree n.
-
-    The augmented rows (k, H+1) and (k, n, H+1); _propagate's edge arrays;
-    the LeakyReLU slopes (k, n, D), their spread from each target's first
-    edge (grad_theta_r_sum says why), and the weights of both closed forms:
-    alpha times the edge's centered projection total, (k, n).
-    """
-
-    h_aug_targets: np.ndarray
-    h_aug_sources: np.ndarray
-    source_proj: np.ndarray
-    post_act: np.ndarray
-    alpha: np.ndarray
-    slopes: np.ndarray
-    spread: np.ndarray
-    weights: np.ndarray
+# What the backward formulas read, for a block of k targets of degree n: the
+# _Block's fields, then the LeakyReLU slopes (k, n, D), their spread from each
+# target's first edge (grad_theta_r_sum says why), and the weights of both
+# closed forms: alpha times the edge's centered projection total, (k, n).
+_Segments = namedtuple("_Segments", (*_Block._fields, "slopes", "spread", "weights"))
 
 
-def _segments(h_aug_targets, h_aug_sources, source_proj, pre_act, post_act, alpha, slope):
-    """_Segments of _propagate's arrays, for LeakyReLU negative slope `slope`."""
-    slopes = _slopes(pre_act, slope)
-    totals = source_proj.sum(axis=2)
-    return _Segments(
-        h_aug_targets, h_aug_sources, source_proj, post_act, alpha,
-        slopes, slopes - slopes[:, :1], alpha * (totals - _dot(alpha, totals[..., None])),
-    )
+def _segments(block: _Block, slope: float) -> _Segments:
+    """_Segments of a _propagate block, for LeakyReLU negative slope `slope`."""
+    slopes = _slopes(block.pre_act, slope)
+    totals = block.source_proj.sum(axis=2)
+    weights = block.alpha * (totals - _dot(block.alpha, totals[..., None]))
+    return _Segments(*block, slopes, slopes - slopes[:, :1], weights)
 
 
 @lru_cache(maxsize=1)
 def _one_node(trace: ForwardTrace, slope: float) -> _Segments:
     """A node's trace as a block of one, kept for the node's next route."""
-    return _segments(
-        trace.h_aug_target[None], trace.h_aug_sources[None], trace.source_proj[None],
-        trace.pre_act[None], trace.post_act[None], trace.alpha[None], slope,
-    )
+    return _segments(_Block._make(getattr(trace, name)[None] for name in _Block._fields), slope)
 
 
 def _segment_theta_r_sum(segs: _Segments, params: LayerParams, upstream):
     """grad_theta_r_sum of every target, (k, D, H+1)."""
     coeff = _dot(segs.weights, segs.spread)
-    return (upstream * params.att * coeff)[:, :, None] * segs.h_aug_targets[:, None, :]
+    return (upstream * params.att * coeff)[:, :, None] * segs.h_aug_target[:, None, :]
 
 
 def _segment_theta_l(segs: _Segments, params: LayerParams, upstream):
@@ -145,7 +128,7 @@ def _segment_chain(segs: _Segments, params: LayerParams, upstream: np.ndarray) -
     d_theta_l = d_pre.swapaxes(1, 2) @ segs.h_aug_sources
     d_theta_l += upstream[:, None] * _dot(alpha, segs.h_aug_sources)[:, None]
     d_target = params.att * _dot(d_score, segs.spread)
-    d_theta_r = d_target[:, :, None] * segs.h_aug_targets[:, None, :]
+    d_theta_r = d_target[:, :, None] * segs.h_aug_target[:, None, :]
     return d_theta_r, d_theta_l, d_score
 
 

@@ -13,11 +13,12 @@ one degree n: it takes the augmented rows of k targets (k, H+1) and of their
 neighbors (k, n, H+1), and takes every product and sum per target with
 batched numpy (matmul over the leading axis, max and sum over the neighbor
 axis). BLAS and numpy's reductions round each slice of those as they round
-the lone operation, so a node's numbers are the same in any block. Every
-caller goes through it:
+the lone operation, so a node's numbers are the same in any block. It
+returns a _Block, ForwardTrace's arrays with the targets' axis in front, so
+every caller reads an intermediate by its name. Every caller goes through it:
 
-- forward_with_trace evaluates one node as a block of one, caching every
-  intermediate so the backward pass can be assembled without recomputation.
+- forward_with_trace evaluates one node as a block of one and keeps the
+  block's row as its trace, so the backward pass recomputes nothing.
 - forward_graph evaluates every node through _graph_chunks, one numpy pass
   per block: nodes by degree, in blocks of at most EDGE_BUDGET edges and nodes.
   Its rows equal forward_with_trace's bit for bit; diagnostics.diagnose
@@ -26,12 +27,13 @@ caller goes through it:
   target against a stack of copies of a parameter block, each with one
   entry imaginary-perturbed: the B copies take the place of the k targets.
 
-grads.py's backward formulas read the same (k, n, .) blocks, through _dot.
+grads.py's backward formulas read the same _Blocks, through _dot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -146,6 +148,12 @@ class ForwardTrace:
         return len(self.neighbors)
 
 
+# _propagate's result: ForwardTrace's arrays with the block's k targets in
+# front, or the B copies of a stacked parameter block where a result depends
+# on that block.
+_Block = namedtuple("_Block", [field.name for field in fields(ForwardTrace)[2:]])
+
+
 def _dot(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """weights[i] @ values[i] for each target i of a block: (k, n) against (k, n, X).
 
@@ -163,14 +171,13 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources) -> tuple:
+def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources) -> _Block:
     """The layer's arithmetic over validated float64 (or complex) arrays.
 
     A block of k targets of one degree n: h_aug_targets (k, H+1) holds one
     augmented row per target and h_aug_sources (k, n, H+1) the rows of each
-    one's neighbors. Returns target_proj (k, D), source_proj, pre_act,
-    post_act (k, n, D), scores, alpha (k, n), messages (k, n, D) and h_out
-    (k, D), in ForwardTrace field order; post_act = _slopes(pre_act) * pre_act.
+    one's neighbors. Returns the _Block of both and of every intermediate;
+    post_act = _slopes(pre_act) * pre_act.
     Every product and sum is taken per target, so each target rounds as it
     does alone (k = 1): BLAS would round a row of one (k, H+1) @ (H+1, D)
     product differently as k grows. A parameter block may carry a leading
@@ -185,7 +192,10 @@ def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources)
     alpha = _softmax(scores)
     messages = alpha[..., None] * source_proj
     h_out = bias + messages.sum(axis=1)
-    return target_proj, source_proj, pre_act, post_act, scores, alpha, messages, h_out
+    return _Block(
+        h_aug_targets, h_aug_sources, target_proj, source_proj, pre_act, post_act,
+        scores, alpha, messages, h_out,
+    )
 
 
 def _augmented(params: LayerParams, graph: Graph, features: np.ndarray, ids) -> np.ndarray:
@@ -227,12 +237,12 @@ def forward_with_trace(
     traces, equal to the node's row of forward_graph.
     """
     nbrs = graph.neighbors(node)
-    block = _augmented(params, graph, features, [node, *nbrs])
-    arrays = _propagate(
+    rows = _augmented(params, graph, features, [node, *nbrs])
+    block = _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
-        params.negative_slope, block[:1], block[None, 1:],
+        params.negative_slope, rows[:1], rows[None, 1:],
     )
-    return ForwardTrace(int(node), nbrs, block[0], block[1:], *(a[0] for a in arrays))
+    return ForwardTrace(int(node), nbrs, *(a[0] for a in block))
 
 
 def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
@@ -244,8 +254,7 @@ def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
     _propagate takes every product and sum per target, so a node's numbers
     are the same in any block, and equal forward_with_trace's bit for bit.
     The features are checked once. Yields per block its nodes (k,), their
-    edges (k, n) as positions in graph.sources order, the augmented target
-    (k, H+1) and source (k, n, H+1) rows, and _propagate's arrays.
+    edges (k, n) as positions in graph.sources order, and their _Block.
     """
     h_aug = _augmented(params, graph, features, slice(None))
     degrees = np.diff(graph.offsets)
@@ -256,12 +265,10 @@ def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
         for lo in range(0, len(group), size):
             nodes = group[lo : lo + size]
             edges = graph.offsets[nodes][:, None] + np.arange(n)
-            targets, sources = h_aug[nodes], h_aug[graph.sources[edges]]
-            arrays = _propagate(
+            yield nodes, edges, _propagate(
                 params.theta_r, params.theta_l, params.att, params.bias,
-                params.negative_slope, targets, sources,
+                params.negative_slope, h_aug[nodes], h_aug[graph.sources[edges]],
             )
-            yield nodes, edges, targets, sources, arrays
 
 
 def forward_graph(
@@ -276,9 +283,9 @@ def forward_graph(
     """
     alpha = np.empty(len(graph.sources))
     h_out = np.empty((graph.num_nodes, params.out_dim))
-    for nodes, edges, _, _, arrays in _graph_chunks(params, graph, features):
-        alpha[edges] = arrays[5]
-        h_out[nodes] = arrays[7]
+    for nodes, edges, block in _graph_chunks(params, graph, features):
+        alpha[edges] = block.alpha
+        h_out[nodes] = block.h_out
     return alpha, h_out
 
 

@@ -615,20 +615,32 @@ class TestDiagnoseCommand:
             assert entry["num_neighbors"] >= 1
             assert entry["closed_form_gap"] <= 1e-10
 
+    @pytest.mark.parametrize("upstream", ["uniform", "file"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_gaps_equal_gradcheck_gaps(self, tmp_path, seed):
-        """Under the uniform upstream, gradcheck --all-nodes and diagnose
-        --all-nodes give every node the same closed_form_gap, bit for bit:
-        gradcheck takes it from the node alone, diagnose from the node's block
-        of the whole-graph pass."""
+    def test_gaps_equal_gradcheck_gaps(self, tmp_path, seed, upstream):
+        """Under one upstream, gradcheck --all-nodes and diagnose --all-nodes
+        give every node the same closed_form_gap, bit for bit: gradcheck takes
+        it from the node alone, diagnose from the node's block of the
+        whole-graph pass. Under the uniform upstream the gaps are rounding
+        residues; under a non-constant file: upstream the closed forms drift
+        from the chain, and the gaps are far above them."""
         _, graph_path, params_path = run_gen(tmp_path, seed, 12, 16, 16)
-        io = ["--graph", str(graph_path), "--params", str(params_path), "--all-nodes"]
+        if upstream == "file":
+            path = tmp_path / "upstream.json"
+            path.write_text(json.dumps(np.random.default_rng(seed).standard_normal(16).tolist()))
+            upstream = f"file:{path}"
+        io = ["--graph", str(graph_path), "--params", str(params_path), "--all-nodes",
+              "--upstream", upstream]
         gaps = []
         for verb in ("gradcheck", "diagnose"):
             out = tmp_path / f"{verb}.json"
             assert main([verb, *io, "--out", str(out)]) == 0
             gaps.append([e["closed_form_gap"] for e in json.loads(out.read_text())["nodes"]])
         assert gaps[0] == gaps[1]
+        if upstream == "uniform":
+            assert max(gaps[0]) <= 1e-12
+        else:
+            assert min(gaps[0]) >= 1e-6
 
     def test_all_positive_instance_reports_dead_rows(self, tmp_path):
         g, feats, params = generate_instance(4, 2, 2, seed=5)

@@ -274,7 +274,7 @@ class TestDeadRowsAreStaticAttention:
             alpha = _propagate(
                 params.theta_r, params.theta_l, params.att, params.bias,
                 params.negative_slope, targets, sources,
-            )[5]
+            ).alpha
             derivative = np.abs(alpha.imag / COMPLEX_STEP).max()
             (dead if all(entry.dead_theta_r) else live).append(derivative)
         assert len(dead) == 5 and len(live) == 35

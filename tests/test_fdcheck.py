@@ -46,7 +46,7 @@ def per_entry_oracle(params, graph, features, node, upstream):
             h_out = _propagate(
                 *blocks[:pos], work, *blocks[pos + 1 :], params.negative_slope,
                 trace.h_aug_target[None], trace.h_aug_sources[None],
-            )[-1][0]
+            ).h_out[0]
             grad[idx] = (upstream @ h_out).imag / COMPLEX_STEP
         grads.append(grad.reshape(block.shape))
     return GradientSet(*grads)
@@ -247,6 +247,21 @@ class TestFdGradient:
             assert np.array_equal(a.grads.as_dict()[key], b.grads.as_dict()[key])
         assert a.resolution == b.resolution
 
+    def test_reads_no_result_but_pre_act_alpha_and_source_proj(self):
+        """Of the trace's results the oracle reads only pre_act, alpha and
+        source_proj, so it stays independent of the routes it checks: with
+        every other intermediate NaN, its gradients, kink flags and
+        resolution are the same, bit for bit."""
+        upstream = np.array([0.7, -1.1, 0.4])
+        unread = ("target_proj", "post_act", "scores", "messages", "h_out")
+        nans = {name: np.full_like(getattr(self.trace, name), np.nan) for name in unread}
+        blind = dataclasses.replace(self.trace, **nans)
+        want, got = (fd_gradient(trace, self.params, upstream) for trace in (self.trace, blind))
+        for key, block in want.grads.as_dict().items():
+            assert got.grads.as_dict()[key].tobytes() == block.tobytes(), key
+            assert got.kink_flags[key].tobytes() == want.kink_flags[key].tobytes(), key
+        assert got.resolution == want.resolution
+
     def test_kink_flagging(self):
         """A pre-activation exactly at the kink flags nothing: the complex step
         leaves it on the negative branch, where the chain's slopes put it too,
@@ -298,12 +313,12 @@ class TestFdGradient:
         flat = np.ravel_multi_index(entry, self.params.theta_l.shape)
 
         def crossing(*args):
-            arrays = _propagate(*args)
+            block = _propagate(*args)
             theta_l = args[1]
             if theta_l.ndim == 3:  # a stack of theta_L copies
                 copy = np.flatnonzero(theta_l.reshape(len(theta_l), -1)[:, flat].imag)
-                arrays[2][copy, 0, 0] *= -1.0
-            return arrays
+                block.pre_act[copy, 0, 0] *= -1.0
+            return block
 
         clean = fd_gradient(self.trace, self.params, upstream)
         monkeypatch.setattr("gatgrad.fdcheck._propagate", crossing)

@@ -179,18 +179,18 @@ class TestForwardGraph:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(layer, "EDGE_BUDGET", budget)
                 blocks = list(layer._graph_chunks(params, graph, feats))
-            nodes = np.concatenate([block for block, *_ in blocks])
-            assert sorted(nodes.tolist()) == list(range(11))
-            edges = np.concatenate([e.ravel() for _, e, *_ in blocks])
-            assert sorted(edges.tolist()) == list(range(len(graph.edges)))
-            for block, edges, targets, sources, arrays in blocks:
-                (n,) = set(degrees[block].tolist())
-                assert len(block) <= max(1, budget // max(n, 1))
-                assert edges.size <= budget or len(block) == 1
-                assert np.array_equal(edges, graph.offsets[block][:, None] + np.arange(n))
-                assert targets.shape == (len(block), 3)
-                assert sources.shape == (len(block), n, 3)
-                assert arrays[5].shape == (len(block), n)
+            every_node = np.concatenate([nodes for nodes, _, _ in blocks])
+            assert sorted(every_node.tolist()) == list(range(11))
+            every_edge = np.concatenate([edges.ravel() for _, edges, _ in blocks])
+            assert sorted(every_edge.tolist()) == list(range(len(graph.edges)))
+            for nodes, edges, block in blocks:
+                (n,) = set(degrees[nodes].tolist())
+                assert len(nodes) <= max(1, budget // max(n, 1))
+                assert edges.size <= budget or len(nodes) == 1
+                assert np.array_equal(edges, graph.offsets[nodes][:, None] + np.arange(n))
+                assert block.h_aug_target.shape == (len(nodes), 3)
+                assert block.h_aug_sources.shape == (len(nodes), n, 3)
+                assert block.alpha.shape == (len(nodes), n)
 
     def test_isolated_nodes_come_in_budget_blocks(self):
         """Ten isolated nodes at a budget of 3 take four blocks of degree 0,
@@ -202,7 +202,7 @@ class TestForwardGraph:
         upstream = np.random.default_rng(6).standard_normal(3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(layer, "EDGE_BUDGET", 3)
-            blocks = [block for block, edges, *_ in layer._graph_chunks(params, graph, feats)
+            blocks = [nodes for nodes, edges, _ in layer._graph_chunks(params, graph, feats)
                       if edges.shape[1] == 0]
             check_forward(graph, feats, params)
             report = diagnose(params, graph, feats, range(14), upstream)
@@ -348,11 +348,8 @@ class TestSegmentBackward:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(layer, "EDGE_BUDGET", budget)
             chunks = list(layer._graph_chunks(params, graph, features))
-        for block, _, targets, sources, arrays in chunks:
-            _, source_proj, pre_act, post_act, _, alpha, _, _ = arrays
-            segs = grads._segments(
-                targets, sources, source_proj, pre_act, post_act, alpha, params.negative_slope
-            )
+        for nodes, _, block in chunks:
+            segs = grads._segments(block, params.negative_slope)
             chain_r, chain_l, d_score = grads._segment_chain(segs, params, upstream)
             stacks = (
                 chain_r,
@@ -361,7 +358,7 @@ class TestSegmentBackward:
                 grads._segment_theta_r_sum(segs, params, upstream),
                 grads._segment_theta_l(segs, params, upstream),
             )
-            for k, node in enumerate(block):
+            for k, node in enumerate(nodes):
                 trace = forward_with_trace(params, graph, features, node)
                 chain = backward_chain(trace, params, upstream)
                 want = (

@@ -45,11 +45,11 @@ def forward_per_neighbor(params, graph, features, node):
         h_aug_sources = np.stack([np.array([1.0, *features[j]]) for j in nbrs])
     else:
         h_aug_sources = np.zeros((0, params.feature_dim + 1))
-    arrays = _propagate(
+    block = _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
         params.negative_slope, h_aug_target[None, :], h_aug_sources[None],
     )
-    return ForwardTrace(node, nbrs, h_aug_target, h_aug_sources, *(a[0] for a in arrays))
+    return ForwardTrace(node, nbrs, *(a[0] for a in block))
 
 
 def isolated_and_self_loop(seed, n=6, h=3, d=4):
@@ -115,8 +115,8 @@ def propagated_post_act(pre_act, slope):
     target adds 0."""
     sources = np.column_stack([np.ones(len(pre_act)), pre_act])[None]
     theta_r, theta_l = np.zeros((1, 2)), np.array([[0.0, 1.0]])
-    arrays = _propagate(theta_r, theta_l, np.ones(1), np.zeros(1), slope, np.ones((1, 2)), sources)
-    return arrays[3][0, :, 0]
+    block = _propagate(theta_r, theta_l, np.ones(1), np.zeros(1), slope, np.ones((1, 2)), sources)
+    return block.post_act[0, :, 0]
 
 
 class TestLeakyRelu:
@@ -404,18 +404,20 @@ class TestParamsFiles:
             load_params(path)
 
 
-# _propagate's results in order, and the parameter blocks (theta_R, theta_L,
-# a, b by position) each one depends on.
-CORE_RESULTS = (
-    ("target_proj", {0}),
-    ("source_proj", {1}),
-    ("pre_act", {0, 1}),
-    ("post_act", {0, 1}),
-    ("scores", {0, 1, 2}),
-    ("alpha", {0, 1, 2}),
-    ("messages", {0, 1, 2}),
-    ("h_out", {0, 1, 2, 3}),
-)
+# The parameter blocks (theta_R, theta_L, a, b by position) each of
+# _propagate's results depends on, by the result's name.
+DEPENDS = {
+    "h_aug_target": set(),
+    "h_aug_sources": set(),
+    "target_proj": {0},
+    "source_proj": {1},
+    "pre_act": {0, 1},
+    "post_act": {0, 1},
+    "scores": {0, 1, 2},
+    "alpha": {0, 1, 2},
+    "messages": {0, 1, 2},
+    "h_out": {0, 1, 2, 3},
+}
 
 
 class TestBatchAxis:
@@ -439,7 +441,8 @@ class TestBatchAxis:
         single = _propagate(*blocks, *rest)
         batch = [np.stack([b] * 3) if pos in stacked else b for pos, b in enumerate(blocks)]
         batched = _propagate(*batch, *rest)
-        for (name, depends), one, many in zip(CORE_RESULTS, single, batched):
-            want = (3, *one.shape[1:]) if depends & set(stacked) else one.shape
+        assert set(single._fields) == set(DEPENDS)
+        for name, one, many in zip(single._fields, single, batched):
+            want = (3, *one.shape[1:]) if DEPENDS[name] & set(stacked) else one.shape
             assert many.shape == want, name
             assert np.array_equal(np.broadcast_to(one, want), many), name
