@@ -6,7 +6,7 @@ complex-step oracle, and `diagnose` reports gradient pathologies. All
 outputs are JSON and deterministic given the flags, files, and seed.
 
 Exit codes: 0 success / all checks passed, 1 gradient check failure,
-2 usage or input error.
+2 usage or input error, or an array too large to allocate.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,8 +59,8 @@ def closed_form_gap(closed: GradientSet, chain: GradientSet) -> float:
     small entries do not count as drift. Both routes give the upstream as b:
     chain.bias enters the scale only. An isolated node's gap is 0 (empty sums).
     """
-    stacks = [(grads.theta_r[None], grads.theta_l[None]) for grads in (closed, chain)]
-    return float(_segment_gap(*stacks, chain.bias)[0])
+    blocks = [(grads.theta_r, grads.theta_l) for grads in (closed, chain)]
+    return float(_segment_gap(*blocks, chain.bias))
 
 
 def diagnose(

@@ -8,11 +8,12 @@ step i*h through its own evaluation of the layer: dL/dp = Im L(p + i h) / h
 has no subtractive cancellation (Squire & Trapp, SIAM Review 40(1), 1998),
 so h = 1e-30 leaves only the rounding of that evaluation. The evaluations
 are independent, so they are batched: copies of a block, one per entry, go
-through the layer core in place of its block of targets, in chunks bounded by
-layer.EDGE_BUDGET. The step moves only imaginary parts, and LeakyReLU takes
-its branch on the real part (Martins, Sturdza & Alonso, ACM TOMS 29(3),
-2003), so a pre-activation at the kink is no hazard; an entry whose copy
-rounds one across it is flagged and excluded from the verdict.
+through the layer core as a leading axis against the node, which has none,
+in chunks bounded by layer.EDGE_BUDGET. The step moves only imaginary
+parts, and LeakyReLU takes its branch on the real part (Martins, Sturdza &
+Alonso, ACM TOMS 29(3), 2003), so a pre-activation at the kink is no
+hazard; an entry whose copy rounds one across it is flagged and excluded
+from the verdict.
 
 That rounding is reported as `resolution`, a few ulps of the loss taken on
 absolute values, and compare_gradients confirms entries that differ by no
@@ -64,9 +65,9 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
     """Complex-step derivative of the loss upstream . h_out over every parameter entry.
 
     The node is the trace's; the oracle runs no forward pass of its own.
-    Each block's perturbed copies go from the trace's augmented rows through
-    the layer core in chunks, the other blocks broadcast, the copies taking
-    the place of a block's targets:
+    Each block's perturbed copies go from the trace's augmented rows, which
+    have no leading axis, through the layer core in chunks, the copies the
+    leading axis and the other blocks broadcast:
     EDGE_BUDGET // (2 max(N, H+1)) copies for N neighbors keep the complex
     stack and the edge arrays each within the bytes of one (EDGE_BUDGET, D)
     float64 array of a whole-graph block. Of the trace's results only pre_act
@@ -77,7 +78,7 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
     g = _check_upstream(upstream, params.out_dim)
     branches = _branch(trace.pre_act)
     blocks = [getattr(params, name) for name in BLOCKS.values()]
-    node_args = (params.negative_slope, trace.h_aug_target[None], trace.h_aug_sources[None])
+    node_args = (params.negative_slope, trace.h_aug_target, trace.h_aug_sources)
     chunk = max(1, layer.EDGE_BUDGET // (2 * max(trace.num_neighbors, params.feature_dim + 1)))
     grads = [np.empty(block.shape) for block in blocks]
     flags = [np.zeros(block.shape, dtype=bool) for block in blocks]

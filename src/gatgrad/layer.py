@@ -8,24 +8,25 @@ The update for target node i with neighbors j is
 
 where h_aug(j) = [1, h(j)]. All arithmetic is 64-bit.
 
-The arithmetic lives in one private core over blocks of targets that share
-one degree n: it takes the augmented rows of k targets (k, H+1) and of their
-neighbors (k, n, H+1), and takes every product and sum per target with
-batched numpy (matmul over the leading axis, max and sum over the neighbor
-axis). BLAS and numpy's reductions round each slice of those as they round
-the lone operation, so a node's numbers are the same in any block. It
-returns a _Block, ForwardTrace's arrays with the targets' axis in front, so
-every caller reads an intermediate by its name. Every caller goes through it:
+The arithmetic lives in one private core that takes any leading axes: the
+augmented row of a target (..., H+1) and the rows of its n neighbors
+(..., n, H+1). A node has none; a block of k targets of one degree has one,
+of length k. Every product and sum is taken per target with batched numpy
+(matmul over the leading axes, max and sum over the neighbor axis). BLAS and
+numpy's reductions round each slice of those as they round the lone
+operation, so a node's numbers are the same in any block. It returns a
+_Block, ForwardTrace's arrays with the leading axes in front, so every
+caller reads an intermediate by its name. Every caller goes through it:
 
-- forward_with_trace evaluates one node as a block of one and keeps the
-  block's row as its trace, so the backward pass recomputes nothing.
+- forward_with_trace evaluates one node, with no leading axis, and keeps
+  the core's result as its trace, so the backward pass recomputes nothing.
 - forward_graph evaluates every node through _graph_chunks, one numpy pass
   per block: nodes by degree, in blocks of at most EDGE_BUDGET edges and nodes.
   Its rows equal forward_with_trace's bit for bit; diagnostics.diagnose
   runs on the same blocks.
 - The complex-step oracle runs the core, in complex arithmetic, on one
   target against a stack of copies of a parameter block, each with one
-  entry imaginary-perturbed: the B copies take the place of the k targets.
+  entry imaginary-perturbed: the B copies are the leading axis.
 
 grads.py's backward formulas read the same _Blocks, through _dot.
 """
@@ -148,19 +149,19 @@ class ForwardTrace:
         return len(self.neighbors)
 
 
-# _propagate's result: ForwardTrace's arrays with the block's k targets in
-# front, or the B copies of a stacked parameter block where a result depends
-# on that block.
+# _propagate's result: ForwardTrace's arrays with the leading axes of its
+# input in front (none for a node, k for a block of k targets), or the B
+# copies of a stacked parameter block where a result depends on that block.
 _Block = namedtuple("_Block", [field.name for field in fields(ForwardTrace)[2:]])
 
 
 def _dot(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """weights[i] @ values[i] for each target i of a block: (k, n) against (k, n, X).
+    """weights @ values for each target: (..., n) against (..., n, X), any leading axes.
 
     One product per target, the same one a lone node takes, so a target's
     result does not depend on the other targets of its block.
     """
-    return (weights[:, None, :] @ values)[:, 0]
+    return (weights[..., None, :] @ values)[..., 0, :]
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -174,24 +175,24 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources) -> _Block:
     """The layer's arithmetic over validated float64 (or complex) arrays.
 
-    A block of k targets of one degree n: h_aug_targets (k, H+1) holds one
-    augmented row per target and h_aug_sources (k, n, H+1) the rows of each
-    one's neighbors. Returns the _Block of both and of every intermediate;
-    post_act = _slopes(pre_act) * pre_act.
+    Targets of one degree n, with any leading axes: h_aug_targets (..., H+1)
+    holds each target's augmented row and h_aug_sources (..., n, H+1) the
+    rows of its neighbors; a node is (H+1,) and (n, H+1). Returns the _Block
+    of both and of every intermediate; post_act = _slopes(pre_act) * pre_act.
     Every product and sum is taken per target, so each target rounds as it
-    does alone (k = 1): BLAS would round a row of one (k, H+1) @ (H+1, D)
-    product differently as k grows. A parameter block may carry a leading
-    axis of B stacked copies, (B, D, H+1) or (B, D), against one target
-    (k = 1): the results that depend on it take B in place of k.
+    does alone: BLAS would round a row of one (k, H+1) @ (H+1, D) product
+    differently as k grows. A parameter block may carry a leading axis of B
+    stacked copies, (B, D, H+1) or (B, D), against one node: the results
+    that depend on it take that axis.
     """
-    target_proj = (h_aug_targets[:, None, :] @ theta_r.swapaxes(-1, -2))[:, 0]
+    target_proj = (h_aug_targets[..., None, :] @ theta_r.swapaxes(-1, -2))[..., 0, :]
     source_proj = h_aug_sources @ theta_l.swapaxes(-1, -2)
-    pre_act = target_proj[:, None, :] + source_proj
+    pre_act = target_proj[..., None, :] + source_proj
     post_act = _slopes(pre_act, slope) * pre_act
     scores = (post_act @ att[..., None])[..., 0]
     alpha = _softmax(scores)
     messages = alpha[..., None] * source_proj
-    h_out = bias + messages.sum(axis=1)
+    h_out = bias + messages.sum(axis=-2)
     return _Block(
         h_aug_targets, h_aug_sources, target_proj, source_proj, pre_act, post_act,
         scores, alpha, messages, h_out,
@@ -231,18 +232,17 @@ def forward_with_trace(
 ) -> ForwardTrace:
     """Evaluate the layer for one target node, caching all intermediates.
 
-    The node is a block of one target. A non-finite feature entry of the
-    target or a neighbor is rejected, naming the node and the feature index.
+    The core takes the node with no leading axis. A non-finite feature entry
+    of the target or a neighbor is rejected, naming the node and the feature index.
     Pure function of its arguments: repeated calls produce bit-identical
     traces, equal to the node's row of forward_graph.
     """
     nbrs = graph.neighbors(node)
     rows = _augmented(params, graph, features, [node, *nbrs])
-    block = _propagate(
+    return ForwardTrace(int(node), nbrs, *_propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
-        params.negative_slope, rows[:1], rows[None, 1:],
-    )
-    return ForwardTrace(int(node), nbrs, *(a[0] for a in block))
+        params.negative_slope, rows[0], rows[1:],
+    ))
 
 
 def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):

@@ -130,6 +130,13 @@ class TestGen:
         assert err.value.code == 2 and not (tmp_path / "graph.json").exists()
         assert f"argument {flag}: expected {want}, got {value!r}" in capsys.readouterr().err
 
+    def test_unallocatable_instance_exits_2_writing_nothing(self, tmp_path, capsys):
+        """Exit 1 means a failed gradient check only: numpy refuses the
+        7 PiB feature matrix before touching memory, an input error."""
+        code, _, _ = run_gen(tmp_path, nodes=10**12, feature_dim=1000, out_dim=1)
+        assert code == 2 and not list(tmp_path.iterdir())
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
     @pytest.mark.parametrize(
         "sizes, message",
         [

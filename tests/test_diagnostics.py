@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatgrad import (
     GradientSet,
@@ -20,7 +22,7 @@ from gatgrad import (
     grad_theta_r_sum,
 )
 from gatgrad.fdcheck import COMPLEX_STEP
-from gatgrad.layer import _propagate, _softmax
+from gatgrad.layer import _branch, _propagate, _softmax
 
 
 def gradient_sets(trace, params, upstream):
@@ -280,3 +282,49 @@ class TestDeadRowsAreStaticAttention:
         assert len(dead) == 5 and len(live) == 35
         assert max(dead) <= bound
         assert max(live) >= 1e6 * bound
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_nodes=st.integers(3, 10),
+        widths=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        bias=st.floats(1.0, 6.0),
+    )
+    def test_dead_dimensions_add_nothing_to_the_target_derivative(
+        self, seed, num_nodes, widths, bias
+    ):
+        """Property form, at every node of a seeded instance whose theta_L
+        bias column is +-bias, which kills many rows, all-negative ones and
+        whole nodes among them. Dimension t adds a[t] * (s[j, t] - s[1, t]) *
+        theta_R[t] to d(score_j - score_1)/dh_target, taken here by the
+        complex step on the target row: it adds nothing for every j exactly
+        where diagnose calls row t dead. At a node with regime_uniformity 1,
+        alpha moves only by rounding of the score scale when the target moves
+        along a random direction by half its smallest pre-activation margin,
+        which keeps every regime."""
+        h, d = widths
+        graph, feats, params = generate_instance(num_nodes, h, d, seed)
+        rng = np.random.default_rng(seed)
+        theta_l = params.theta_l.copy()
+        theta_l[:, 0] = bias * rng.choice([-1.0, 1.0], d)
+        params = LayerParams(params.theta_r, theta_l, params.att, params.bias, 0.2)
+        for entry in diagnose(params, graph, feats):
+            trace = forward_with_trace(params, graph, feats, entry.node)
+            # h complex copies of the target row, one per feature, against its neighbors.
+            targets = trace.h_aug_target + 1j * COMPLEX_STEP * np.eye(h + 1)[1:]
+            post_act = _propagate(
+                params.theta_r, params.theta_l, params.att, params.bias,
+                params.negative_slope, targets, trace.h_aug_sources,
+            ).post_act.imag
+            moved = (params.att * (post_act - post_act[:, :1])).any(axis=(0, 1))
+            assert (~moved).tolist() == list(entry.dead_theta_r)
+            if entry.regime_uniformity < 1.0:
+                continue
+            direction = rng.standard_normal(h)
+            shift = np.abs(params.theta_r[:, 1:] @ direction).max()
+            shifted = feats.copy()
+            shifted[entry.node] += 0.5 * np.abs(trace.pre_act).min() / shift * direction
+            after = forward_with_trace(params, graph, shifted, entry.node)
+            assert np.array_equal(_branch(after.pre_act), _branch(trace.pre_act))
+            scale = max((np.abs(t.post_act) @ np.abs(params.att)).max() for t in (trace, after))
+            assert np.abs(after.alpha - trace.alpha).max() <= 8 * np.finfo(float).eps * scale

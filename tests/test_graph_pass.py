@@ -340,8 +340,8 @@ class TestSegmentBackward:
     @given(instances(), budgets, st.data())
     def test_chunk_stacks_match_per_node_routes(self, instance, budget, data):
         """grads.py's block functions over blocks of many targets give every
-        node's backward_chain and closed forms bit for bit, as a block of one
-        node does."""
+        node's backward_chain and closed forms bit for bit, as the node alone,
+        with no leading axis, does."""
         graph, features, params = instance
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         upstream = rng.standard_normal(params.out_dim)

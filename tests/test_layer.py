@@ -430,19 +430,24 @@ class TestBatchAxis:
     def test_stacked_copies_equal_unbatched_bitwise(self, counts, stacked):
         """B stacked copies of the same float64 blocks give B copies of the
         unbatched result, bit for bit, for a target with no neighbor, a
-        single neighbor, several, or more than numpy sums in one unrolled run."""
+        single neighbor, several, or more than numpy sums in one unrolled run.
+        The target comes as a block of one, (1, H+1) and (1, n, H+1), and as a
+        node with no leading axis, (H+1,) and (n, H+1), whose every result is
+        the block's row."""
         (count,) = counts
         rng = np.random.default_rng(10 + count)
         _, _, params = generate_instance(4, 3, 5, seed=count)
         targets = np.column_stack([np.ones(1), rng.standard_normal((1, 3))])
         sources = np.column_stack([np.ones(count), rng.standard_normal((count, 3))])[None]
         blocks = [params.theta_r, params.theta_l, params.att, params.bias]
-        rest = (params.negative_slope, targets, sources)
-        single = _propagate(*blocks, *rest)
         batch = [np.stack([b] * 3) if pos in stacked else b for pos, b in enumerate(blocks)]
-        batched = _propagate(*batch, *rest)
-        assert set(single._fields) == set(DEPENDS)
-        for name, one, many in zip(single._fields, single, batched):
-            want = (3, *one.shape[1:]) if DEPENDS[name] & set(stacked) else one.shape
-            assert many.shape == want, name
-            assert np.array_equal(np.broadcast_to(one, want), many), name
+        block = _propagate(*blocks, params.negative_slope, targets, sources)
+        for lead, rows in (((1,), (targets, sources)), ((), (targets[0], sources[0]))):
+            single = _propagate(*blocks, params.negative_slope, *rows)
+            batched = _propagate(*batch, params.negative_slope, *rows)
+            assert set(single._fields) == set(DEPENDS)
+            for name, one, many, row in zip(single._fields, single, batched, block):
+                assert np.array_equal(one, row if lead else row[0]), name
+                want = (3, *one.shape[len(lead):]) if DEPENDS[name] & set(stacked) else one.shape
+                assert many.shape == want, name
+                assert np.array_equal(np.broadcast_to(one, want), many), name
