@@ -213,6 +213,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    """One upstream for every node; under random, gradcheck's node-0 row of the same seed."""
     graph, features, params = _load(args)
     mode, path = args.upstream
     upstream = _upstream_vector(mode, path, (params.out_dim,), args.seed)

@@ -15,9 +15,9 @@ upstream is a constant vector).
 diagnose computes every indicator in one pass over the whole graph, in the
 blocks of nodes of one degree of layer._graph_chunks, and reports the
 requested nodes' rows. The closed forms and the chain come from grads.py's
-block functions, which take every product and sum per target, so a node's
-gap equals closed_form_gap of its own routes, bit for bit; this module adds
-only the dead rows and the entropy.
+block functions, which read a _Block as they read a node's trace and take
+every product and sum per target, so a node's gap equals closed_form_gap of
+its own routes, bit for bit; this module adds only the dead rows and entropy.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ def diagnose(
     """Diagnose a set of target nodes; defaults to every node with neighbors.
 
     upstream is the gradient entering closed_form_gap (all ones when
-    omitted). Nodes come out in the order given, repeats included; a bool,
+    omitted), one vector for every node: `gradcheck --upstream random` gives
+    node i row i of its draw, `diagnose` row 0, so their gaps agree at node
+    0 only. Nodes come out in the order given, repeats included; a bool,
     float or string id raises TypeError and one outside the graph IndexError.
     Every indicator comes from one block-by-block pass over the whole graph,
     whichever nodes are requested, so a node's entry is the same in every
@@ -95,8 +97,8 @@ def diagnose(
         dead[nodes] = ~(segs.spread != 0.0).any(axis=1)
         # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.
         entropy[nodes] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
-        closed = [form(segs, params, g) for form in (_segment_theta_r_sum, _segment_theta_l)]
-        gap[nodes] = _segment_gap(closed, _segment_chain(segs, params, g)[:2], g)
+        closed = [form(block, segs, params, g) for form in (_segment_theta_r_sum, _segment_theta_l)]
+        gap[nodes] = _segment_gap(closed, _segment_chain(block, segs, params, g)[:2], g)
     dead = dead[ids]
     return tuple(
         NodeDiagnosis(node, count, count <= 1, tuple(row), uniformity, ent, node_gap)

@@ -89,7 +89,7 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
             stack[np.arange(len(idx)), idx] += 1j * COMPLEX_STEP
             stacked = [*blocks[:pos], stack.reshape(-1, *base_block.shape), *blocks[pos + 1 :]]
             copies = _propagate(*stacked, *node_args)
-            loss = copies.h_out @ g
+            loss = (copies.h_out[:, None, :] @ g)[:, 0]  # a dot per copy, as a chunk of one
             if not np.isfinite(loss).all():
                 raise ValueError("non-finite loss at a perturbed point")
             grads[pos].flat[idx] = loss.imag / COMPLEX_STEP

@@ -10,13 +10,13 @@ gradient when the upstream is a constant vector. backward_chain propagates
 an arbitrary upstream through every intermediate, and
 diagnostics.closed_form_gap reports how far the two differ.
 
-The formulas are written once, over the _Blocks of layer._propagate, which
-take any leading axes before a target's neighbor arrays (..., n, .): a node
-has none, a block of k targets of one degree one. Each product and sum is
-taken per target (layer._dot, and one matrix product per target for the
-(D, H+1) blocks), so a target's gradients are the same in any block.
-_Segments is a _Block with the terms the formulas share, the closed forms'
-weights too. The public functions run them on one node's trace, and
+The formulas are written once, over any leading axes before a target's
+neighbor arrays (..., n, .): a node has none, a block of k targets of one
+degree one. Each product and sum is taken per target (layer._dot, and one
+matrix product per target for the (D, H+1) blocks), so a target's gradients
+are the same in any block. They read a layer._Block or a node's ForwardTrace
+by field name, as the caller holds it, and _Segments is the three terms they
+share. The public functions run them on one node's trace, and
 diagnostics.diagnose over the blocks of the whole graph; only
 grad_theta_r_pairwise stays per node, as the independent cross-check that
 sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import BLOCKS, ForwardTrace, LayerParams, _Block, _branch, _dot, _slopes
+from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _dot, _slopes
 
 __all__ = [
     "GradientSet",
@@ -80,56 +80,54 @@ def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
     return _finite(g, "upstream gradient")
 
 
-# What the backward formulas read, for targets of degree n with any leading
-# axes: the _Block's fields, then the LeakyReLU slopes (..., n, D), their
-# spread from each target's first edge (grad_theta_r_sum says why), and both
-# closed forms' weights: alpha times the centered projection total, (..., n).
-_Segments = namedtuple("_Segments", (*_Block._fields, "slopes", "spread", "weights"))
+# The terms the backward formulas share, for targets of degree n with any
+# leading axes: the LeakyReLU slopes (..., n, D), their spread from each
+# target's first edge (grad_theta_r_sum says why), and both closed forms'
+# weights: alpha times the centered projection total, (..., n).
+_Segments = namedtuple("_Segments", ("slopes", "spread", "weights"))
 
 
-def _segments(block: _Block, slope: float) -> _Segments:
-    """_Segments of a _propagate block, for LeakyReLU negative slope `slope`."""
+def _segments(block, slope: float) -> _Segments:
+    """_Segments of a _Block or a ForwardTrace, for LeakyReLU negative slope `slope`."""
     slopes = _slopes(block.pre_act, slope)
     totals = block.source_proj.sum(axis=-1)
     weights = block.alpha * (totals - _dot(block.alpha, totals[..., None]))
-    return _Segments(*block, slopes, slopes - slopes[..., :1, :], weights)
+    return _Segments(slopes, slopes - slopes[..., :1, :], weights)
 
 
-@lru_cache(maxsize=1)
-def _one_node(trace: ForwardTrace, slope: float) -> _Segments:
-    """A node's _Segments, from its trace's arrays as they are, kept for its next route."""
-    return _segments(_Block._make(getattr(trace, name) for name in _Block._fields), slope)
+# A node's _Segments from its trace as it is, kept for its next route; keyed on (trace, slope).
+_one_node = lru_cache(maxsize=1)(_segments)
 
 
-def _segment_theta_r_sum(segs: _Segments, params: LayerParams, upstream):
-    """grad_theta_r_sum of every target, (..., D, H+1)."""
+def _segment_theta_r_sum(block, segs: _Segments, params: LayerParams, upstream):
+    """grad_theta_r_sum of every target of `block`, (..., D, H+1)."""
     coeff = _dot(segs.weights, segs.spread)
-    return (upstream * params.att * coeff)[..., None] * segs.h_aug_target[..., None, :]
+    return (upstream * params.att * coeff)[..., None] * block.h_aug_target[..., None, :]
 
 
-def _segment_theta_l(segs: _Segments, params: LayerParams, upstream):
-    """grad_theta_l of every target, (..., D, H+1)."""
-    bracket = params.att * segs.slopes * segs.weights[..., None] + segs.alpha[..., None]
-    return upstream[:, None] * (bracket.swapaxes(-1, -2) @ segs.h_aug_sources)
+def _segment_theta_l(block, segs: _Segments, params: LayerParams, upstream):
+    """grad_theta_l of every target of `block`, (..., D, H+1)."""
+    bracket = params.att * segs.slopes * segs.weights[..., None] + block.alpha[..., None]
+    return upstream[:, None] * (bracket.swapaxes(-1, -2) @ block.h_aug_sources)
 
 
-def _segment_chain(segs: _Segments, params: LayerParams, upstream: np.ndarray) -> tuple:
+def _segment_chain(block, segs: _Segments, params: LayerParams, upstream: np.ndarray) -> tuple:
     """backward_chain's theta_R and theta_L blocks (..., D, H+1) of every
-    target, and the score gradients d_score (..., n). The att blocks are
-    _dot(d_score, post_act), the bias blocks the upstream."""
-    alpha = segs.alpha
+    target of `block`, and the score gradients d_score (..., n). The att
+    blocks are _dot(d_score, block.post_act), the bias blocks the upstream."""
+    alpha = block.alpha
     # d_alpha[..., k] contracts the upstream with the projected source feature.
     # The softmax backward is shift invariant in d_alpha, so it is centered on
     # the target's first edge: identical neighbors then yield exact zeros.
-    d_alpha = segs.source_proj @ upstream
+    d_alpha = block.source_proj @ upstream
     d_alpha = d_alpha - d_alpha[..., :1]
     d_score = alpha * (d_alpha - _dot(alpha, d_alpha[..., None]))
     d_pre = d_score[..., None] * params.att * segs.slopes
     # Source side: score path plus the direct aggregation path.
-    d_theta_l = d_pre.swapaxes(-1, -2) @ segs.h_aug_sources
-    d_theta_l += upstream[:, None] * _dot(alpha, segs.h_aug_sources)[..., None, :]
+    d_theta_l = d_pre.swapaxes(-1, -2) @ block.h_aug_sources
+    d_theta_l += upstream[:, None] * _dot(alpha, block.h_aug_sources)[..., None, :]
     d_target = params.att * _dot(d_score, segs.spread)
-    d_theta_r = d_target[..., None] * segs.h_aug_target[..., None, :]
+    d_theta_r = d_target[..., None] * block.h_aug_target[..., None, :]
     return d_theta_r, d_theta_l, d_score
 
 
@@ -157,8 +155,7 @@ def grad_theta_r_sum(
     Zero matrix for N <= 1, its zeros signed as upstream * att * h_aug.
     """
     g = _check_upstream(upstream, params.out_dim)
-    segs = _one_node(trace, params.negative_slope)
-    return _segment_theta_r_sum(segs, params, g)
+    return _segment_theta_r_sum(trace, _one_node(trace, params.negative_slope), params, g)
 
 
 def grad_theta_r_pairwise(
@@ -201,8 +198,7 @@ def grad_theta_l(
     column is the same bracket against the constant-1 feature entry.
     """
     g = _check_upstream(upstream, params.out_dim)
-    segs = _one_node(trace, params.negative_slope)
-    return _segment_theta_l(segs, params, g)
+    return _segment_theta_l(trace, _one_node(trace, params.negative_slope), params, g)
 
 
 def grad_bias(upstream: np.ndarray) -> np.ndarray:
@@ -222,6 +218,5 @@ def backward_chain(
     """
     g = _check_upstream(upstream, params.out_dim)
     segs = _one_node(trace, params.negative_slope)
-    theta_r, theta_l, d_score = _segment_chain(segs, params, g)
-    att = _dot(d_score, segs.post_act)
-    return GradientSet(theta_r=theta_r, theta_l=theta_l, att=att, bias=g.copy())
+    theta_r, theta_l, d_score = _segment_chain(trace, segs, params, g)
+    return GradientSet(theta_r, theta_l, _dot(d_score, trace.post_act), g)

@@ -28,7 +28,7 @@ caller reads an intermediate by its name. Every caller goes through it:
   target against a stack of copies of a parameter block, each with one
   entry imaginary-perturbed: the B copies are the leading axis.
 
-grads.py's backward formulas read the same _Blocks, through _dot.
+grads.py's backward formulas read the same _Blocks, and a node's trace, by field name.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources)
     stacked copies, (B, D, H+1) or (B, D), against one node: the results
     that depend on it take that axis.
     """
-    target_proj = (h_aug_targets[..., None, :] @ theta_r.swapaxes(-1, -2))[..., 0, :]
+    target_proj = _dot(h_aug_targets, theta_r.swapaxes(-1, -2))
     source_proj = h_aug_sources @ theta_l.swapaxes(-1, -2)
     pre_act = target_proj[..., None, :] + source_proj
     post_act = _slopes(pre_act, slope) * pre_act

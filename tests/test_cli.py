@@ -622,7 +622,7 @@ class TestDiagnoseCommand:
             assert entry["num_neighbors"] >= 1
             assert entry["closed_form_gap"] <= 1e-10
 
-    @pytest.mark.parametrize("upstream", ["uniform", "file"])
+    @pytest.mark.parametrize("upstream", ["uniform", "file", "random"])
     @pytest.mark.parametrize("seed", range(3))
     def test_gaps_equal_gradcheck_gaps(self, tmp_path, seed, upstream):
         """Under one upstream, gradcheck --all-nodes and diagnose --all-nodes
@@ -630,19 +630,26 @@ class TestDiagnoseCommand:
         it from the node alone, diagnose from the node's block of the
         whole-graph pass. Under the uniform upstream the gaps are rounding
         residues; under a non-constant file: upstream the closed forms drift
-        from the chain, and the gaps are far above them."""
+        from the chain, and the gaps are far above them. Under random
+        --seed 7, gradcheck gives node i row i of one draw and diagnose every
+        node that row 0, so only node 0 shares its upstream and its gap."""
         _, graph_path, params_path = run_gen(tmp_path, seed, 12, 16, 16)
         if upstream == "file":
             path = tmp_path / "upstream.json"
             path.write_text(json.dumps(np.random.default_rng(seed).standard_normal(16).tolist()))
             upstream = f"file:{path}"
         io = ["--graph", str(graph_path), "--params", str(params_path), "--all-nodes",
-              "--upstream", upstream]
-        gaps = []
+              "--upstream", upstream, *(["--seed", "7"] if upstream == "random" else [])]
+        reports = []
         for verb in ("gradcheck", "diagnose"):
             out = tmp_path / f"{verb}.json"
             assert main([verb, *io, "--out", str(out)]) == 0
-            gaps.append([e["closed_form_gap"] for e in json.loads(out.read_text())["nodes"]])
+            reports.append(json.loads(out.read_text()))
+        gaps = [[e["closed_form_gap"] for e in report["nodes"]] for report in reports]
+        if upstream == "random":
+            assert reports[1]["upstream"] == reports[0]["nodes"][0]["upstream"]
+            assert gaps[0][0] == gaps[1][0]
+            return
         assert gaps[0] == gaps[1]
         if upstream == "uniform":
             assert max(gaps[0]) <= 1e-12

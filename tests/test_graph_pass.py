@@ -335,13 +335,29 @@ class TestDiagnoseGraphPass:
             assert max(e.closed_form_gap for e in report) <= 1e-13
 
 
+def block_routes(block, params, upstream):
+    """The chain's theta_R, theta_L and att and the two closed forms, from
+    grads._segments and the block functions run on `block` as it is."""
+    segs = grads._segments(block, params.negative_slope)
+    chain_r, chain_l, d_score = grads._segment_chain(block, segs, params, upstream)
+    return (
+        chain_r,
+        chain_l,
+        layer._dot(d_score, block.post_act),
+        grads._segment_theta_r_sum(block, segs, params, upstream),
+        grads._segment_theta_l(block, segs, params, upstream),
+    )
+
+
 class TestSegmentBackward:
     @settings(deadline=None, max_examples=150)
     @given(instances(), budgets, st.data())
     def test_chunk_stacks_match_per_node_routes(self, instance, budget, data):
         """grads.py's block functions over blocks of many targets give every
         node's backward_chain and closed forms bit for bit, as the node alone,
-        with no leading axis, does."""
+        with no leading axis, does; and so do the block functions run on the
+        node's ForwardTrace itself, read by the field names it shares with a
+        _Block."""
         graph, features, params = instance
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         upstream = rng.standard_normal(params.out_dim)
@@ -349,15 +365,7 @@ class TestSegmentBackward:
             mp.setattr(layer, "EDGE_BUDGET", budget)
             chunks = list(layer._graph_chunks(params, graph, features))
         for nodes, _, block in chunks:
-            segs = grads._segments(block, params.negative_slope)
-            chain_r, chain_l, d_score = grads._segment_chain(segs, params, upstream)
-            stacks = (
-                chain_r,
-                chain_l,
-                layer._dot(d_score, segs.post_act),
-                grads._segment_theta_r_sum(segs, params, upstream),
-                grads._segment_theta_l(segs, params, upstream),
-            )
+            stacks = block_routes(block, params, upstream)
             for k, node in enumerate(nodes):
                 trace = forward_with_trace(params, graph, features, node)
                 chain = backward_chain(trace, params, upstream)
@@ -368,9 +376,10 @@ class TestSegmentBackward:
                     grad_theta_r_sum(trace, params, upstream),
                     grad_theta_l(trace, params, upstream),
                 )
-                for stack, got in zip(stacks, want):
-                    assert np.array_equal(stack[k], got)
-                    assert np.array_equal(np.signbit(stack[k]), np.signbit(got))
+                for stack, *gots in zip(stacks, want, block_routes(trace, params, upstream)):
+                    for got in gots:
+                        assert np.array_equal(stack[k], got)
+                        assert np.array_equal(np.signbit(stack[k]), np.signbit(got))
 
 
 class TestScoreShift:
