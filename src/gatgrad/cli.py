@@ -3,7 +3,8 @@
 Four subcommands: `gen` writes a seeded random graph/params pair, `forward`
 evaluates node updates, `gradcheck` verifies analytic gradients against the
 complex-step oracle, and `diagnose` reports gradient pathologies. All
-outputs are JSON and deterministic given the flags, files, and seed.
+outputs are JSON and deterministic given the flags, files, and seed. A verb
+runs with the cyclic garbage collector paused, as its cyclic garbage is bounded.
 
 Exit codes: 0 success / all checks passed, 1 gradient check failure,
 2 usage or input error, or an array too large to allocate.
@@ -21,15 +22,10 @@ import numpy as np
 from .diagnostics import closed_form_gap, diagnose
 from .fdcheck import COMPLEX_STEP, compare_gradients, fd_gradient
 from .gen import generate_instance
-from .grads import (
-    GradientSet,
-    _check_upstream,
-    backward_chain,
-    grad_bias,
-    grad_theta_l,
-    grad_theta_r_sum,
-)
-from .graph import _node_id, _numbers, _reading, _write_json, load_graph, save_graph
+from .grads import GradientSet, _check_upstream, backward_chain, grad_bias, grad_theta_l
+from .grads import grad_theta_r_sum
+from .graph import _collector_paused, _node_id, _numbers, _reading, _write_json
+from .graph import load_graph, save_graph
 from .layer import forward_graph, forward_with_trace, load_params, save_params
 
 __all__ = ["main", "run"]
@@ -276,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _collector_paused():
+            return args.func(args)
     except (ValueError, IndexError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ are written value by value.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from contextlib import contextmanager
@@ -39,15 +40,32 @@ __all__ = ["Graph", "load_graph", "save_graph"]
 
 
 @contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, then on again if it was on.
+
+    Safe: a parse tree and a report's records hold no reference cycle, and a
+    verb's cyclic garbage is bounded whatever the graph's size.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@contextmanager
 def _reading(path, kind: str):
     """Yield the parsed JSON of the file at path, to a with-block that checks it.
 
     Every KeyError, TypeError, ValueError (bad UTF-8 and bad JSON among them)
     or RecursionError (nesting too deep to parse) raised while parsing or in
     the block becomes ValueError("malformed {kind} file {path}: ..."). An
-    OSError passes through: its message names the path.
+    OSError passes through: its message names the path. The parse and the
+    block run with the collector paused, as the parse tree holds no cycle.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _collector_paused():
         try:
             yield json.load(fh)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:

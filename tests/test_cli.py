@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, exit codes, report contents."""
 
 import collections
+import gc
 import json
 import os
 import subprocess
@@ -836,3 +837,71 @@ class TestUsage:
             main(["gradcheck", "--graph", str(graph_path), "--params",
                   str(params_path), "--out", str(tmp_path / "r.json")])
         assert err.value.code == 2
+
+
+@pytest.fixture
+def collector(request):
+    """The collector's state before the call, set by the parameter; turned back on after."""
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    gc.enable()
+
+
+class TestCollector:
+    """A verb runs with the cyclic collector paused and leaves it as its caller had it."""
+
+    @pytest.mark.parametrize("collector", [True, False], indirect=True)
+    def test_state_kept_on_exit_0_1_and_2(self, instance, monkeypatch, collector):
+        tmp_path, graph_path, params_path = instance
+        run = ["gradcheck", "--params", str(params_path), "--node", "0", "--out",
+               str(tmp_path / "r.json")]
+        assert main([*run, "--graph", str(graph_path)]) == 0
+        assert gc.isenabled() is collector
+        assert main([*run, "--graph", str(tmp_path / "missing.json")]) == 2
+        assert gc.isenabled() is collector
+
+        def failing(*args, **kwargs):
+            checks = fdcheck.compare_gradients(*args, **kwargs)
+            key = next(iter(checks))
+            return {**checks, key: {**checks[key], "pass": False}}
+
+        monkeypatch.setattr(gatgrad.cli, "compare_gradients", failing)
+        assert main([*run, "--graph", str(graph_path)]) == 1
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True, False], indirect=True)
+    def test_state_kept_when_a_verb_raises(self, instance, monkeypatch, collector):
+        tmp_path, graph_path, params_path = instance
+
+        def broken(args):
+            load_graph(args.graph)  # a nested pause leaves the verb's pause in place
+            assert not gc.isenabled()
+            raise RuntimeError("broken verb")
+
+        monkeypatch.setattr(gatgrad.cli, "cmd_forward", broken)
+        with pytest.raises(RuntimeError, match="broken verb"):
+            main(["forward", "--graph", str(graph_path), "--params", str(params_path),
+                  "--out", str(tmp_path / "r.json")])
+        assert gc.isenabled() is collector
+
+    def test_cyclic_garbage_does_not_grow_with_the_graph(self, tmp_path):
+        """Paused, a verb must not leave a reference cycle per node."""
+        paths = []
+        for nodes in (12, 150):
+            graph, features, params = generate_instance(nodes, 3, 2, seed=0)
+            paths.append((tmp_path / f"g{nodes}.json", tmp_path / f"p{nodes}.json"))
+            save_graph(paths[-1][0], graph, features)
+            save_params(paths[-1][1], params)
+        gc.disable()
+        try:
+            counts = collections.defaultdict(list)
+            for verb in ("forward", "diagnose", "gradcheck"):
+                for graph_path, params_path in paths:
+                    gc.collect()
+                    code = main([verb, "--graph", str(graph_path), "--params", str(params_path),
+                                 "--all-nodes", "--out", str(tmp_path / "r.json")])
+                    assert code == 0
+                    counts[verb].append(gc.collect())
+        finally:
+            gc.enable()
+        assert all(small == large for small, large in counts.values()), dict(counts)

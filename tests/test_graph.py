@@ -1,5 +1,6 @@
 """Topology, feature augmentation, and graph file round-trips."""
 
+import gc
 import json
 import re
 
@@ -298,6 +299,15 @@ class TestGraphFiles:
         path.write_text(json.dumps({"num_nodes": 2, "edges": []}))
         with pytest.raises(ValueError, match="malformed"):
             load_graph(path)
+
+    def test_truncated_file_rejected_with_the_collector_left_on(self, tmp_path):
+        """The parse runs with the cyclic collector paused, and a failed parse resumes it."""
+        path = tmp_path / "graph.json"
+        save_graph(path, *self._sample())
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ValueError, match="malformed graph file"):
+            load_graph(path)
+        assert gc.isenabled()
 
     def test_feature_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
