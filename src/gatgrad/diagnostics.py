@@ -15,9 +15,10 @@ upstream is a constant vector).
 diagnose computes every indicator in one pass over the whole graph, in the
 blocks of nodes of one degree of layer._graph_chunks, and reports the
 requested nodes' rows. The closed forms and the chain come from grads.py's
-block functions, which read a _Block as they read a node's trace and take
-every product and sum per target, so a node's gap equals closed_form_gap of
-its own routes, bit for bit; this module adds only the dead rows and entropy.
+block functions, which read a block's ForwardTrace as they read a node's
+and take every product and sum per target, so a node's gap equals
+closed_form_gap of its own routes, bit for bit; this module adds only the
+dead rows and entropy.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def diagnose(
     dead = np.empty((graph.num_nodes, params.out_dim), dtype=bool)
     entropy, gap = np.empty(graph.num_nodes), np.empty(graph.num_nodes)
     for nodes, _, block in _graph_chunks(params, graph, features):
-        segs, alpha = _segments(block, params.negative_slope), block.alpha
+        segs, alpha = _segments(block), block.alpha
         # A row is dead where every edge of the target has its first edge's slope.
         dead[nodes] = ~(segs.spread != 0.0).any(axis=1)
         # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.

@@ -14,10 +14,10 @@ The formulas are written once, over any leading axes before a target's
 neighbor arrays (..., n, .): a node has none, a block of k targets of one
 degree one. Each product and sum is taken per target (layer._dot, and one
 matrix product per target for the (D, H+1) blocks), so a target's gradients
-are the same in any block. They read a layer._Block or a node's ForwardTrace
-by field name, as the caller holds it, and _Segments is the three terms they
-share. The public functions run them on one node's trace, and
-diagnostics.diagnose over the blocks of the whole graph; only
+are the same in any block. They read a layer.ForwardTrace, a node's or a
+block's, by field name, its LeakyReLU slopes too, and _Segments is the two
+terms they share beyond it. The public functions run them on one node's
+trace, and diagnostics.diagnose over the blocks of the whole graph; only
 grad_theta_r_pairwise stays per node, as the independent cross-check that
 sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
 An isolated node is a block of degree 0: its neighbor sums are empty, so its
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _dot, _slopes
+from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _dot
 
 __all__ = [
     "GradientSet",
@@ -80,22 +80,21 @@ def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
     return _finite(g, "upstream gradient")
 
 
-# The terms the backward formulas share, for targets of degree n with any
-# leading axes: the LeakyReLU slopes (..., n, D), their spread from each
-# target's first edge (grad_theta_r_sum says why), and both closed forms'
-# weights: alpha times the centered projection total, (..., n).
-_Segments = namedtuple("_Segments", ("slopes", "spread", "weights"))
+# The terms the backward formulas share beyond the trace's own, for targets
+# of degree n with any leading axes: the spread of the slopes from each
+# target's first edge (..., n, D) (grad_theta_r_sum says why), and both
+# closed forms' weights: alpha times the centered projection total, (..., n).
+_Segments = namedtuple("_Segments", ("spread", "weights"))
 
 
-def _segments(block, slope: float) -> _Segments:
-    """_Segments of a _Block or a ForwardTrace, for LeakyReLU negative slope `slope`."""
-    slopes = _slopes(block.pre_act, slope)
-    totals = block.source_proj.sum(axis=-1)
-    weights = block.alpha * (totals - _dot(block.alpha, totals[..., None]))
-    return _Segments(slopes, slopes - slopes[..., :1, :], weights)
+def _segments(trace: ForwardTrace) -> _Segments:
+    """_Segments of a node's or a block's ForwardTrace, from its slopes."""
+    totals = trace.source_proj.sum(axis=-1)
+    weights = trace.alpha * (totals - _dot(trace.alpha, totals[..., None]))
+    return _Segments(trace.slopes - trace.slopes[..., :1, :], weights)
 
 
-# A node's _Segments from its trace as it is, kept for its next route; keyed on (trace, slope).
+# A node's _Segments from its trace as it is, kept for its next route; keyed on the trace.
 _one_node = lru_cache(maxsize=1)(_segments)
 
 
@@ -107,7 +106,7 @@ def _segment_theta_r_sum(block, segs: _Segments, params: LayerParams, upstream):
 
 def _segment_theta_l(block, segs: _Segments, params: LayerParams, upstream):
     """grad_theta_l of every target of `block`, (..., D, H+1)."""
-    bracket = params.att * segs.slopes * segs.weights[..., None] + block.alpha[..., None]
+    bracket = params.att * block.slopes * segs.weights[..., None] + block.alpha[..., None]
     return upstream[:, None] * (bracket.swapaxes(-1, -2) @ block.h_aug_sources)
 
 
@@ -122,7 +121,7 @@ def _segment_chain(block, segs: _Segments, params: LayerParams, upstream: np.nda
     d_alpha = block.source_proj @ upstream
     d_alpha = d_alpha - d_alpha[..., :1]
     d_score = alpha * (d_alpha - _dot(alpha, d_alpha[..., None]))
-    d_pre = d_score[..., None] * params.att * segs.slopes
+    d_pre = d_score[..., None] * params.att * block.slopes
     # Source side: score path plus the direct aggregation path.
     d_theta_l = d_pre.swapaxes(-1, -2) @ block.h_aug_sources
     d_theta_l += upstream[:, None] * _dot(alpha, block.h_aug_sources)[..., None, :]
@@ -155,7 +154,7 @@ def grad_theta_r_sum(
     Zero matrix for N <= 1, its zeros signed as upstream * att * h_aug.
     """
     g = _check_upstream(upstream, params.out_dim)
-    return _segment_theta_r_sum(trace, _one_node(trace, params.negative_slope), params, g)
+    return _segment_theta_r_sum(trace, _one_node(trace), params, g)
 
 
 def grad_theta_r_pairwise(
@@ -198,7 +197,7 @@ def grad_theta_l(
     column is the same bracket against the constant-1 feature entry.
     """
     g = _check_upstream(upstream, params.out_dim)
-    return _segment_theta_l(trace, _one_node(trace, params.negative_slope), params, g)
+    return _segment_theta_l(trace, _one_node(trace), params, g)
 
 
 def grad_bias(upstream: np.ndarray) -> np.ndarray:
@@ -217,6 +216,6 @@ def backward_chain(
     an isolated node every sum is empty, leaving zeros and the upstream as b.
     """
     g = _check_upstream(upstream, params.out_dim)
-    segs = _one_node(trace, params.negative_slope)
+    segs = _one_node(trace)
     theta_r, theta_l, d_score = _segment_chain(trace, segs, params, g)
     return GradientSet(theta_r, theta_l, _dot(d_score, trace.post_act), g)

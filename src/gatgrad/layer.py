@@ -15,11 +15,12 @@ of length k. Every product and sum is taken per target with batched numpy
 (matmul over the leading axes, max and sum over the neighbor axis). BLAS and
 numpy's reductions round each slice of those as they round the lone
 operation, so a node's numbers are the same in any block. It returns a
-_Block, ForwardTrace's arrays with the leading axes in front, so every
-caller reads an intermediate by its name. Every caller goes through it:
+ForwardTrace, the one record of an evaluation, with the leading axes in
+front, so every caller reads an intermediate by its name. Every caller goes
+through it:
 
-- forward_with_trace evaluates one node, with no leading axis, and keeps
-  the core's result as its trace, so the backward pass recomputes nothing.
+- forward_with_trace evaluates one node, with no leading axis, and returns
+  the core's record as it is, so the backward pass recomputes nothing.
 - forward_graph evaluates every node through _graph_chunks, one numpy pass
   per block: nodes by degree, in blocks of at most EDGE_BUDGET edges and nodes.
   Its rows equal forward_with_trace's bit for bit; diagnostics.diagnose
@@ -28,13 +29,12 @@ caller reads an intermediate by its name. Every caller goes through it:
   target against a stack of copies of a parameter block, each with one
   entry imaginary-perturbed: the B copies are the leading axis.
 
-grads.py's backward formulas read the same _Blocks, and a node's trace, by field name.
+grads.py's backward formulas read these records, a node's or a block's, by field name.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,21 +118,24 @@ EDGE_BUDGET = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
-    """Every intermediate of one node update, in evaluation order; hashed by identity.
+    """Every intermediate of one evaluation of the layer, in evaluation order.
 
-    Shapes, for N neighbors and output width D:
+    Shapes for a node, with N neighbors and output width D:
       h_aug_target (H+1,), h_aug_sources (N, H+1), target_proj (D,),
-      source_proj (N, D), pre_act (N, D), post_act (N, D), scores (N,),
-      alpha (N,), messages (N, D), h_out (D,).
+      source_proj (N, D), pre_act (N, D), slopes (N, D), post_act (N, D),
+      scores (N,), alpha (N,), messages (N, D), h_out (D,).
+    A block of k targets puts its axis k in front of every array; a stack of
+    B parameter copies puts B in front of every array that depends on them.
+    slopes is LeakyReLU's derivative at pre_act: post_act = slopes * pre_act.
+    Every array is read-only; the record is hashed by identity.
     """
 
-    node: int
-    neighbors: tuple[int, ...]
     h_aug_target: np.ndarray
     h_aug_sources: np.ndarray
     target_proj: np.ndarray
     source_proj: np.ndarray
     pre_act: np.ndarray
+    slopes: np.ndarray
     post_act: np.ndarray
     scores: np.ndarray
     alpha: np.ndarray
@@ -141,18 +144,11 @@ class ForwardTrace:
 
     def __post_init__(self) -> None:
         for value in vars(self).values():  # the dataclass fields
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            value.setflags(write=False)
 
     @property
     def num_neighbors(self) -> int:
-        return len(self.neighbors)
-
-
-# _propagate's result: ForwardTrace's arrays with the leading axes of its
-# input in front (none for a node, k for a block of k targets), or the B
-# copies of a stacked parameter block where a result depends on that block.
-_Block = namedtuple("_Block", [field.name for field in fields(ForwardTrace)[2:]])
+        return self.alpha.shape[-1]
 
 
 def _dot(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -172,13 +168,14 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources) -> _Block:
+def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources) -> ForwardTrace:
     """The layer's arithmetic over validated float64 (or complex) arrays.
 
     Targets of one degree n, with any leading axes: h_aug_targets (..., H+1)
     holds each target's augmented row and h_aug_sources (..., n, H+1) the
-    rows of its neighbors; a node is (H+1,) and (n, H+1). Returns the _Block
-    of both and of every intermediate; post_act = _slopes(pre_act) * pre_act.
+    rows of its neighbors; a node is (H+1,) and (n, H+1). Returns the
+    ForwardTrace of both and of every intermediate, the slopes that give
+    post_act = slopes * pre_act among them.
     Every product and sum is taken per target, so each target rounds as it
     does alone: BLAS would round a row of one (k, H+1) @ (H+1, D) product
     differently as k grows. A parameter block may carry a leading axis of B
@@ -188,13 +185,14 @@ def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources)
     target_proj = _dot(h_aug_targets, theta_r.swapaxes(-1, -2))
     source_proj = h_aug_sources @ theta_l.swapaxes(-1, -2)
     pre_act = target_proj[..., None, :] + source_proj
-    post_act = _slopes(pre_act, slope) * pre_act
+    slopes = _slopes(pre_act, slope)
+    post_act = slopes * pre_act
     scores = (post_act @ att[..., None])[..., 0]
     alpha = _softmax(scores)
     messages = alpha[..., None] * source_proj
     h_out = bias + messages.sum(axis=-2)
-    return _Block(
-        h_aug_targets, h_aug_sources, target_proj, source_proj, pre_act, post_act,
+    return ForwardTrace(
+        h_aug_targets, h_aug_sources, target_proj, source_proj, pre_act, slopes, post_act,
         scores, alpha, messages, h_out,
     )
 
@@ -232,17 +230,17 @@ def forward_with_trace(
 ) -> ForwardTrace:
     """Evaluate the layer for one target node, caching all intermediates.
 
-    The core takes the node with no leading axis. A non-finite feature entry
-    of the target or a neighbor is rejected, naming the node and the feature index.
+    The core takes the node with no leading axis, and its record is the
+    trace. A non-finite feature entry of the target or a neighbor is
+    rejected, naming the node and the feature index.
     Pure function of its arguments: repeated calls produce bit-identical
     traces, equal to the node's row of forward_graph.
     """
-    nbrs = graph.neighbors(node)
-    rows = _augmented(params, graph, features, [node, *nbrs])
-    return ForwardTrace(int(node), nbrs, *_propagate(
+    rows = _augmented(params, graph, features, [node, *graph.neighbors(node)])
+    return _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
         params.negative_slope, rows[0], rows[1:],
-    ))
+    )
 
 
 def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
@@ -254,7 +252,7 @@ def _graph_chunks(params: LayerParams, graph: Graph, features: np.ndarray):
     _propagate takes every product and sum per target, so a node's numbers
     are the same in any block, and equal forward_with_trace's bit for bit.
     The features are checked once. Yields per block its nodes (k,), their
-    edges (k, n) as positions in graph.sources order, and their _Block.
+    edges (k, n) as positions in graph.sources order, and their ForwardTrace.
     """
     h_aug = _augmented(params, graph, features, slice(None))
     degrees = np.diff(graph.offsets)

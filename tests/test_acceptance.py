@@ -54,13 +54,13 @@ def instances():
 
 
 def upstream_pairs(instances):
-    """(trace, params, upstream) for both upstream modes over every node."""
+    """(node, trace, params, upstream) for both upstream modes over every node."""
     rng = np.random.default_rng(20260808)
     for graph, feats, params, d in instances:
         for node in range(graph.num_nodes):
             trace = forward_with_trace(params, graph, feats, node)
-            yield trace, params, np.ones(d)
-            yield trace, params, rng.standard_normal(d)
+            yield node, trace, params, np.ones(d)
+            yield node, trace, params, rng.standard_normal(d)
 
 
 def test_criterion_1_oracle_agreement(instances):
@@ -68,12 +68,12 @@ def test_criterion_1_oracle_agreement(instances):
     with criterion(1, "backward chain matches the complex-step oracle at 1e-12"):
         start = time.monotonic()
         checked = 0
-        for trace, params, upstream in upstream_pairs(instances):
+        for node, trace, params, upstream in upstream_pairs(instances):
             chain = backward_chain(trace, params, upstream)
             numeric = fd_gradient(trace, params, upstream)
             checks = compare_gradients(chain, numeric, 1e-12)
             assert all(c["pass"] for c in checks.values()), (
-                trace.node,
+                node,
                 {k: c["max_rel_err"] for k, c in checks.items()},
             )
             checked += 1

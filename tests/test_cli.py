@@ -18,6 +18,7 @@ from gatgrad import (
     Graph,
     LayerParams,
     backward_chain,
+    forward_with_trace,
     generate_instance,
     load_graph,
     load_params,
@@ -234,6 +235,31 @@ class TestForward:
         payload = json.loads(out.read_text())
         assert payload["nodes"][0]["h_out"] == [2.5]
         assert payload["nodes"][0]["alpha"] == []
+
+    def test_node_report_is_its_all_nodes_record(self, tmp_path):
+        """forward --node i writes record i of --all-nodes, for every node of a
+        graph where nodes 0 and 1 are isolated, node 2's only edge is a
+        self-loop and node 3 has one neighbor; its alpha and h_out are
+        forward_with_trace's, bit for bit."""
+        graph = Graph(6, ((2, 2), (3, 4), (4, 0), (4, 2), (4, 5), (5, 1), (5, 3)))
+        _, _, params = generate_instance(6, 3, 4, seed=3)
+        graph_path, params_path = tmp_path / "graph.json", tmp_path / "params.json"
+        save_graph(graph_path, graph, np.random.default_rng(3).standard_normal((6, 3)))
+        save_params(params_path, params)
+        (graph, features), params = load_graph(graph_path), load_params(params_path)
+        flags = ["--graph", str(graph_path), "--params", str(params_path)]
+        out = tmp_path / "forward.json"
+        assert main(["forward", *flags, "--all-nodes", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["nodes"]
+        assert [len(record["alpha"]) for record in records] == [0, 0, 1, 1, 3, 2]
+        for node in range(6):
+            assert main(["forward", *flags, "--node", str(node), "--out", str(out)]) == 0
+            (record,) = json.loads(out.read_text())["nodes"]
+            assert record == records[node], node
+            trace = forward_with_trace(params, graph, features, node)
+            for key in ("alpha", "h_out"):
+                got, want = np.array(record[key], dtype=np.float64), getattr(trace, key)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
 
     def test_repeated_runs_byte_identical(self, instance):
         tmp_path, graph_path, params_path = instance

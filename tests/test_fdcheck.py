@@ -322,7 +322,9 @@ class TestFdGradient:
             theta_l = args[1]
             if theta_l.ndim == 3:  # a stack of theta_L copies
                 copy = np.flatnonzero(theta_l.reshape(len(theta_l), -1)[:, flat].imag)
-                block.pre_act[copy, 0, 0] *= -1.0
+                pre_act = block.pre_act.copy()  # the record's arrays are read-only
+                pre_act[copy, 0, 0] *= -1.0
+                block = dataclasses.replace(block, pre_act=pre_act)
             return block
 
         clean = fd_gradient(self.trace, self.params, upstream)

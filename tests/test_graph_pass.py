@@ -338,7 +338,7 @@ class TestDiagnoseGraphPass:
 def block_routes(block, params, upstream):
     """The chain's theta_R, theta_L and att and the two closed forms, from
     grads._segments and the block functions run on `block` as it is."""
-    segs = grads._segments(block, params.negative_slope)
+    segs = grads._segments(block)
     chain_r, chain_l, d_score = grads._segment_chain(block, segs, params, upstream)
     return (
         chain_r,
@@ -356,8 +356,7 @@ class TestSegmentBackward:
         """grads.py's block functions over blocks of many targets give every
         node's backward_chain and closed forms bit for bit, as the node alone,
         with no leading axis, does; and so do the block functions run on the
-        node's ForwardTrace itself, read by the field names it shares with a
-        _Block."""
+        node's ForwardTrace itself, the record a block's is with no leading axis."""
         graph, features, params = instance
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         upstream = rng.standard_normal(params.out_dim)

@@ -17,7 +17,9 @@ from gatgrad import (
     load_params,
     save_params,
 )
-from gatgrad.layer import ForwardTrace, _propagate, _softmax
+from gatgrad import grads
+from gatgrad.fdcheck import COMPLEX_STEP
+from gatgrad.layer import ForwardTrace, _graph_chunks, _propagate, _slopes, _softmax
 
 
 def leaky_relu(x, slope):
@@ -49,7 +51,7 @@ def forward_per_neighbor(params, graph, features, node):
         params.theta_r, params.theta_l, params.att, params.bias,
         params.negative_slope, h_aug_target[None, :], h_aug_sources[None],
     )
-    return ForwardTrace(node, nbrs, *(a[0] for a in block))
+    return ForwardTrace(*(getattr(block, f.name)[0] for f in dataclasses.fields(ForwardTrace)))
 
 
 def isolated_and_self_loop(seed, n=6, h=3, d=4):
@@ -244,7 +246,8 @@ class TestForwardWithTrace:
     def test_scores_match_pairwise_scoring(self):
         g, feats, params = generate_instance(5, 3, 4, seed=42)
         trace = forward_with_trace(params, g, feats, 0)
-        for k, j in enumerate(trace.neighbors):
+        assert trace.num_neighbors == len(g.neighbors(0))
+        for k, j in enumerate(g.neighbors(0)):
             expect = attention_score(
                 params, np.array([1.0, *feats[0]]), np.array([1.0, *feats[j]])
             )
@@ -308,8 +311,8 @@ class TestForwardWithTrace:
         for node in range(graph.num_nodes):
             trace = forward_with_trace(params, graph, feats, node)
             expect = forward_per_neighbor(params, graph, feats, node)
-            assert trace.node == expect.node and trace.neighbors == expect.neighbors
-            for field in dataclasses.fields(ForwardTrace)[2:]:
+            assert trace.num_neighbors == expect.num_neighbors == len(graph.neighbors(node))
+            for field in dataclasses.fields(ForwardTrace):
                 got, want = getattr(trace, field.name), getattr(expect, field.name)
                 assert got.shape == want.shape, field.name
                 assert np.array_equal(got, want), field.name
@@ -412,6 +415,7 @@ DEPENDS = {
     "target_proj": {0},
     "source_proj": {1},
     "pre_act": {0, 1},
+    "slopes": {0, 1},
     "post_act": {0, 1},
     "scores": {0, 1, 2},
     "alpha": {0, 1, 2},
@@ -445,9 +449,74 @@ class TestBatchAxis:
         for lead, rows in (((1,), (targets, sources)), ((), (targets[0], sources[0]))):
             single = _propagate(*blocks, params.negative_slope, *rows)
             batched = _propagate(*batch, params.negative_slope, *rows)
-            assert set(single._fields) == set(DEPENDS)
-            for name, one, many, row in zip(single._fields, single, batched, block):
+            names = [field.name for field in dataclasses.fields(ForwardTrace)]
+            assert set(names) == set(DEPENDS)
+            for name in names:
+                one, many, row = (getattr(r, name) for r in (single, batched, block))
                 assert np.array_equal(one, row if lead else row[0]), name
                 want = (3, *one.shape[len(lead):]) if DEPENDS[name] & set(stacked) else one.shape
                 assert many.shape == want, name
                 assert np.array_equal(np.broadcast_to(one, want), many), name
+
+
+class TestRecord:
+    """ForwardTrace is the one record of an evaluation of the layer: a node's,
+    a block's of _graph_chunks, or a stack's of complex parameter copies
+    against one node. grads._one_node keys its cache on a record's identity,
+    so a record's arrays never change in place."""
+
+    def evaluations(self):
+        """The instance's params and, for every node, block and node's stack of
+        three complex theta_L copies: its degree, its record and a second
+        evaluation of the same record. Nodes 0 and 1 are isolated, node 2's
+        only edge is a self-loop and node 3 has one neighbor; row 0 of both
+        theta blocks is zero, so output 0's pre-activations sit at the kink."""
+        graph = Graph(6, ((2, 2), (3, 4), (4, 0), (4, 2), (4, 5), (5, 1), (5, 3)))
+        features = np.random.default_rng(3).standard_normal((6, 3))
+        _, _, params = generate_instance(6, 3, 4, seed=3)
+        theta_r, theta_l = params.theta_r.copy(), params.theta_l.copy()
+        theta_r[0] = theta_l[0] = 0.0
+        params = LayerParams(theta_r, theta_l, params.att, params.bias)
+        stack = np.stack([params.theta_l.astype(complex)] * 3)
+        stack[:, 0, 1] += 1j * COMPLEX_STEP * np.arange(3)
+        evaluations = []
+        for i in range(graph.num_nodes):
+            node = [forward_with_trace(params, graph, features, i) for _ in "ab"]
+            args = (params.theta_r, stack, params.att, params.bias, params.negative_slope,
+                    node[0].h_aug_target, node[0].h_aug_sources)
+            degree = len(graph.neighbors(i))
+            evaluations += [(degree, *node), (degree, *(_propagate(*args) for _ in "ab"))]
+        chunks = (_graph_chunks(params, graph, features) for _ in "ab")
+        for (nodes, _, block), (_, _, again) in zip(*chunks):
+            (degree,) = {len(graph.neighbors(i)) for i in nodes.tolist()}
+            evaluations.append((degree, block, again))
+        return params, evaluations
+
+    def test_frozen_distinct_and_consistent(self):
+        params, evaluations = self.evaluations()
+        names = [field.name for field in dataclasses.fields(ForwardTrace)]
+        assert names == [
+            "h_aug_target", "h_aug_sources", "target_proj", "source_proj", "pre_act",
+            "slopes", "post_act", "scores", "alpha", "messages", "h_out",
+        ]
+        # The nodes' own records come first, each before its stack's.
+        assert [degree for degree, *_ in evaluations[:12:2]] == [0, 0, 1, 1, 3, 2]
+        assert sum(record.alpha.dtype == complex for _, record, _ in evaluations) == 6
+        for degree, record, again in evaluations:
+            for name in names:
+                array = getattr(record, name)
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, array.copy())
+            assert record == record and record != again and not record == again
+            assert len({record: 0, again: 1}) == 2
+            assert grads._one_node(record) is not grads._one_node(again)
+            assert type(record.num_neighbors) is int
+            assert record.num_neighbors == record.alpha.shape[-1] == degree
+            slopes = _slopes(record.pre_act, params.negative_slope)
+            post_act = record.slopes * record.pre_act
+            for got, want in ((record.slopes, slopes), (record.post_act, post_act)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
