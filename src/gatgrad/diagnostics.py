@@ -15,10 +15,9 @@ upstream is a constant vector).
 diagnose computes every indicator in one pass over the whole graph, in the
 blocks of nodes of one degree of layer._graph_chunks, and reports the
 requested nodes' rows. The closed forms and the chain come from grads.py's
-block functions, which read a block's ForwardTrace as they read a node's
-and take every product and sum per target, so a node's gap equals
-closed_form_gap of its own routes, bit for bit; this module adds only the
-dead rows and entropy.
+block functions, which read a block's ForwardTrace as they read a node's and
+take every product and sum per target, so a node's gap equals closed_form_gap
+of its own routes, bit for bit; this module adds only the dead rows and entropy.
 """
 
 from __future__ import annotations

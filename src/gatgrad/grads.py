@@ -152,6 +152,7 @@ def grad_theta_r_sum(
     slope per dimension changes nothing analytically, while rows whose
     activation regime is uniform across neighbors come out exactly zero.
     Zero matrix for N <= 1, its zeros signed as upstream * att * h_aug.
+    The slopes are the trace's, so the trace must come from `params`.
     """
     g = _check_upstream(upstream, params.out_dim)
     return _segment_theta_r_sum(trace, _one_node(trace), params, g)
@@ -169,6 +170,7 @@ def grad_theta_r_pairwise(
     regime indicators in two matrix products. A block has at most
     layer.EDGE_BUDGET * D // N rows, the floats of one (EDGE_BUDGET, D) array
     of a whole-graph block, so memory stays O(N * D) at any degree.
+    The slope is params.negative_slope, so the trace must come from `params`.
     """
     g = _check_upstream(upstream, params.out_dim)
     n = trace.num_neighbors
@@ -214,6 +216,7 @@ def backward_chain(
     product, LeakyReLU, projections. Each step is the transposed-Jacobian
     product of its forward operation, the per-output-entry chain intact; at
     an isolated node every sum is empty, leaving zeros and the upstream as b.
+    The slopes are the trace's, so the trace must come from `params`.
     """
     g = _check_upstream(upstream, params.out_dim)
     segs = _one_node(trace)

@@ -144,7 +144,7 @@ class ForwardTrace:
 
     def __post_init__(self) -> None:
         for value in vars(self).values():  # the dataclass fields
-            value.setflags(write=False)
+            value.setflags(False)  # write=False, positional: the keyword costs more
 
     @property
     def num_neighbors(self) -> int:
@@ -174,8 +174,7 @@ def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources)
     Targets of one degree n, with any leading axes: h_aug_targets (..., H+1)
     holds each target's augmented row and h_aug_sources (..., n, H+1) the
     rows of its neighbors; a node is (H+1,) and (n, H+1). Returns the
-    ForwardTrace of both and of every intermediate, the slopes that give
-    post_act = slopes * pre_act among them.
+    ForwardTrace of both and of every intermediate, slopes among them.
     Every product and sum is taken per target, so each target rounds as it
     does alone: BLAS would round a row of one (k, H+1) @ (H+1, D) product
     differently as k grows. A parameter block may carry a leading axis of B
