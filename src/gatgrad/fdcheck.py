@@ -12,8 +12,8 @@ through the layer core as a leading axis against the node, which has none,
 in chunks bounded by layer.EDGE_BUDGET. The step moves only imaginary
 parts, and LeakyReLU takes its branch on the real part (Martins, Sturdza &
 Alonso, ACM TOMS 29(3), 2003), so a pre-activation at the kink is no
-hazard; an entry whose copy rounds one across it is flagged and excluded
-from the verdict.
+hazard; an entry whose copy's LeakyReLU slopes differ from the trace's, one
+rounded across the kink, is flagged and excluded from the verdict.
 
 That rounding is reported as `resolution`, a few ulps of the loss taken on
 absolute values, and compare_gradients confirms entries that differ by no
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import layer
 from .grads import REL_ERR_FLOOR, GradientSet, _check_upstream
-from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _propagate
+from .layer import BLOCKS, ForwardTrace, LayerParams, _propagate
 
 # perfbench/spans.py wraps this by this module's name; nothing here calls it.
 from .layer import forward_with_trace  # noqa: F401
@@ -51,9 +51,9 @@ class FdGradient:
     """Complex-step gradients plus per-entry kink flags; hashed by identity.
 
     kink_flags maps each block's file key to a boolean mask of the entries
-    excluded from the verdict, those whose complex pass took another
-    LeakyReLU branch than the real pass somewhere. resolution is the smallest
-    analytic/numeric difference the oracle can resolve for this node.
+    excluded from the verdict: those whose complex pass took another LeakyReLU
+    slope than the real pass somewhere, never at negative_slope 1. resolution
+    is the smallest analytic/numeric difference the oracle can resolve here.
     """
 
     grads: GradientSet
@@ -70,13 +70,12 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
     leading axis and the other blocks broadcast:
     EDGE_BUDGET // (2 max(N, H+1)) copies for N neighbors keep the complex
     stack and the edge arrays each within the bytes of one (EDGE_BUDGET, D)
-    float64 array of a whole-graph block. Of the trace's results only pre_act
-    (the branch flags) and alpha with source_proj (the resolution) are read,
-    so the derivative stays independent of the routes it checks.
+    float64 array of a whole-graph block. Of the trace's results only slopes
+    (the flags) and alpha with source_proj (the resolution) are read, so the
+    derivative stays independent of the routes it checks.
     The a and b copies never reach a pre-activation, so are never flagged.
     """
     g = _check_upstream(upstream, params.out_dim)
-    branches = _branch(trace.pre_act)
     blocks = [getattr(params, name) for name in BLOCKS.values()]
     node_args = (params.negative_slope, trace.h_aug_target, trace.h_aug_sources)
     chunk = max(1, layer.EDGE_BUDGET // (2 * max(trace.num_neighbors, params.feature_dim + 1)))
@@ -85,7 +84,8 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
     for pos, base_block in enumerate(blocks):
         for lo in range(0, base_block.size, chunk):
             idx = np.arange(lo, min(lo + chunk, base_block.size))
-            stack = np.tile(base_block.reshape(-1).astype(complex), (len(idx), 1))
+            stack = np.empty((len(idx), base_block.size), complex)
+            stack[...] = base_block.reshape(-1)
             stack[np.arange(len(idx)), idx] += 1j * COMPLEX_STEP
             stacked = [*blocks[:pos], stack.reshape(-1, *base_block.shape), *blocks[pos + 1 :]]
             copies = _propagate(*stacked, *node_args)
@@ -93,7 +93,7 @@ def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) 
             if not np.isfinite(loss).all():
                 raise ValueError("non-finite loss at a perturbed point")
             grads[pos].flat[idx] = loss.imag / COMPLEX_STEP
-            flags[pos].flat[idx] = (_branch(copies.pre_act) != branches).any(axis=(-2, -1))
+            flags[pos].flat[idx] = (copies.slopes != trace.slopes).any(axis=(-2, -1))
             del copies  # freed, so the next chunk's arrays reuse their memory
     # One evaluation rounds on the scale of the loss taken on absolute values,
     # which can overflow where the loss cancels; an infinite resolution would

@@ -15,11 +15,11 @@ neighbor arrays (..., n, .): a node has none, a block of k targets of one
 degree one. Each product and sum is taken per target (layer._dot, and one
 matrix product per target for the (D, H+1) blocks), so a target's gradients
 are the same in any block. They read a layer.ForwardTrace, a node's or a
-block's, by field name, its LeakyReLU slopes too, and _Segments is the two
-terms they share beyond it. The public functions run them on one node's
-trace, and diagnostics.diagnose over the blocks of the whole graph; only
-grad_theta_r_pairwise stays per node, as the independent cross-check that
-sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
+block's, by field name, the LeakyReLU regime from its slopes, and _Segments
+is the two terms they share beyond it. The public functions run them on one
+node's trace, and diagnostics.diagnose over the blocks of the whole graph;
+only grad_theta_r_pairwise stays per node, as the independent cross-check
+that sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
 An isolated node is a block of degree 0: its neighbor sums are empty, so its
 attention gradients are zeros, signed as a single-neighbor node's are.
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import BLOCKS, ForwardTrace, LayerParams, _branch, _dot
+from .layer import BLOCKS, ForwardTrace, LayerParams, _dot
 
 __all__ = [
     "GradientSet",
@@ -63,7 +63,7 @@ class GradientSet:
     def __post_init__(self) -> None:
         for name in BLOCKS.values():
             arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
+            arr.setflags(False)  # write=False, positional: the keyword costs more
             object.__setattr__(self, name, arr)
 
     def as_dict(self) -> dict[str, np.ndarray]:
@@ -165,16 +165,17 @@ def grad_theta_r_pairwise(
 
     Visits unordered neighbor pairs exactly once; each pair contributes
     alpha[k] * alpha[j] * (total[k] - total[j]) * (slope[k] - slope[j]).
-    Algebraically identical to grad_theta_r_sum. A slope difference is 0 or
-    +-(1 - negative_slope), so row blocks of the pair triangle meet the 0/1
-    regime indicators in two matrix products. A block has at most
-    layer.EDGE_BUDGET * D // N rows, the floats of one (EDGE_BUDGET, D) array
-    of a whole-graph block, so memory stays O(N * D) at any degree.
-    The slope is params.negative_slope, so the trace must come from `params`.
+    Algebraically identical to grad_theta_r_sum. The trace's slopes are 1 or
+    one negative slope, so a slope difference is 0 or +-(1 - their minimum),
+    and row blocks of the pair triangle meet the 0/1 regime indicators in two
+    matrix products. A block has at most layer.EDGE_BUDGET * D // N rows, the
+    floats of one (EDGE_BUDGET, D) array of a whole-graph block, so memory
+    stays O(N * D) at any degree.
+    The slopes are the trace's, so the trace must come from `params`.
     """
     g = _check_upstream(upstream, params.out_dim)
     n = trace.num_neighbors
-    pos = _branch(trace.pre_act)
+    pos = trace.slopes == 1.0
     neg = ~pos
     totals = trace.source_proj.sum(axis=1)
     rows = max(1, layer.EDGE_BUDGET * params.out_dim // max(n, 1))
@@ -184,7 +185,7 @@ def grad_theta_r_pairwise(
         w = np.multiply.outer(trace.alpha[k], trace.alpha[j])  # in place: a temporary fewer
         w = np.triu(np.multiply(w, np.subtract.outer(totals[k], totals[j]), out=w))
         coeff += (pos[k] * (w @ neg[j])).sum(0) - (neg[k] * (w @ pos[j])).sum(0)
-    coeff *= 1.0 - params.negative_slope
+    coeff *= 1.0 - trace.slopes.min(initial=1.0)
     return np.outer(g * params.att * coeff, trace.h_aug_target)
 
 

@@ -73,7 +73,7 @@ class LayerParams:
     def __post_init__(self) -> None:
         for name in BLOCKS.values():
             arr = _finite(np.array(getattr(self, name), dtype=np.float64), name)
-            arr.setflags(write=False)
+            arr.setflags(False)  # write=False, positional: the keyword costs more
             object.__setattr__(self, name, arr)
         if self.theta_r.ndim != 2 or self.theta_r.shape[1] < 1:
             raise ValueError("theta_r must be a matrix with at least one column")
@@ -98,16 +98,12 @@ class LayerParams:
         return self.theta_r.shape[1] - 1
 
 
-def _branch(x: np.ndarray) -> np.ndarray:
-    """LeakyReLU's identity branch: a strictly positive real part. 0 is on the other
-    branch, and complex input takes its real part's, which the complex step keeps."""
-    return x.real > 0.0
-
-
 def _slopes(x: np.ndarray, negative_slope: float) -> np.ndarray:
-    """LeakyReLU's derivative, 1 where _branch(x) holds and negative_slope elsewhere;
-    _propagate applies LeakyReLU itself as _slopes(x) * x, exactly: 1.0 * x is x."""
-    return np.where(_branch(x), 1.0, negative_slope)
+    """LeakyReLU's derivative: 1 where x's real part is strictly positive, negative_slope
+    elsewhere, 0 included; complex input takes its real part's, which the complex step
+    keeps. _propagate applies LeakyReLU as _slopes(x) * x, exactly (1.0 * x is x), and
+    keeps these slopes in its record: every other reader takes the regime from them."""
+    return np.where(x.real > 0.0, 1.0, negative_slope)
 
 
 # Edges, and nodes, the whole-graph passes evaluate at once. It bounds their

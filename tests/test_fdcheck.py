@@ -52,6 +52,26 @@ def per_entry_oracle(params, graph, features, node, upstream):
     return GradientSet(*grads)
 
 
+def crossing_core(flat, slope):
+    """The layer core, but in a stack of theta_L copies the copy that perturbs
+    flat entry `flat` has its first pre-activation negated, across the kink,
+    and that entry's slope taken by LeakyReLU's rule at `slope`."""
+
+    def core(*args):
+        block = _propagate(*args)
+        theta_l = args[1]
+        if theta_l.ndim == 3:  # a stack of theta_L copies
+            copy = np.flatnonzero(theta_l.reshape(len(theta_l), -1)[:, flat].imag)
+            pre_act = block.pre_act.copy()  # the record's arrays are read-only
+            pre_act[copy, 0, 0] *= -1.0
+            slopes = block.slopes.copy()
+            slopes[copy, 0, 0] = np.where(pre_act[copy, 0, 0].real > 0.0, 1.0, slope)
+            block = dataclasses.replace(block, pre_act=pre_act, slopes=slopes)
+        return block
+
+    return core
+
+
 @st.composite
 def oracle_cases(draw):
     """(graph, features, params, node, upstream): the node is isolated, has a
@@ -252,13 +272,13 @@ class TestFdGradient:
             assert np.array_equal(a.grads.as_dict()[key], b.grads.as_dict()[key])
         assert a.resolution == b.resolution
 
-    def test_reads_no_result_but_pre_act_alpha_and_source_proj(self):
-        """Of the trace's results the oracle reads only pre_act, alpha and
+    def test_reads_no_result_but_slopes_alpha_and_source_proj(self):
+        """Of the trace's results the oracle reads only slopes, alpha and
         source_proj, so it stays independent of the routes it checks: with
-        every other intermediate NaN, its gradients, kink flags and
-        resolution are the same, bit for bit."""
+        every other intermediate NaN, pre_act included, its gradients, kink
+        flags and resolution are the same, bit for bit."""
         upstream = np.array([0.7, -1.1, 0.4])
-        unread = ("target_proj", "post_act", "scores", "messages", "h_out")
+        unread = ("target_proj", "pre_act", "post_act", "scores", "messages", "h_out")
         nans = {name: np.full_like(getattr(self.trace, name), np.nan) for name in unread}
         blind = dataclasses.replace(self.trace, **nans)
         want, got = (fd_gradient(trace, self.params, upstream) for trace in (self.trace, blind))
@@ -311,24 +331,13 @@ class TestFdGradient:
 
     def test_branch_change_in_one_copy_flags_that_entry(self, monkeypatch):
         """A core whose stacked pre-activation of theta_L entry (0, 1) lands on
-        the other side of the kink than the node's trace: exactly that entry
-        is flagged, the gradients are unchanged, and the entry leaves the
-        verdict, so a gross defect there passes."""
+        the other side of the kink than the node's trace, with the slope of
+        that side: exactly that entry is flagged, the gradients are unchanged,
+        and the entry leaves the verdict, so a gross defect there passes."""
         entry, upstream = (0, 1), np.ones(3)
         flat = np.ravel_multi_index(entry, self.params.theta_l.shape)
-
-        def crossing(*args):
-            block = _propagate(*args)
-            theta_l = args[1]
-            if theta_l.ndim == 3:  # a stack of theta_L copies
-                copy = np.flatnonzero(theta_l.reshape(len(theta_l), -1)[:, flat].imag)
-                pre_act = block.pre_act.copy()  # the record's arrays are read-only
-                pre_act[copy, 0, 0] *= -1.0
-                block = dataclasses.replace(block, pre_act=pre_act)
-            return block
-
         clean = fd_gradient(self.trace, self.params, upstream)
-        monkeypatch.setattr("gatgrad.fdcheck._propagate", crossing)
+        monkeypatch.setattr("gatgrad.fdcheck._propagate", crossing_core(flat, 0.2))
         numeric = fd_gradient(self.trace, self.params, upstream)
         assert clean.kink_flags["theta_L"].sum() == 0
         for key, mask in numeric.kink_flags.items():
@@ -341,6 +350,21 @@ class TestFdGradient:
         checks = compare_gradients(corrupted, numeric, 1e-12)
         assert passed(checks) and checks["theta_L"]["kink_flagged"] == (entry,)
         assert not passed(compare_gradients(corrupted, clean, 1e-12))
+
+    def test_crossing_at_slope_one_flags_nothing(self, monkeypatch):
+        """At negative_slope 1 both sides of the kink have slope 1: a copy
+        whose pre-activation crosses it keeps the trace's slopes, so no entry
+        is flagged and the gradients are unchanged."""
+        params = dataclasses.replace(self.params, negative_slope=1.0)
+        trace = forward_with_trace(params, self.g, self.feats, 0)
+        upstream = np.ones(3)
+        clean = fd_gradient(trace, params, upstream)
+        flat = np.ravel_multi_index((0, 1), params.theta_l.shape)
+        monkeypatch.setattr("gatgrad.fdcheck._propagate", crossing_core(flat, 1.0))
+        numeric = fd_gradient(trace, params, upstream)
+        for key, mask in numeric.kink_flags.items():
+            assert not mask.any(), key
+            assert np.array_equal(numeric.grads.as_dict()[key], clean.grads.as_dict()[key])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_rejected(self):

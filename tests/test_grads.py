@@ -285,6 +285,34 @@ class TestAnnihilation:
                     saw_live_row = True
         assert saw_live_row
 
+    def test_identity_activation_kills_theta_r(self):
+        """At negative_slope 1 LeakyReLU is the identity on both sides of 0,
+        so the target's part of every score is one shift that the softmax
+        removes: every theta_R form is exactly zero at every node, diagnose
+        calls every row dead (static attention, Brody et al. 2022), and the
+        oracle flags no entry, though the pre-activations take both signs."""
+        g, feats, params = generate_instance(12, 3, 4, seed=2)
+        params = LayerParams(params.theta_r, params.theta_l, params.att, params.bias, 1.0)
+        upstream = np.random.default_rng(2).standard_normal(4)
+        saw_both_signs = False
+        for node in range(12):
+            trace = forward_with_trace(params, g, feats, node)
+            for mat in (
+                grad_theta_r_sum(trace, params, upstream),
+                grad_theta_r_pairwise(trace, params, upstream),
+                backward_chain(trace, params, upstream).theta_r,
+            ):
+                assert np.all(mat == 0.0), node
+            flags = fd_gradient(trace, params, upstream).kink_flags
+            assert not any(mask.any() for mask in flags.values()), node
+            positive = trace.pre_act > 0.0
+            saw_both_signs |= bool(np.any(positive != positive[:1]))
+        assert saw_both_signs
+        report = diagnose(params, g, feats)
+        assert len(report) == 12
+        assert all(all(entry.dead_theta_r) for entry in report)
+        assert all(entry.regime_uniformity == 1.0 for entry in report)
+
 
 class TestPairwiseSumIdentity:
     def test_agreement_over_random_instances(self):
@@ -299,6 +327,21 @@ class TestPairwiseSumIdentity:
                 p = grad_theta_r_pairwise(trace, params, upstream)
                 assert _relative_error(s, p).max() <= 1e-12
 
+    def test_both_forms_read_the_traces_slopes(self):
+        """Traces at slope 0.2 passed with params at slope 0.5: both forms
+        take LeakyReLU's regimes and slopes from the trace, so they still
+        agree at every node."""
+        g, feats, params = generate_instance(30, 3, 4, seed=11)
+        other = LayerParams(params.theta_r, params.theta_l, params.att, params.bias, 0.5)
+        upstream = np.random.default_rng(11).standard_normal(4)
+        saw_live_row = False
+        for node in range(30):
+            trace = forward_with_trace(params, g, feats, node)
+            s = grad_theta_r_sum(trace, other, upstream)
+            p = grad_theta_r_pairwise(trace, other, upstream)
+            assert _relative_error(s, p).max() <= 1e-12, node
+            saw_live_row |= bool(np.any(s != 0.0))
+        assert saw_live_row
 
     def test_matches_double_loop_reference(self):
         """The per-neighbor vectorized pair sum against the plain pair loop."""
