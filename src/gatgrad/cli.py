@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from . import layer
 from .diagnostics import closed_form_gap, diagnose
 from .fdcheck import COMPLEX_STEP, compare_gradients, fd_gradient
 from .gen import generate_instance
@@ -154,16 +155,32 @@ def cmd_forward(args) -> int:
     return 0
 
 
+def _by_window(params, graph, features, nodes: list[int], upstreams: np.ndarray):
+    """Each node in id order, with its trace, upstream and oracle result: one oracle call per
+    window of layer.EDGE_BUDGET edges and nodes at most, a node counting max(degree, 1)."""
+    degrees, windows, load = np.diff(graph.offsets), [], layer.EDGE_BUDGET
+    for node in nodes:
+        cost = max(int(degrees[node]), 1)
+        if load + cost > layer.EDGE_BUDGET:
+            windows.append([])
+            load = 0
+        windows[-1].append(node)
+        load += cost
+    for window in windows:
+        traces = [forward_with_trace(params, graph, features, node) for node in window]
+        numeric = fd_gradient(traces, params, upstreams[window])
+        for i, (node, trace) in enumerate(zip(window, traces)):
+            yield node, trace, upstreams[node], numeric.node(i)
+
+
 def cmd_gradcheck(args) -> int:
     graph, features, params = _load(args)
     mode, path = args.upstream
     nodes = _select_nodes(args, graph)
     upstreams = _upstream_vector(mode, path, (max(nodes) + 1, params.out_dim), args.seed)
     entries = []
-    for node, upstream in zip(nodes, upstreams[nodes]):
-        trace = forward_with_trace(params, graph, features, node)
+    for node, trace, upstream, numeric in _by_window(params, graph, features, nodes, upstreams):
         chain = backward_chain(trace, params, upstream)
-        numeric = fd_gradient(trace, params, upstream)
         checks = compare_gradients(chain, numeric, args.tol)
         closed = GradientSet(
             theta_r=grad_theta_r_sum(trace, params, upstream),

@@ -54,60 +54,73 @@ class FdGradient:
     excluded from the verdict: those whose complex pass took another LeakyReLU
     slope than the real pass somewhere, never at negative_slope 1. resolution
     is the smallest analytic/numeric difference the oracle can resolve here.
+    A window of k nodes puts its node axis k in front of every array, and its
+    resolution is a (k,) array; node(i) is node i's result as its lone trace's.
     """
 
     grads: GradientSet
     kink_flags: dict[str, np.ndarray]
-    resolution: float
+    resolution: float | np.ndarray
+
+    def node(self, i: int) -> FdGradient:
+        """Node i's slice of a window's result."""
+        grads = GradientSet(*(block[i] for block in self.grads.as_dict().values()))
+        flags = {key: mask[i] for key, mask in self.kink_flags.items()}
+        return FdGradient(grads, flags, float(self.resolution[i]))
 
 
-def fd_gradient(trace: ForwardTrace, params: LayerParams, upstream: np.ndarray) -> FdGradient:
+def fd_gradient(
+    trace: ForwardTrace | list[ForwardTrace], params: LayerParams, upstream: np.ndarray
+) -> FdGradient:
     """Complex-step derivative of the loss upstream . h_out over every parameter entry.
 
-    The node is the trace's; the oracle runs no forward pass of its own.
-    Each block's perturbed copies go from the trace's augmented rows, which
-    have no leading axis, through the layer core in chunks, the copies the
-    leading axis and the other blocks broadcast:
-    EDGE_BUDGET // (2 max(N, H+1)) copies for N neighbors keep the complex
-    stack and the edge arrays each within the bytes of one (EDGE_BUDGET, D)
-    float64 array of a whole-graph block. Of the trace's results only slopes
-    (the flags) and alpha with source_proj (the resolution) are read, so the
-    derivative stays independent of the routes it checks.
-    The a and b copies never reach a pre-activation, so are never flagged.
+    The oracle runs no forward pass of its own: each block's perturbed copies
+    go from the trace's augmented rows, which have no leading axis, through
+    the layer core in chunks, the copies the leading axis and the other blocks
+    broadcast. EDGE_BUDGET // (2 max(N, H+1)) copies for N neighbors keep the
+    complex stack and the edge arrays each within the bytes of one
+    (EDGE_BUDGET, D) float64 array of a whole-graph block. Of the trace's
+    results only slopes (the flags) and alpha with source_proj (the
+    resolution) are read, so the derivative stays independent of the routes
+    it checks. The a and b copies never reach a pre-activation, so are never
+    flagged. A window, a list of k traces with upstream rows (k, D), runs
+    chunk-major: each stack is built once for every node of its chunk size,
+    and each core call is a lone trace's, so every entry, flag and
+    resolution is too.
     """
-    g = _check_upstream(upstream, params.out_dim)
+    traces, rows = ([trace], [upstream]) if isinstance(trace, ForwardTrace) else (trace, upstream)
+    gs = [_check_upstream(row, params.out_dim) for _, row in zip(traces, rows, strict=True)]
+    args = [(params.negative_slope, t.h_aug_target, t.h_aug_sources) for t in traces]
+    width = params.feature_dim + 1
+    chunks = [max(1, layer.EDGE_BUDGET // (2 * max(t.num_neighbors, width))) for t in traces]
     blocks = [getattr(params, name) for name in BLOCKS.values()]
-    node_args = (params.negative_slope, trace.h_aug_target, trace.h_aug_sources)
-    chunk = max(1, layer.EDGE_BUDGET // (2 * max(trace.num_neighbors, params.feature_dim + 1)))
-    grads = [np.empty(block.shape) for block in blocks]
-    flags = [np.zeros(block.shape, dtype=bool) for block in blocks]
-    for pos, base_block in enumerate(blocks):
-        for lo in range(0, base_block.size, chunk):
-            idx = np.arange(lo, min(lo + chunk, base_block.size))
-            stack = np.empty((len(idx), base_block.size), complex)
-            stack[...] = base_block.reshape(-1)
-            stack[np.arange(len(idx)), idx] += 1j * COMPLEX_STEP
-            stacked = [*blocks[:pos], stack.reshape(-1, *base_block.shape), *blocks[pos + 1 :]]
-            copies = _propagate(*stacked, *node_args)
-            loss = (copies.h_out[:, None, :] @ g)[:, 0]  # a dot per copy, as a chunk of one
-            if not np.isfinite(loss).all():
-                raise ValueError("non-finite loss at a perturbed point")
-            grads[pos].flat[idx] = loss.imag / COMPLEX_STEP
-            flags[pos].flat[idx] = (copies.slopes != trace.slopes).any(axis=(-2, -1))
-            del copies  # freed, so the next chunk's arrays reuse their memory
-    # One evaluation rounds on the scale of the loss taken on absolute values,
-    # which can overflow where the loss cancels; an infinite resolution would
-    # confirm every entry.
-    abs_h_out = np.abs(params.bias) + trace.alpha @ np.abs(trace.source_proj)
-    abs_loss = float(np.abs(g) @ abs_h_out)
-    if not math.isfinite(abs_loss):
+    grads = [np.empty((len(traces), *block.shape)) for block in blocks]
+    flags = [np.zeros((len(traces), *block.shape), dtype=bool) for block in blocks]
+    for chunk in dict.fromkeys(chunks):  # chunk-major: one stack for every node of its size
+        nodes = [i for i, size in enumerate(chunks) if size == chunk]
+        for pos, block in enumerate(blocks):
+            for lo in range(0, block.size, chunk):
+                idx = np.arange(lo, min(lo + chunk, block.size))
+                stack = np.full((len(idx), block.size), block.reshape(-1), complex)
+                stack[np.arange(len(idx)), idx] += 1j * COMPLEX_STEP
+                stacked = [*blocks[:pos], stack.reshape(-1, *block.shape), *blocks[pos + 1 :]]
+                for i in nodes:
+                    copies = _propagate(*stacked, *args[i])
+                    loss = (copies.h_out[:, None, :] @ gs[i])[:, 0]  # each copy's own dot product
+                    if not np.isfinite(loss).all():
+                        raise ValueError("non-finite loss at a perturbed point")
+                    grads[pos][i].flat[idx] = loss.imag / COMPLEX_STEP
+                    flags[pos][i].flat[idx] = (copies.slopes != traces[i].slopes).any((-2, -1))
+                    del copies  # freed, so the next call's arrays reuse their memory
+    # One evaluation rounds on the scale of the loss taken on absolute values, which
+    # can overflow where the loss cancels: an infinite resolution would confirm every entry.
+    abs_h_outs = [np.abs(params.bias) + t.alpha @ np.abs(t.source_proj) for t in traces]
+    abs_losses = [float(np.abs(g) @ abs_h_out) for g, abs_h_out in zip(gs, abs_h_outs)]
+    if not all(map(math.isfinite, abs_losses)):
         raise ValueError("non-finite loss scale")
-    resolution = RESOLUTION_ULPS * np.finfo(np.float64).eps * max(1.0, abs_loss)
-    return FdGradient(
-        grads=GradientSet(*grads),
-        kink_flags=dict(zip(BLOCKS, flags)),
-        resolution=float(resolution),
-    )
+    resolution = RESOLUTION_ULPS * np.finfo(np.float64).eps * np.maximum(1.0, abs_losses)
+    numeric = FdGradient(GradientSet(*grads), dict(zip(BLOCKS, flags)), resolution)
+    return numeric if traces is trace else numeric.node(0)  # a lone trace's shapes
 
 
 def _relative_error(x: np.ndarray, y: np.ndarray) -> np.ndarray:

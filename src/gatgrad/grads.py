@@ -53,7 +53,7 @@ REL_ERR_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GradientSet:
-    """Frozen copies of the four blocks' gradients for one target node; hashed by identity."""
+    """Frozen copies of the four blocks' gradients, a node's or a window's; hashed by identity."""
 
     theta_r: np.ndarray
     theta_l: np.ndarray

@@ -399,6 +399,62 @@ class TestGradcheck:
             "forward_with_trace", "_segment_chain", "_segment_theta_r_sum", "_segment_theta_l"
         )}
 
+    def test_one_stack_per_chunk_per_window(self, tmp_path, monkeypatch):
+        """--all-nodes on 12 nodes of degree at most 11 at H = D = 16: each
+        node takes 120 copies a core call, so 8 calls (three chunks of each
+        272-entry theta block, one of a, one of b), 96 in all. The 12 nodes
+        share one window, so the oracle builds those 8 complex stacks once
+        for all of them, where one oracle call per node built 96."""
+        _, graph_path, params_path = run_gen(
+            tmp_path, seed=3, nodes=12, feature_dim=16, out_dim=16
+        )
+        stacks = []  # every stack stays alive, so no two share an id
+        propagate = fdcheck._propagate
+
+        def core(*args):
+            stacks.extend(block for block in args[:4] if block.dtype == complex)
+            return propagate(*args)
+
+        monkeypatch.setattr(fdcheck, "_propagate", core)
+        out = tmp_path / "report.json"
+        assert main(["gradcheck", "--graph", str(graph_path), "--params", str(params_path),
+                     "--all-nodes", "--out", str(out)]) == 0
+        assert len(stacks) == 96
+        assert len({id(stack) for stack in stacks}) == 8
+
+    @pytest.mark.parametrize("budget", [7, 13, 40])
+    def test_windows_follow_the_edge_budget(self, tmp_path, monkeypatch, budget):
+        """--all-nodes hands the oracle the nodes in id order, in windows of
+        at most EDGE_BUDGET edges and nodes, a node counting max(degree, 1),
+        each window as long as that allows, so a node of higher degree goes
+        alone. Node 1 is isolated, and nodes 2 and 11, of degree 8 and 10,
+        exceed a budget of 7. The report is the same, byte for byte, at any
+        budget."""
+        _, graph_path, params_path = run_gen(
+            tmp_path, seed=3, nodes=12, extra=("--min-degree", "0")
+        )
+        flags = ["gradcheck", "--graph", str(graph_path), "--params", str(params_path),
+                 "--all-nodes", "--upstream", "random", "--seed", "7"]
+        want = tmp_path / "want.json"
+        assert main([*flags, "--out", str(want)]) == 0
+        windows = []
+        oracle = gatgrad.cli.fd_gradient
+
+        def record(traces, params, upstreams):
+            windows.append([max(trace.num_neighbors, 1) for trace in traces])
+            return oracle(traces, params, upstreams)
+
+        monkeypatch.setattr(gatgrad.cli, "fd_gradient", record)
+        monkeypatch.setattr(layer, "EDGE_BUDGET", budget)
+        got = tmp_path / "got.json"
+        assert main([*flags, "--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
+        graph, _ = load_graph(graph_path)
+        assert sum(windows, []) == np.maximum(np.diff(graph.offsets), 1).tolist()
+        for window, after in zip(windows, windows[1:] + [[budget]]):
+            assert sum(window) <= budget or len(window) == 1, window
+            assert sum(window) + after[0] > budget, (window, after)
+
     def test_gap_compares_the_reported_gradients(self, instance, monkeypatch):
         """closed_form_gap is taken between the report's own closed-form and
         chain gradients: a 1e-3 defect in one theta_L entry of the chain

@@ -183,12 +183,42 @@ class TestBatchedOracle:
             assert np.array_equal(block, want[key]), key
             assert np.array_equal(np.signbit(block), np.signbit(want[key])), key
 
+    @pytest.mark.parametrize("budget", [None, 1000, 7])
+    def test_window_equals_lone_calls(self, monkeypatch, budget):
+        """A window of an isolated node, a single neighbor, a lone self-loop,
+        a self-loop among others, degrees up to H + 1 = 5 and a hub of 12
+        (two chunk sizes but at a budget of 7) gives each node the entries,
+        signs of zero, kink masks and resolution of its lone trace's call,
+        bit for bit, under random upstream rows."""
+        if budget is not None:
+            monkeypatch.setattr(layer, "EDGE_BUDGET", budget)
+        rng = np.random.default_rng(11)
+        nbrs = [[], [5], [2], [3, 0, 7], [1, 2, 3, 4, 6], list(range(1, 13)), [0, 9, 12]]
+        graph = Graph(13, tuple((i, j) for i, row in enumerate(nbrs) for j in row))
+        params = LayerParams(
+            rng.standard_normal((4, 5)), rng.standard_normal((4, 5)),
+            rng.standard_normal(4), rng.standard_normal(4),
+        )
+        feats, upstreams = rng.standard_normal((13, 4)), rng.standard_normal((len(nbrs), 4))
+        traces = [forward_with_trace(params, graph, feats, node) for node in range(len(nbrs))]
+        window = fd_gradient(traces, params, upstreams)
+        assert window.resolution.shape == (len(nbrs),)
+        for i, (trace, upstream) in enumerate(zip(traces, upstreams)):
+            lone, got = fd_gradient(trace, params, upstream), window.node(i)
+            for key, block in lone.grads.as_dict().items():
+                assert window.grads.as_dict()[key].shape == (len(nbrs), *block.shape)
+                assert np.array_equal(got.grads.as_dict()[key], block), (i, key)
+                assert np.array_equal(np.signbit(got.grads.as_dict()[key]), np.signbit(block))
+                assert np.array_equal(got.kink_flags[key], lone.kink_flags[key]), (i, key)
+            assert got.resolution == lone.resolution and isinstance(lone.resolution, float)
+
     @pytest.mark.parametrize("n_nbrs, h, d", [(1, 32, 32), (0, 16, 16), (40, 2, 3)])
     def test_chunk_arrays_within_whole_graph_bytes(self, monkeypatch, n_nbrs, h, d):
         """Each core call's complex stack and edge arrays fit in the bytes of one
-        (EDGE_BUDGET, D) float64 array, also where H + 1 exceeds the degree."""
+        (EDGE_BUDGET, D) float64 array, also where H + 1 exceeds the degree,
+        in a window of node 0 (n_nbrs neighbors), node 1 (one) and node 2 (none)."""
         rng = np.random.default_rng(3)
-        graph = Graph(41, tuple((0, j) for j in range(1, n_nbrs + 1)))
+        graph = Graph(41, tuple((0, j) for j in range(1, n_nbrs + 1)) + ((1, 0),))
         params = LayerParams(
             rng.standard_normal((d, h + 1)), rng.standard_normal((d, h + 1)),
             rng.standard_normal(d), rng.standard_normal(d),
@@ -197,13 +227,15 @@ class TestBatchedOracle:
         monkeypatch.setattr(
             "gatgrad.fdcheck._propagate", lambda *args: calls.append(args) or _propagate(*args)
         )
-        trace = forward_with_trace(params, graph, rng.standard_normal((41, h)), 0)
-        fd_gradient(trace, params, np.ones(d))
+        feats = rng.standard_normal((41, h))
+        traces = [forward_with_trace(params, graph, feats, node) for node in range(3)]
+        fd_gradient(traces, params, np.ones((3, d)))
+        assert {len(args[-1]) for args in calls} == {n_nbrs, 1, 0}
         limit = layer.EDGE_BUDGET * d * 8
         for args in calls:
             copies = max(len(block) for block in args[:4] if block.dtype == complex)
             assert max(block.nbytes for block in args[:4]) <= limit
-            assert copies * n_nbrs * d * 16 <= limit
+            assert copies * len(args[-1]) * d * 16 <= limit
 
 
 class TestEvaluateLoss:
@@ -220,6 +252,11 @@ class TestEvaluateLoss:
     def test_non_finite_vector_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             fd_gradient(self.trace, self.params, np.array([1.0, np.inf, 1.0]))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_window_takes_one_row_per_trace(self, rows):
+        with pytest.raises(ValueError):
+            fd_gradient([self.trace, self.trace], self.params, np.ones((rows, 3)))
 
 
 class TestFdConfig:
