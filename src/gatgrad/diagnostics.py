@@ -14,10 +14,11 @@ upstream is a constant vector).
 
 diagnose computes every indicator in one pass over the whole graph, in the
 blocks of nodes of one degree of layer._graph_chunks, and reports the
-requested nodes' rows. The closed forms and the chain come from grads.py's
-block functions, which read a block's ForwardTrace as they read a node's and
-take every product and sum per target, so a node's gap equals closed_form_gap
-of its own routes, bit for bit; this module adds only the dead rows and entropy.
+requested nodes' rows. It calls grad_theta_r_sum and grad_theta_l on each
+block's ForwardTrace, and the chain's raw form grads._segment_chain; each
+reads a block's record as it reads a node's and takes every product and sum
+per target, so a node's gap equals closed_form_gap of its own routes, bit for
+bit. This module adds only the dead rows, the entropy and the gap itself.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grads import GradientSet, _check_upstream, _segment_chain, _segment_gap, _segments
-from .grads import _segment_theta_l, _segment_theta_r_sum
+from .grads import REL_ERR_FLOOR, GradientSet, _check_upstream, _segment_chain, _terms
+from .grads import grad_theta_l, grad_theta_r_sum
 from .graph import Graph, _node_id
 from .layer import LayerParams, _graph_chunks
 
 # perfbench/spans.py wraps these by this module's name; nothing here calls them.
-from .grads import backward_chain, grad_bias, grad_theta_l, grad_theta_r_sum  # noqa: F401
+from .grads import backward_chain, grad_bias  # noqa: F401
 from .layer import forward_with_trace  # noqa: F401
 
 __all__ = ["closed_form_gap", "diagnose"]
@@ -48,6 +49,16 @@ class NodeDiagnosis(NamedTuple):
     regime_uniformity: float
     attention_entropy: float
     closed_form_gap: float
+
+
+def _segment_gap(closed, chain, upstream: np.ndarray):
+    """closed_form_gap of every target, (...), from the closed forms' and the
+    chain's (theta_R, theta_L) blocks (..., D, H+1). The b blocks are the
+    upstream on both sides: no difference, and max |upstream| in the scale."""
+    closed, chain = np.concatenate(closed, axis=-1), np.concatenate(chain, axis=-1)
+    both = np.abs(np.concatenate((closed, chain), axis=-1))
+    scale = both.max(axis=(-2, -1), initial=np.abs(upstream).max())
+    return np.abs(closed - chain).max(axis=(-2, -1)) / np.maximum(scale, REL_ERR_FLOOR)
 
 
 def closed_form_gap(closed: GradientSet, chain: GradientSet) -> float:
@@ -92,13 +103,14 @@ def diagnose(
     dead = np.empty((graph.num_nodes, params.out_dim), dtype=bool)
     entropy, gap = np.empty(graph.num_nodes), np.empty(graph.num_nodes)
     for nodes, _, block in _graph_chunks(params, graph, features):
-        segs, alpha = _segments(block), block.alpha
+        alpha = block.alpha
         # A row is dead where every edge of the target has its first edge's slope.
-        dead[nodes] = ~(segs.spread != 0.0).any(axis=1)
+        dead[nodes] = ~(_terms(block)[0] != 0.0).any(axis=1)
         # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.
         entropy[nodes] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
-        closed = [form(block, segs, params, g) for form in (_segment_theta_r_sum, _segment_theta_l)]
-        gap[nodes] = _segment_gap(closed, _segment_chain(block, segs, params, g)[:2], g)
+        closed = [form(block, params, g) for form in (grad_theta_r_sum, grad_theta_l)]
+        gap[nodes] = _segment_gap(closed, _segment_chain(block, params, g)[:2], g)
+    _terms.cache_clear()  # the last block's record need not outlive the pass
     dead = dead[ids]
     return tuple(
         NodeDiagnosis(node, count, count <= 1, tuple(row), uniformity, ent, node_gap)

@@ -10,16 +10,20 @@ gradient when the upstream is a constant vector. backward_chain propagates
 an arbitrary upstream through every intermediate, and
 diagnostics.closed_form_gap reports how far the two differ.
 
-The formulas are written once, over any leading axes before a target's
-neighbor arrays (..., n, .): a node has none, a block of k targets of one
-degree one. Each product and sum is taken per target (layer._dot, and one
-matrix product per target for the (D, H+1) blocks), so a target's gradients
-are the same in any block. They read a layer.ForwardTrace, a node's or a
-block's, by field name, the LeakyReLU regime from its slopes, and _Segments
-is the two terms they share beyond it. The public functions run them on one
-node's trace, and diagnostics.diagnose over the blocks of the whole graph;
-only grad_theta_r_pairwise stays per node, as the independent cross-check
-that sums the neighbor pairs directly, in blocks bounded by layer.EDGE_BUDGET.
+Each formula is one function, written over any leading axes before a
+target's neighbor arrays (..., n, .): a node has none, a block of k targets
+of one degree one. Each product and sum is taken per target (layer._dot, and
+one matrix product per target for the (D, H+1) blocks), so a target's
+gradients are the same in any block. They read a layer.ForwardTrace, a
+node's or a block's of layer._graph_chunks, by field name, the LeakyReLU
+regime from its slopes, and the two terms they share beyond it from _terms,
+which keeps them for the record's next route. grad_theta_r_sum and
+grad_theta_l take either record; diagnostics.diagnose calls them on the
+blocks of the whole graph. grad_theta_r_pairwise stays per node, as the
+independent cross-check that sums the neighbor pairs directly, in blocks
+bounded by layer.EDGE_BUDGET. The chain keeps a private raw form,
+_segment_chain, beside backward_chain: a GradientSet per block would copy
+and freeze every block and form the att product, which diagnose does not use.
 An isolated node is a block of degree 0: its neighbor sums are empty, so its
 attention gradients are zeros, signed as a single-neighbor node's are.
 
@@ -28,7 +32,6 @@ Gradients are per target node; summing over nodes is left to callers.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,33 +87,16 @@ def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
 # of degree n with any leading axes: the spread of the slopes from each
 # target's first edge (..., n, D) (grad_theta_r_sum says why), and both
 # closed forms' weights: alpha times the centered projection total, (..., n).
-_Segments = namedtuple("_Segments", ("spread", "weights"))
-
-
-def _segments(trace: ForwardTrace) -> _Segments:
-    """_Segments of a node's or a block's ForwardTrace, from its slopes."""
+# Kept for the record's next route, a node's or a block's; keyed on the record.
+@lru_cache(maxsize=1)
+def _terms(trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
+    """(spread, weights) of a node's or a block's ForwardTrace, from its slopes."""
     totals = trace.source_proj.sum(axis=-1)
     weights = trace.alpha * (totals - _dot(trace.alpha, totals[..., None]))
-    return _Segments(trace.slopes - trace.slopes[..., :1, :], weights)
+    return trace.slopes - trace.slopes[..., :1, :], weights
 
 
-# A node's _Segments from its trace as it is, kept for its next route; keyed on the trace.
-_one_node = lru_cache(maxsize=1)(_segments)
-
-
-def _segment_theta_r_sum(block, segs: _Segments, params: LayerParams, upstream):
-    """grad_theta_r_sum of every target of `block`, (..., D, H+1)."""
-    coeff = _dot(segs.weights, segs.spread)
-    return (upstream * params.att * coeff)[..., None] * block.h_aug_target[..., None, :]
-
-
-def _segment_theta_l(block, segs: _Segments, params: LayerParams, upstream):
-    """grad_theta_l of every target of `block`, (..., D, H+1)."""
-    bracket = params.att * block.slopes * segs.weights[..., None] + block.alpha[..., None]
-    return upstream[:, None] * (bracket.swapaxes(-1, -2) @ block.h_aug_sources)
-
-
-def _segment_chain(block, segs: _Segments, params: LayerParams, upstream: np.ndarray) -> tuple:
+def _segment_chain(block, params: LayerParams, upstream: np.ndarray) -> tuple:
     """backward_chain's theta_R and theta_L blocks (..., D, H+1) of every
     target of `block`, and the score gradients d_score (..., n). The att
     blocks are _dot(d_score, block.post_act), the bias blocks the upstream."""
@@ -125,25 +111,16 @@ def _segment_chain(block, segs: _Segments, params: LayerParams, upstream: np.nda
     # Source side: score path plus the direct aggregation path.
     d_theta_l = d_pre.swapaxes(-1, -2) @ block.h_aug_sources
     d_theta_l += upstream[:, None] * _dot(alpha, block.h_aug_sources)[..., None, :]
-    d_target = params.att * _dot(d_score, segs.spread)
+    d_target = params.att * _dot(d_score, _terms(block)[0])
     d_theta_r = d_target[..., None] * block.h_aug_target[..., None, :]
     return d_theta_r, d_theta_l, d_score
-
-
-def _segment_gap(closed, chain, upstream: np.ndarray):
-    """diagnostics.closed_form_gap of every target, (...), from the closed forms'
-    and the chain's (theta_R, theta_L) blocks (..., D, H+1). The b blocks are the
-    upstream on both sides: no difference, and max |upstream| in the scale."""
-    closed, chain = np.concatenate(closed, axis=-1), np.concatenate(chain, axis=-1)
-    both = np.abs(np.concatenate((closed, chain), axis=-1))
-    scale = both.max(axis=(-2, -1), initial=np.abs(upstream).max())
-    return np.abs(closed - chain).max(axis=(-2, -1)) / np.maximum(scale, REL_ERR_FLOOR)
 
 
 def grad_theta_r_sum(
     trace: ForwardTrace, params: LayerParams, upstream: np.ndarray
 ) -> np.ndarray:
-    """Target-side weight gradient, summation form, (D, H+1).
+    """Target-side weight gradient, summation form: (D, H+1) for a node's
+    trace, (k, D, H+1) for a block's of k targets, one matrix per target.
 
     Row t is upstream[t] * att[t] * sum_k slope[k, t] * alpha[k] * S_k times
     the augmented target feature, where S_k is the centered projection total.
@@ -155,7 +132,9 @@ def grad_theta_r_sum(
     The slopes are the trace's, so the trace must come from `params`.
     """
     g = _check_upstream(upstream, params.out_dim)
-    return _segment_theta_r_sum(trace, _one_node(trace), params, g)
+    spread, weights = _terms(trace)
+    coeff = _dot(weights, spread)
+    return (g * params.att * coeff)[..., None] * trace.h_aug_target[..., None, :]
 
 
 def grad_theta_r_pairwise(
@@ -192,7 +171,8 @@ def grad_theta_r_pairwise(
 def grad_theta_l(
     trace: ForwardTrace, params: LayerParams, upstream: np.ndarray
 ) -> np.ndarray:
-    """Source-side weight gradient, (D, H+1).
+    """Source-side weight gradient: (D, H+1) for a node's trace, (k, D, H+1)
+    for a block's of k targets, one matrix per target.
 
     Row t sums, over neighbors k, the score-path term
     att[t] * slope[k, t] * alpha[k] * S_k plus the direct aggregation term
@@ -200,7 +180,8 @@ def grad_theta_l(
     column is the same bracket against the constant-1 feature entry.
     """
     g = _check_upstream(upstream, params.out_dim)
-    return _segment_theta_l(trace, _one_node(trace), params, g)
+    bracket = params.att * trace.slopes * _terms(trace)[1][..., None] + trace.alpha[..., None]
+    return g[:, None] * (bracket.swapaxes(-1, -2) @ trace.h_aug_sources)
 
 
 def grad_bias(upstream: np.ndarray) -> np.ndarray:
@@ -220,6 +201,5 @@ def backward_chain(
     The slopes are the trace's, so the trace must come from `params`.
     """
     g = _check_upstream(upstream, params.out_dim)
-    segs = _one_node(trace)
-    theta_r, theta_l, d_score = _segment_chain(trace, segs, params, g)
+    theta_r, theta_l, d_score = _segment_chain(trace, params, g)
     return GradientSet(theta_r, theta_l, _dot(d_score, trace.post_act), g)

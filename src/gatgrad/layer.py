@@ -62,6 +62,8 @@ class LayerParams:
     of each matrix is the bias column (it multiplies the constant-1 entry of
     augmented features); columns 1.. are the weight part. Arrays are copied
     and frozen at construction: instances are safe to share, hashed by identity.
+    A block that is not integer or floating, or a bool or non-real slope,
+    raises TypeError: malformed input is rejected, never coerced.
     """
 
     theta_r: np.ndarray
@@ -72,7 +74,10 @@ class LayerParams:
 
     def __post_init__(self) -> None:
         for name in BLOCKS.values():
-            arr = _finite(np.array(getattr(self, name), dtype=np.float64), name)
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "iuf":
+                raise TypeError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
+            arr = _finite(np.array(arr, dtype=np.float64), name)
             arr.setflags(False)  # write=False, positional: the keyword costs more
             object.__setattr__(self, name, arr)
         if self.theta_r.ndim != 2 or self.theta_r.shape[1] < 1:
@@ -84,7 +89,10 @@ class LayerParams:
         d = self.theta_r.shape[0]
         if self.att.shape != (d,) or self.bias.shape != (d,):
             raise ValueError("att and bias need one entry per output dimension")
-        slope = float(self.negative_slope)
+        slope = self.negative_slope
+        if isinstance(slope, bool) or not isinstance(slope, (int, float, np.integer, np.floating)):
+            raise TypeError(f"negative_slope must be a real number, got {slope!r}")
+        slope = float(slope)
         if not 0.0 < slope <= 1.0:
             raise ValueError(f"negative_slope must lie in (0, 1], got {slope}")
         object.__setattr__(self, "negative_slope", slope)

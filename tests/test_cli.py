@@ -25,7 +25,7 @@ from gatgrad import (
     save_graph,
     save_params,
 )
-from gatgrad import fdcheck, grads, layer
+from gatgrad import diagnostics, fdcheck, grads, layer
 from gatgrad.cli import main
 
 
@@ -365,7 +365,8 @@ class TestGradcheck:
     def test_one_evaluation_per_node(self, tmp_path, monkeypatch, flags):
         """--all-nodes evaluates each of k nodes once: k forward passes, k
         backward chains and k calls of each closed form, under either
-        upstream, and the oracle runs no forward pass of its own."""
+        upstream, and the oracle runs no forward pass of its own. Each name
+        is counted in every module that calls it."""
         _, graph_path, params_path = run_gen(tmp_path, seed=3, nodes=12)
         calls = collections.Counter()
 
@@ -380,8 +381,10 @@ class TestGradcheck:
 
         for module in (gatgrad.cli, fdcheck, layer):
             count(module, "forward_with_trace")
-        for name in ("_segment_chain", "_segment_theta_r_sum", "_segment_theta_l"):
-            count(grads, name)
+        for module in (gatgrad.cli, diagnostics, grads):
+            count(module, "grad_theta_r_sum")
+            count(module, "grad_theta_l")
+        count(grads, "_segment_chain")
         oracle = gatgrad.cli.fd_gradient
 
         def forward_free(*args):
@@ -396,7 +399,7 @@ class TestGradcheck:
                      "--all-nodes", *flags, "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["nodes"]) == 12
         assert calls == {name: 12 for name in (
-            "forward_with_trace", "_segment_chain", "_segment_theta_r_sum", "_segment_theta_l"
+            "forward_with_trace", "_segment_chain", "grad_theta_r_sum", "grad_theta_l"
         )}
 
     def test_one_stack_per_chunk_per_window(self, tmp_path, monkeypatch):

@@ -336,16 +336,15 @@ class TestDiagnoseGraphPass:
 
 
 def block_routes(block, params, upstream):
-    """The chain's theta_R, theta_L and att and the two closed forms, from
-    grads._segments and the block functions run on `block` as it is."""
-    segs = grads._segments(block)
-    chain_r, chain_l, d_score = grads._segment_chain(block, segs, params, upstream)
+    """The chain's theta_R, theta_L and att, from grads._segment_chain, and
+    the two public closed forms, each run on the record `block` as it is."""
+    chain_r, chain_l, d_score = grads._segment_chain(block, params, upstream)
     return (
         chain_r,
         chain_l,
         layer._dot(d_score, block.post_act),
-        grads._segment_theta_r_sum(block, segs, params, upstream),
-        grads._segment_theta_l(block, segs, params, upstream),
+        grad_theta_r_sum(block, params, upstream),
+        grad_theta_l(block, params, upstream),
     )
 
 
@@ -353,10 +352,11 @@ class TestSegmentBackward:
     @settings(deadline=None, max_examples=150)
     @given(instances(), budgets, st.data())
     def test_chunk_stacks_match_per_node_routes(self, instance, budget, data):
-        """grads.py's block functions over blocks of many targets give every
-        node's backward_chain and closed forms bit for bit, as the node alone,
-        with no leading axis, does; and so do the block functions run on the
-        node's ForwardTrace itself, the record a block's is with no leading axis."""
+        """grad_theta_r_sum, grad_theta_l and the chain's raw form run on blocks
+        of many targets give every node's backward_chain and closed forms bit for
+        bit, as the node alone, with no leading axis, does; and so do the same
+        functions run on the node's ForwardTrace itself, the record a block's is
+        with no leading axis."""
         graph, features, params = instance
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         upstream = rng.standard_normal(params.out_dim)

@@ -100,6 +100,34 @@ class TestLayerParams:
         with pytest.raises(ValueError, match="theta_l"):
             LayerParams(np.zeros((1, 2)), [[np.nan, 0.0]], [0.0], [0.0])
 
+    @pytest.mark.parametrize("slope", ["0.5", True, False, np.bool_(True), 0.5j, None, [0.5]])
+    def test_malformed_slope_rejected(self, slope):
+        with pytest.raises(TypeError, match="negative_slope"):
+            LayerParams(np.zeros((1, 2)), np.zeros((1, 2)), [0.0], [0.0], slope)
+
+    @pytest.mark.parametrize("field", ["theta_r", "theta_l", "att", "bias"])
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda a: a.astype(str).tolist(), lambda a: a.astype(bool), lambda a: a.astype(complex),
+         lambda a: a.astype(object)],
+        ids=["str-list", "bool", "complex", "object"],
+    )
+    def test_malformed_block_rejected(self, field, bad):
+        blocks = dict(theta_r=np.ones((1, 2)), theta_l=np.ones((1, 2)), att=[1.0], bias=[1.0])
+        blocks[field] = bad(np.asarray(blocks[field]))
+        with pytest.raises(TypeError, match=field):
+            LayerParams(**blocks)
+
+    @pytest.mark.parametrize("slope", [1, 0.5, np.float64(0.5), np.float32(0.5), np.int64(1)])
+    def test_integer_and_float_input_accepted(self, slope):
+        theta_l = np.array([[0, -1]], dtype=np.int32)
+        p = LayerParams([[0, 1]], theta_l, [3], [np.float64(0.5)], slope)
+        assert type(p.negative_slope) is float and p.negative_slope == float(slope)
+        for name in ("theta_r", "theta_l", "att", "bias"):
+            assert getattr(p, name).dtype == np.float64, name
+        assert p.theta_r.tolist() == [[0.0, 1.0]] and p.theta_l.tolist() == [[0.0, -1.0]]
+        assert p.att.tolist() == [3.0] and p.bias.tolist() == [0.5]
+
     @pytest.mark.parametrize("theta_r", [np.zeros(3), np.zeros((1, 2, 2)), np.zeros((1, 0))])
     def test_non_matrix_theta_r_rejected(self, theta_r):
         with pytest.raises(ValueError, match="theta_r must be a matrix"):
@@ -462,7 +490,7 @@ class TestBatchAxis:
 class TestRecord:
     """ForwardTrace is the one record of an evaluation of the layer: a node's,
     a block's of _graph_chunks, or a stack's of complex parameter copies
-    against one node. grads._one_node keys its cache on a record's identity,
+    against one node. grads._terms keys its cache on a record's identity,
     so a record's arrays never change in place."""
 
     def evaluations(self):
@@ -512,7 +540,7 @@ class TestRecord:
                     setattr(record, name, array.copy())
             assert record == record and record != again and not record == again
             assert len({record: 0, again: 1}) == 2
-            assert grads._one_node(record) is not grads._one_node(again)
+            assert grads._terms(record) is not grads._terms(again)
             assert type(record.num_neighbors) is int
             assert record.num_neighbors == record.alpha.shape[-1] == degree
             slopes = _slopes(record.pre_act, params.negative_slope)
