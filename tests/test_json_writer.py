@@ -264,17 +264,20 @@ def oracle_instance(tmp_path, monkeypatch):
     return graph, params
 
 
-def regular_instance(tmp_path, _monkeypatch):
-    """Every node has degree 11, so the forward report's records share one layout."""
-    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
-    assert main(["gen", "--nodes", "12", "--feature-dim", "16", "--out-dim", "16", "--seed", "0",
-                 "--min-degree", "11", "--graph", str(graph), "--params", str(params)]) == 0
-    return graph, params
-
-
-@pytest.mark.parametrize("instance", [readme_instance, oracle_instance, regular_instance])
-def test_every_written_file_matches_json_dumps(tmp_path, monkeypatch, recorded, instance):
-    graph, params = instance(tmp_path, monkeypatch)
+@pytest.mark.parametrize(
+    "instance",
+    # A conftest instance by name: every node of "regular" has degree 11, so
+    # the forward report's records share one layout; "wide" has features and
+    # edges that span several of the writer's row blocks, and the isolated
+    # nodes of "iso" keep the forward records off the table route.
+    [readme_instance, oracle_instance, "regular", "wide", "iso"],
+    ids=lambda instance: getattr(instance, "__name__", f"{instance}_instance"),
+)
+def test_every_written_file_matches_json_dumps(tmp_path, monkeypatch, recorded, ci, instance):
+    if isinstance(instance, str):
+        graph, params = ci.write(instance, tmp_path)
+    else:
+        graph, params = instance(tmp_path, monkeypatch)
     io = ["--graph", str(graph), "--params", str(params)]
     runs = [["forward", "--all-nodes"]]
     for upstream in ("uniform", "random"):
