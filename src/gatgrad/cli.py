@@ -261,12 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--min-degree", type=_nonnegative, default=2)
     gen.add_argument("--graph", required=True, help="graph JSON output path")
     gen.add_argument("--params", required=True, help="params JSON output path")
-    gen.set_defaults(func=cmd_gen)
 
     fwd = add_parser("forward", help="evaluate node updates")
     _add_io_flags(fwd)
     _add_node_flags(fwd, required=False)
-    fwd.set_defaults(func=cmd_forward)
 
     check = add_parser(
         "gradcheck", help="verify analytic gradients against the complex-step oracle"
@@ -275,22 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_node_flags(check, required=True)
     _add_upstream_flags(check)
     check.add_argument("--tol", type=_tolerance, default=1e-6)
-    check.set_defaults(func=cmd_gradcheck)
 
     diag = add_parser("diagnose", help="report gradient pathologies")
     _add_io_flags(diag)
     _add_node_flags(diag, required=False)
     _add_upstream_flags(diag)
-    diag.set_defaults(func=cmd_diagnose)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with _collector_paused():
-            return args.func(args)
+            # Looked up at call time, so a patched cmd_<verb> is the one that runs.
+            return globals()[f"cmd_{args.command}"](args)
     except (ValueError, IndexError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

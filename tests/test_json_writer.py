@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import gatgrad
 import gatgrad.cli
 import gatgrad.graph
 import gatgrad.layer
-from gatgrad.cli import main
 from gatgrad.graph import _write_json
 
 
@@ -248,45 +246,29 @@ def recorded(monkeypatch):
     return written
 
 
-def readme_instance(tmp_path, _monkeypatch):
-    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
-    assert main(["gen", "--nodes", "6", "--feature-dim", "3", "--out-dim", "4", "--seed", "42",
-                 "--min-degree", "2", "--graph", str(graph), "--params", str(params)]) == 0
-    return graph, params
-
-
-def oracle_instance(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import inputs
-
-    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
-    inputs.write(inputs.oracle([1, 0]), graph, params, gatgrad)
-    return graph, params
-
-
 @pytest.mark.parametrize(
     "instance",
-    # A conftest instance by name: every node of "regular" has degree 11, so
-    # the forward report's records share one layout; "wide" has features and
-    # edges that span several of the writer's row blocks, and the isolated
-    # nodes of "iso" keep the forward records off the table route.
-    [readme_instance, oracle_instance, "regular", "wide", "iso"],
-    ids=lambda instance: getattr(instance, "__name__", f"{instance}_instance"),
+    # conftest's instances by name: the README's; the benchmark's oracle([1, 0]);
+    # "regular", where every node has degree 11, so the forward report's
+    # records share one layout; "wide", whose features and edges span several
+    # of the writer's row blocks; and "iso", whose isolated nodes keep the
+    # forward records off the table route.
+    ["readme", "oracle", "regular", "wide", "iso"],
+    ids=lambda instance: f"{instance}_instance",
 )
-def test_every_written_file_matches_json_dumps(tmp_path, monkeypatch, recorded, ci, instance):
-    if isinstance(instance, str):
-        graph, params = ci.write(instance, tmp_path)
-    else:
-        graph, params = instance(tmp_path, monkeypatch)
-    io = ["--graph", str(graph), "--params", str(params)]
+def test_every_written_file_matches_json_dumps(recorded, ci, instance):
+    """Each is written afresh, so gen's and save_graph's files are recorded too."""
+    graph, params = ci.write(instance)
+    io = ["--graph", graph, "--params", params]
     runs = [["forward", "--all-nodes"]]
     for upstream in ("uniform", "random"):
         flags = ["--upstream", upstream, "--seed", "7"]
         runs += [["gradcheck", "--node", "1", *flags], ["gradcheck", "--all-nodes", *flags],
                  ["diagnose", *flags]]
-    for k, (verb, *flags) in enumerate(runs):
-        assert main([verb, *io, *flags, "--out", str(tmp_path / f"{k}.json")]) in (0, 1)
-    paths = [path for path, _ in recorded]
-    assert paths == [graph, params, *(tmp_path / f"{k}.json" for k in range(len(runs)))]
+    reports = []
+    for verb, *flags in runs:
+        assert ci.cli(verb, *io, *flags)[0] in (0, 1)
+        reports.append(ci.last / "out.json")
+    assert [path for path, _ in recorded] == [graph, params, *reports]
     for path, payload in recorded:
         assert path.read_bytes() == expected_bytes(payload), path.name
