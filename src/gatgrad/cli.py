@@ -20,12 +20,12 @@ from functools import partial
 import numpy as np
 
 from . import layer
-from .diagnostics import closed_form_gap, diagnose
+from .diagnostics import NodeDiagnosis, closed_form_gap, diagnose
 from .fdcheck import COMPLEX_STEP, compare_gradients, fd_gradient
 from .gen import generate_instance
 from .grads import GradientSet, _check_upstream, backward_chain, grad_bias, grad_theta_l
 from .grads import grad_theta_r_sum
-from .graph import _collector_paused, _node_id, _numbers, _reading, _write_json
+from .graph import _Table, _collector_paused, _node_id, _numbers, _reading, _write_json
 from .graph import load_graph, save_graph
 from .layer import forward_graph, forward_with_trace, load_params, save_params
 
@@ -138,20 +138,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_forward(args) -> int:
+    """Writes a table: node ids, neighbors and alpha as (values, offsets) pairs, h_out rows."""
     graph, features, params = _load(args)
-    nodes = _select_nodes(args, graph)
+    nodes = _select_nodes(args, graph)  # consecutive ids: one node, or every node
     alpha, h_out = forward_graph(params, graph, features)
-    sources, offsets = graph.sources, graph.offsets.tolist()
-    entries = [
-        {
-            "node": node,
-            "neighbors": sources[offsets[node] : offsets[node + 1]],
-            "alpha": alpha[offsets[node] : offsets[node + 1]],
-            "h_out": h_out[node],
-        }
-        for node in nodes
-    ]
-    _write_json(args.out, {"nodes": entries})
+    offsets = graph.offsets[nodes[0] : nodes[-1] + 2]
+    table = {"node": nodes, "neighbors": (graph.sources, offsets), "alpha": (alpha, offsets),
+             "h_out": h_out[nodes[0] : nodes[-1] + 1]}
+    _write_json(args.out, {"nodes": _Table(table)})
     return 0
 
 
@@ -226,18 +220,17 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    """One upstream for every node; under random, gradcheck's node-0 row of the same seed."""
+    """One upstream for every node; under random, gradcheck's node-0 row of the same seed.
+    Writes the nodes as a table: a column per NodeDiagnosis field, dead_theta_r (k, D)."""
     graph, features, params = _load(args)
     mode, path = args.upstream
     upstream = _upstream_vector(mode, path, (params.out_dim,), args.seed)
     # By default, every node with at least one neighbor.
     nodes = _select_nodes(args, graph) if args.node is not None or args.all_nodes else None
     report = diagnose(params, graph, features, nodes, upstream)
-    payload = {
-        "upstream_mode": mode,
-        "upstream": upstream.tolist(),
-        "nodes": [entry._asdict() for entry in report],
-    }
+    cols = dict(zip(NodeDiagnosis._fields, zip(*report)))
+    cols["dead_theta_r"] = np.array(cols.get("dead_theta_r", ()), bool).reshape(-1, params.out_dim)
+    payload = {"upstream_mode": mode, "upstream": upstream.tolist(), "nodes": _Table(cols)}
     _write_json(args.out, payload)
     return 0
 

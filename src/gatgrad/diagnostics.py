@@ -56,8 +56,7 @@ def _segment_gap(closed, chain, upstream: np.ndarray):
     chain's (theta_R, theta_L) blocks (..., D, H+1). The b blocks are the
     upstream on both sides: no difference, and max |upstream| in the scale."""
     closed, chain = np.concatenate(closed, axis=-1), np.concatenate(chain, axis=-1)
-    both = np.abs(np.concatenate((closed, chain), axis=-1))
-    scale = both.max(axis=(-2, -1), initial=np.abs(upstream).max())
+    scale = np.maximum(abs(closed), abs(chain)).max(axis=(-2, -1), initial=abs(upstream).max())
     return np.abs(closed - chain).max(axis=(-2, -1)) / np.maximum(scale, REL_ERR_FLOOR)
 
 
@@ -93,6 +92,7 @@ def diagnose(
     report; a few requested nodes cost that full pass.
     Isolated nodes, if explicitly requested, are a block of degree 0: their
     rows are vacuously dead, with uniformity 1, zero entropy and zero gap.
+    Tuples, not arrays, as perfbench/spans.py's _count_diagnose reads their fields.
     """
     degrees = np.diff(graph.offsets)
     if nodes is None:
@@ -111,15 +111,7 @@ def diagnose(
         closed = [form(block, params, g) for form in (grad_theta_r_sum, grad_theta_l)]
         gap[nodes] = _segment_gap(closed, _segment_chain(block, params, g)[:2], g)
     _terms.cache_clear()  # the last block's record need not outlive the pass
-    dead = dead[ids]
-    return tuple(
-        NodeDiagnosis(node, count, count <= 1, tuple(row), uniformity, ent, node_gap)
-        for node, count, row, uniformity, ent, node_gap in zip(
-            ids.tolist(),
-            degrees[ids].tolist(),
-            dead.tolist(),
-            dead.mean(axis=1).tolist(),
-            entropy[ids].tolist(),
-            gap[ids].tolist(),
-        )
-    )
+    dead, counts = dead[ids], degrees[ids].tolist()
+    single = [count <= 1 for count in counts]
+    return tuple(map(NodeDiagnosis, ids.tolist(), counts, single, map(tuple, dead.tolist()),
+                     dead.mean(axis=1).tolist(), entropy[ids].tolist(), gap[ids].tolist()))

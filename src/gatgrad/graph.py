@@ -19,9 +19,9 @@ under `_reading`, which names the file in every error its content causes;
 a node id is checked by `_node_id` and a float array's finiteness by
 `_finite`. Every file gatgrad writes goes through `_write_json`, which
 writes what `json.dump(payload, fh, indent=2)` writes, plus a trailing
-newline. A matrix's rows, and a list's records while they share one layout,
-are written as a table, a block of rows at a time; a list's other records
-are written value by value.
+newline. A matrix's rows, and each run of alike records in a report's
+`_Table` of columns that is longer than a record's keys, are written a block
+of rows at a time; any other value is written value by value.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice, takewhile
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -241,27 +241,44 @@ _NUMBERS = {int, float, bool}
 _BULK_NUMBERS = 4096
 
 
+class _Table:
+    """A list of records held as columns, record r mapping each key to row r of its
+    column: a list or tuple of numbers, a 2-D array, or a pair (values, offsets) of 1-D
+    arrays whose row r is values[offsets[r]:offsets[r + 1]]; each is kept as such a pair."""
+
+    def __init__(self, columns: dict) -> None:
+        self.columns, self.rows = {}, 0
+        for key, column in columns.items():
+            if isinstance(column, np.ndarray):
+                column = column.reshape(-1), np.arange(len(column) + 1) * column.shape[1]
+            elif not (len(column) == 2 and isinstance(column[0], np.ndarray)):
+                column = column, None  # numbers
+            self.columns[key] = column
+            self.rows = len(column[0]) if column[1] is None else len(column[1]) - 1
+
+    def __len__(self) -> int:
+        return self.rows
+
+
 def _write_json(path, payload: dict) -> None:
     """Write payload as json.dump(payload, fh, indent=2) does, plus a newline.
 
-    A numpy array is written as its tolist(). json.dump with an indent runs
-    the pure-Python encoder, value by value; here the numbers go in bulk
-    through one compact C encoder, json.JSONEncoder(separators=(",", ":")),
-    whose output is split on its commas. A numeric leaf (a non-empty list of
-    ints, floats and bools) enters it whole and a scalar number on its own;
-    once _BULK_NUMBERS are waiting, one call encodes them all, its output is
-    split back into one text per leaf and one per scalar, and the text
-    finished so far is written out, so memory stays bounded on any payload.
-    A table is written like the rows of a matrix: each block of whole rows,
-    about _BULK_NUMBERS numbers, is one encoder call whose texts are
-    interleaved with one row's layout, repeated, and written out before the
-    next block is built. The rows of a non-empty 2-D array of bools or
-    numbers are a table. So are a list's or tuple's records, if the first
-    two share a layout, up to the first record whose layout differs: a dict
-    with the same keys in the same order, each value a number (int, float
-    or bool) or a non-empty numeric leaf (1-D array, list or tuple) of the
-    same length. That record and the rest go value by value. Strings, keys
-    (strings only) and the layout are written here.
+    A numpy array is written as its tolist(), a _Table as its list of records.
+    json.dump with an indent runs the pure-Python encoder, value by value; here
+    the numbers go in bulk through one compact C encoder,
+    json.JSONEncoder(separators=(",", ":")), whose output is split on its commas.
+    A numeric leaf (a non-empty list of ints, floats and bools) enters it whole
+    and a scalar number on its own; once _BULK_NUMBERS are waiting, one call
+    encodes them all, its output is split back into one text per leaf and one
+    per scalar, and the text finished so far is written out, so memory stays
+    bounded on any payload. The rows of a non-empty 2-D array of bools or
+    numbers, and each run of a table's records whose leaves have equal lengths,
+    go a block of about _BULK_NUMBERS numbers at a time: one encoder call per
+    column, whose texts go by strided slice assignment into one row's layout,
+    repeated (a run's is json.dumps of a one-record template). A run of no
+    more records than keys, or with no number, goes value by value, as its
+    layout would cost more than it saves. Strings, keys (strings only) and the
+    layout are written here.
     """
     parts: list = []  # output strings; a number holds its place until encoded
     leaves, leaf_at, scalars, scalar_at = [], [], [], []
@@ -283,60 +300,56 @@ def _write_json(path, payload: dict) -> None:
             pending.clear()
         waiting = 0
 
-    def emit_rows(blocks, layout: list, depth: int) -> int:
-        """Write list items at depth, layout's texts around each one's numbers; return how many."""
+    def emit_rows(rows: int, layout: list, columns: list, depth: int) -> None:
+        """Write rows list items at depth, layout's texts around the numbers of columns,
+        each (width, values, start): its rows, row-major, from values[start] on."""
+        slots = len(layout) - 1
         between = [layout[-1] + ",\n" + "  " * depth + layout[0], *layout[1:-1]]
-        rows = 0
-        for numbers in blocks:
-            texts = encode(numbers)[1:-1].split(",")
-            text = [None] * (2 * len(texts))
-            text[::2] = between * (len(texts) // len(between))
-            text[1::2] = texts
-            if not rows:
-                text[0] = layout[0]
-            rows += len(texts) // len(between)
+        step = max(1, _BULK_NUMBERS // slots)
+        for first in range(0, rows, step):
+            count = min(step, rows - first)
+            text = [None] * (2 * slots * count)  # each slot's layout text, then its number
+            text[::2] = between * count
+            slot = iter(range(1, 2 * slots, 2))  # each number's place in a row's texts
+            for width, values, start in columns:
+                numbers = values[start + first * width : start + (first + count) * width]
+                numbers = numbers.tolist() if isinstance(numbers, np.ndarray) else numbers
+                texts = encode(numbers)[1:-1].split(",")
+                for i in range(width):
+                    text[next(slot) :: 2 * slots] = texts[i::width]
+            text[0] = text[0] if first else layout[0]
             parts.append("".join(text))
             flush()
         parts.append(layout[-1])
-        return rows
 
-    def record(item) -> tuple:
-        """A dict's keys and leaf lengths (0 for a number) and numbers; () for another item."""
-        lengths, numbers = [], []
-        for x in item.values() if isinstance(item, dict) else ():
-            if type(x) in _NUMBERS:
-                lengths.append(0)
-                numbers.append(x)
-                continue
-            if type(x) is np.ndarray and x.ndim == 1 and x.size and x.dtype.kind in "biuf":
-                x = x.tolist()
-            elif type(x) not in (list, tuple) or not x or not set(map(type, x)) <= _NUMBERS:
-                return ()
-            lengths.append(len(x))
-            numbers += x
-        return ((tuple(item), lengths), numbers) if numbers else ()
-
-    def emit_table(value, depth: int) -> int:
-        """Write the leading items of value, at depth, that share one layout; return how many."""
-        if isinstance(value, np.ndarray):
-            step = max(1, _BULK_NUMBERS // value.shape[1])
-            blocks = (value[k : k + step].ravel().tolist() for k in range(0, len(value), step))
+    def emit_table(table, depth: int) -> None:
+        """Write a matrix's rows, or a table's records, as list items at depth."""
+        if isinstance(table, np.ndarray):
             inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-            layout = ["[" + inner] + ["," + inner] * (value.shape[1] - 1) + [outer + "]"]
-            return emit_rows(blocks, layout, depth)
-        first = record(value[0]) if len(value) > 1 else ()
-        if not first or not all(isinstance(key, str) for key in first[0][0]):
-            return 0
-        shape, numbers = first
-        if record(value[1])[:1] != (shape,):  # a table of one record saves nothing
-            return 0
-        rows = takewhile(lambda row: row and row[0] == shape, map(record, value))
-        chunks = iter(lambda: list(islice(rows, max(1, _BULK_NUMBERS // len(numbers)))), [])
-        blocks = (list(chain.from_iterable(row[1] for row in chunk)) for chunk in chunks)
-        template = {key: [None] * n if n else None for key, n in zip(*shape)}
-        # Keys escape their newlines, so a null before a newline is a number's place.
-        dumped = json.dumps(template, indent=2).replace("\n", "\n" + "  " * depth)
-        return emit_rows(blocks, re.split(r"null(?=,?\n)", dumped), depth)
+            layout = ["[" + inner] + ["," + inner] * (table.shape[1] - 1) + [outer + "]"]
+            return emit_rows(len(table), layout, [(table.shape[1], table.reshape(-1), 0)], depth)
+        # Each record's numbers in each column (1 for a number), and the runs of records alike.
+        widths = np.array([np.ones(len(table), int) if o is None else o[1:] - o[:-1]
+                           for _, o in table.columns.values()])
+        starts = (np.flatnonzero((widths[:, 1:] != widths[:, :-1]).any(axis=0)) + 1).tolist()
+        bounds = [0, *starts, len(table)]
+        # Offsets as Python ints, which slice faster than numpy's, record by record.
+        columns = [(k, v, o if o is None else o.tolist()) for k, (v, o) in table.columns.items()]
+        for a, b in zip(bounds, bounds[1:]):
+            # A layout pays for a run of more records than keys, if they hold numbers.
+            if b - a <= len(columns) or not widths[:, a].any():
+                for r in range(a, b):
+                    parts.append(",\n" + "  " * depth if r else "")
+                    emit({key: values[r] if o is None else values[o[r] : o[r + 1]]
+                          for key, values, o in columns}, depth)
+                continue
+            run = [(*column, w) for column, w in zip(columns, widths[:, a].tolist())]
+            template = {key: None if o is None else [None] * w for key, _, o, w in run}
+            # Keys escape their newlines, so a null before a newline is a number's place.
+            dumped = json.dumps(template, indent=2).replace("\n", "\n" + "  " * depth)
+            parts.append(",\n" + "  " * depth if a else "")
+            numbers = [(w, values, a if o is None else o[a]) for _, values, o, w in run if w]
+            emit_rows(b - a, re.split(r"null(?=,?\n)", dumped), numbers, depth)
 
     def emit(value, depth: int) -> None:
         nonlocal waiting
@@ -359,7 +372,7 @@ def _write_json(path, payload: dict) -> None:
             parts.append(depth)
             leaves.append(value)
             waiting += len(value)
-        elif isinstance(value, (list, tuple, dict, np.ndarray)):
+        elif isinstance(value, (list, tuple, dict, np.ndarray, _Table)):
             is_dict = isinstance(value, dict)
             if not len(value):
                 parts.append("{}" if is_dict else "[]")
@@ -367,8 +380,10 @@ def _write_json(path, payload: dict) -> None:
             inner = "\n" + "  " * (depth + 1)
             parts.append(("{" if is_dict else "[") + inner)
             separator = "," + inner
-            start = 0 if is_dict else emit_table(value, depth + 1)
-            for k, item in enumerate(value.items() if is_dict else value[start:], start):
+            if isinstance(value, (np.ndarray, _Table)):
+                emit_table(value, depth + 1)
+                value = ()
+            for k, item in enumerate(value.items() if is_dict else value):
                 if k:
                     parts.append(separator)
                 if is_dict:

@@ -43,6 +43,10 @@ class CiInstances:
     - iso: ISO_GRAPH, whose nodes 0 and 1 are isolated, node 2's only edge
       is a self-loop and node 3 has one neighbor, against small's params;
       iso3: ISO_GRAPH at H = 3, against gen's 6-node params at seed 3;
+      edgeless: iso with no edge at all;
+    - lastiso: TAIL_GRAPH, 420 nodes of degree 3 but the last, which is
+      isolated, against iso3's params: its forward and diagnose tables hold
+      a run of 419 records, over one writer block, then a run of one;
     - zero: small, with all-zero theta blocks, so that every pre-activation
       is at the kink; linear: small's params at negative_slope 1, where
       LeakyReLU is the identity;
@@ -74,6 +78,7 @@ class CiInstances:
                    "--min-degree", "2"),
     }
     ISO_GRAPH = Graph(6, ((2, 2), (3, 4), (4, 0), (4, 2), (4, 5), (5, 1), (5, 3)))
+    TAIL_GRAPH = Graph(420, tuple((i, (i + s) % 419) for i in range(419) for s in (1, 2, 3)))
 
     def __init__(self, root):
         self.root, self.sealed, self._files, self._reports = root, {}, {}, {}
@@ -137,10 +142,12 @@ class CiInstances:
             layer_params = LayerParams(zero, zero, layer_params.att, layer_params.bias)
         elif name == "linear":
             layer_params = dataclasses.replace(layer_params, negative_slope=1.0)
-        else:  # iso, iso3
-            width = 16 if name == "iso" else 3
-            graph_obj, features = self.ISO_GRAPH, np.random.default_rng(3).standard_normal((6, width))
-            if name == "iso3":
+        else:  # iso, iso3, edgeless, lastiso
+            graphs = {"lastiso": self.TAIL_GRAPH, "edgeless": Graph(6, ())}
+            graph_obj = graphs.get(name, self.ISO_GRAPH)
+            width = 3 if name in ("iso3", "lastiso") else 16
+            features = np.random.default_rng(3).standard_normal((graph_obj.num_nodes, width))
+            if width == 3:
                 layer_params = generate_instance(6, 3, 4, seed=3)[2]
         save_graph(graph, graph_obj, features)
         save_params(params, layer_params)

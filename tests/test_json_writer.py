@@ -13,13 +13,20 @@ from hypothesis.extra import numpy as hnp
 import gatgrad.cli
 import gatgrad.graph
 import gatgrad.layer
-from gatgrad.graph import _write_json
+from gatgrad.graph import _Table, _write_json
 
 
 def plain(value):
-    """value with every numpy array replaced by its tolist(), as json.dumps takes it."""
+    """value with every numpy array replaced by its tolist() and every table by its
+    list of records, as json.dumps takes it."""
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, _Table):
+        return [
+            {key: plain(values[r] if offsets is None else values[offsets[r] : offsets[r + 1]])
+             for key, (values, offsets) in value.columns.items()}
+            for r in range(len(value))
+        ]
     if isinstance(value, dict):
         return {key: plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -152,15 +159,15 @@ def test_matrix_written_a_block_at_a_time(tmp_path, write_sizes):
 
 
 def test_table_written_a_block_at_a_time(tmp_path, write_sizes):
-    """No single write holds more than about one block of a long list of records."""
+    """No single write holds more than about one block of a long table."""
     rng = np.random.default_rng(0)
-    records = [
-        {"node": k, "neighbors": rng.integers(0, 20_000, 8), "alpha": rng.random(8),
-         "h_out": rng.standard_normal(8)}
-        for k in range(20_000)
-    ]
-    _write_json(tmp_path / "out.json", {"nodes": records})
-    assert (tmp_path / "out.json").read_bytes() == expected_bytes({"nodes": records})
+    offsets = np.arange(20_001) * 8
+    table = _Table({"node": list(range(20_000)),
+                    "neighbors": (rng.integers(0, 20_000, 160_000), offsets),
+                    "alpha": (rng.random(160_000), offsets),
+                    "h_out": rng.standard_normal((20_000, 8))})
+    _write_json(tmp_path / "out.json", {"nodes": table})
+    assert (tmp_path / "out.json").read_bytes() == expected_bytes({"nodes": table})
     assert len(write_sizes) >= 10 and max(write_sizes) < 40 * gatgrad.graph._BULK_NUMBERS
 
 
@@ -206,9 +213,10 @@ def tables(draw):
 @settings(max_examples=150, deadline=None)
 @given(records=tables(), depth=st.integers(0, 2))
 def test_tables_match_json_dumps(tmp_path_factory, bulk_numbers, records, depth):
-    """Records sharing one layout, and lists whose layout changes at a record:
-    by key order, a leaf's length, an empty leaf, a nested dict, a string, or
-    a numpy scalar, which json.dumps rejects."""
+    """The value route on lists of records: records sharing one layout, and
+    lists whose layout changes at a record, by key order, a leaf's length, an
+    empty leaf, a nested dict, a string, or a numpy scalar, which json.dumps
+    rejects."""
     payload = nested(records, depth)
     path = tmp_path_factory.mktemp("writer") / "out.json"
     with mock.patch.object(gatgrad.graph, "_BULK_NUMBERS", bulk_numbers):
@@ -220,6 +228,66 @@ def test_tables_match_json_dumps(tmp_path_factory, bulk_numbers, records, depth)
             return
         _write_json(path, payload)
     assert path.read_bytes() == want
+
+
+NUMBER_COLUMNS = {
+    "int": lambda k: st.lists(st.integers(), min_size=k, max_size=k),
+    "float": lambda k: st.lists(st.floats(), min_size=k, max_size=k),
+    "bool": lambda k: st.lists(st.booleans(), min_size=k, max_size=k).map(tuple),
+    "mixed": lambda k: st.lists(numbers, min_size=k, max_size=k).map(tuple),
+}
+LEAF_DTYPES = {
+    "int64": (np.int64, None),
+    "float64": (np.float64, st.floats()),
+    "bool": (np.bool_, None),
+}
+
+
+@st.composite
+def column_tables(draw):
+    """A table of number, (k, m) and ragged columns, and its list of records,
+    built from the drawn values alone. Ragged leaf lengths come in runs, long
+    ones and runs of one record, so that runs of every length meet."""
+    k = draw(st.sampled_from([0, 1, 2, 3]) | st.integers(4, 60))
+    columns, rows = {}, [{} for _ in range(k)]
+    for key in draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["number", "matrix", "ragged"]))
+        if kind == "number":
+            columns[key] = draw(NUMBER_COLUMNS[draw(st.sampled_from(list(NUMBER_COLUMNS)))](k))
+            for row, value in zip(rows, columns[key]):
+                row[key] = value
+            continue
+        dtype, elements = LEAF_DTYPES[draw(st.sampled_from(list(LEAF_DTYPES)))]
+        if kind == "matrix":
+            lengths = [draw(st.integers(0, 3))] * k
+        else:
+            lengths = []
+            while len(lengths) < k:
+                lengths += [draw(st.integers(0, 3))] * draw(st.sampled_from([1, 1, 2, 9, 40]))
+            lengths = lengths[:k]
+        values = draw(hnp.arrays(dtype, sum(lengths), elements=elements))
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        for r, row in enumerate(rows):
+            row[key] = values[offsets[r] : offsets[r + 1]].tolist()
+        if kind == "matrix":
+            columns[key] = values.reshape(k, lengths[0] if k else 0)
+        else:
+            columns[key] = values, offsets
+    return _Table(columns), rows
+
+
+@pytest.mark.parametrize("bulk_numbers", [1, 5, gatgrad.graph._BULK_NUMBERS])
+@settings(max_examples=150, deadline=None)
+@given(drawn=column_tables(), depth=st.integers(0, 2))
+def test_column_tables_match_json_dumps(tmp_path_factory, bulk_numbers, drawn, depth):
+    """A table writes what json.dumps writes of its records: int, float and
+    bool number columns, leaves of width 0 and up, tables of 0, 1 and many
+    records, ragged leaves with long runs and runs of one record."""
+    table, records = drawn
+    path = tmp_path_factory.mktemp("writer") / "out.json"
+    with mock.patch.object(gatgrad.graph, "_BULK_NUMBERS", bulk_numbers):
+        _write_json(path, nested(table, depth))
+    assert path.read_bytes() == (json.dumps(nested(records, depth), indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -251,20 +319,23 @@ def recorded(monkeypatch):
     # conftest's instances by name: the README's; the benchmark's oracle([1, 0]);
     # "regular", where every node has degree 11, so the forward report's
     # records share one layout; "wide", whose features and edges span several
-    # of the writer's row blocks; and "iso", whose isolated nodes keep the
-    # forward records off the table route.
-    ["readme", "oracle", "regular", "wide", "iso"],
+    # of the writer's row blocks; "iso", whose isolated nodes break the
+    # forward table into runs of one record; "edgeless", whose leaves are all
+    # empty and whose default diagnose table has no record; and "lastiso",
+    # whose tables are a run of one writer block or more, then a run of one.
+    ["readme", "oracle", "regular", "wide", "iso", "edgeless", "lastiso"],
     ids=lambda instance: f"{instance}_instance",
 )
 def test_every_written_file_matches_json_dumps(recorded, ci, instance):
     """Each is written afresh, so gen's and save_graph's files are recorded too."""
     graph, params = ci.write(instance)
     io = ["--graph", graph, "--params", params]
-    runs = [["forward", "--all-nodes"]]
+    runs = [["forward", "--all-nodes"], ["forward", "--node", "1"]]
     for upstream in ("uniform", "random"):
         flags = ["--upstream", upstream, "--seed", "7"]
         runs += [["gradcheck", "--node", "1", *flags], ["gradcheck", "--all-nodes", *flags],
-                 ["diagnose", *flags]]
+                 ["diagnose", *flags], ["diagnose", "--all-nodes", *flags],
+                 ["diagnose", "--node", "1", *flags]]
     reports = []
     for verb, *flags in runs:
         assert ci.cli(verb, *io, *flags)[0] in (0, 1)
