@@ -51,12 +51,12 @@ class NodeDiagnosis(NamedTuple):
     closed_form_gap: float
 
 
-def _segment_gap(closed, chain, upstream: np.ndarray):
+def _segment_gap(closed, chain, bias_scale: float):
     """closed_form_gap of every target, (...), from the closed forms' and the
     chain's (theta_R, theta_L) blocks (..., D, H+1). The b blocks are the
-    upstream on both sides: no difference, and max |upstream| in the scale."""
+    upstream on both sides: no difference, and bias_scale, max |upstream|, in the scale."""
     closed, chain = np.concatenate(closed, axis=-1), np.concatenate(chain, axis=-1)
-    scale = np.maximum(abs(closed), abs(chain)).max(axis=(-2, -1), initial=abs(upstream).max())
+    scale = np.maximum(abs(closed), abs(chain)).max(axis=(-2, -1), initial=bias_scale)
     return np.abs(closed - chain).max(axis=(-2, -1)) / np.maximum(scale, REL_ERR_FLOOR)
 
 
@@ -70,7 +70,7 @@ def closed_form_gap(closed: GradientSet, chain: GradientSet) -> float:
     chain.bias enters the scale only. An isolated node's gap is 0 (empty sums).
     """
     blocks = [(grads.theta_r, grads.theta_l) for grads in (closed, chain)]
-    return float(_segment_gap(*blocks, chain.bias))
+    return float(_segment_gap(*blocks, abs(chain.bias).max()))
 
 
 def diagnose(
@@ -100,6 +100,7 @@ def diagnose(
     else:
         ids = np.array([_node_id(i, graph.num_nodes) for i in nodes], dtype=np.int64)
     g = _check_upstream(np.ones(params.out_dim) if upstream is None else upstream, params.out_dim)
+    bias_scale = abs(g).max()  # every node's b block, in every node's gap
     dead = np.empty((graph.num_nodes, params.out_dim), dtype=bool)
     entropy, gap = np.empty(graph.num_nodes), np.empty(graph.num_nodes)
     for nodes, _, block in _graph_chunks(params, graph, features):
@@ -109,7 +110,7 @@ def diagnose(
         # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.
         entropy[nodes] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
         closed = [form(block, params, g) for form in (grad_theta_r_sum, grad_theta_l)]
-        gap[nodes] = _segment_gap(closed, _segment_chain(block, params, g)[:2], g)
+        gap[nodes] = _segment_gap(closed, _segment_chain(block, params, g)[:2], bias_scale)
     _terms.cache_clear()  # the last block's record need not outlive the pass
     dead, counts = dead[ids], degrees[ids].tolist()
     single = [count <= 1 for count in counts]

@@ -20,9 +20,9 @@ regime from its slopes, and the two terms they share beyond it from _terms,
 which keeps them for the record's next route. grad_theta_r_sum and
 grad_theta_l take either record; diagnostics.diagnose calls them on the
 blocks of the whole graph. grad_theta_r_pairwise stays per node, as the
-independent cross-check that sums the neighbor pairs directly, in blocks
-bounded by layer.EDGE_BUDGET. The chain keeps a private raw form,
-_segment_chain, beside backward_chain: a GradientSet per block would copy
+independent cross-check that sums the neighbor pairs straddling the kink,
+one product per row block bounded by layer.EDGE_BUDGET. backward_chain
+keeps a private raw form, _segment_chain: a GradientSet per block would copy
 and freeze every block and form the att product, which diagnose does not use.
 An isolated node is a block of degree 0: its neighbor sums are empty, so its
 attention gradients are zeros, signed as a single-neighbor node's are.
@@ -65,7 +65,10 @@ class GradientSet:
 
     def __post_init__(self) -> None:
         for name in BLOCKS.values():
-            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "iuf":
+                raise TypeError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
+            arr = np.array(arr, dtype=np.float64)
             arr.setflags(False)  # write=False, positional: the keyword costs more
             object.__setattr__(self, name, arr)
 
@@ -140,30 +143,31 @@ def grad_theta_r_sum(
 def grad_theta_r_pairwise(
     trace: ForwardTrace, params: LayerParams, upstream: np.ndarray
 ) -> np.ndarray:
-    """Target-side weight gradient, neighbor-pair form, (D, H+1).
+    """Target-side weight gradient, neighbor-pair form, (D, H+1) for a node's trace.
 
-    Visits unordered neighbor pairs exactly once; each pair contributes
-    alpha[k] * alpha[j] * (total[k] - total[j]) * (slope[k] - slope[j]).
-    Algebraically identical to grad_theta_r_sum. The trace's slopes are 1 or
-    one negative slope, so a slope difference is 0 or +-(1 - their minimum),
-    and row blocks of the pair triangle meet the 0/1 regime indicators in two
-    matrix products. A block has at most layer.EDGE_BUDGET * D // N rows, the
-    floats of one (EDGE_BUDGET, D) array of a whole-graph block, so memory
-    stays O(N * D) at any degree.
+    The trace's slopes are 1 or one negative slope s, so a neighbor pair
+    feeds row t only if it straddles the kink there: row t's coefficient is
+    (1 - s) times the sum, over k on the positive and j on the negative side,
+    of alpha[k] * alpha[j] * (total[k] - total[j]). Algebraically identical
+    to grad_theta_r_sum, without its centering or first-edge spread. Each row
+    block of the full pair matrix, at most layer.EDGE_BUDGET * D // N rows of
+    N columns, meets the 0/1 regime indicators in one matrix product: memory
+    stays O(N * D) at any degree. A block's record raises ValueError.
     The slopes are the trace's, so the trace must come from `params`.
     """
+    if trace.alpha.ndim != 1:
+        raise ValueError(f"pair form takes a node's trace, not alpha {trace.alpha.shape}: "
+                         "grad_theta_r_sum takes blocks")
     g = _check_upstream(upstream, params.out_dim)
-    n = trace.num_neighbors
+    n, alpha = trace.num_neighbors, trace.alpha
     pos = trace.slopes == 1.0
-    neg = ~pos
     totals = trace.source_proj.sum(axis=1)
     rows = max(1, layer.EDGE_BUDGET * params.out_dim // max(n, 1))
     coeff = np.zeros(params.out_dim)
-    for lo in range(0, n - 1, rows):
-        k, j = slice(lo, min(lo + rows, n - 1)), slice(lo + 1, None)
-        w = np.multiply.outer(trace.alpha[k], trace.alpha[j])  # in place: a temporary fewer
-        w = np.triu(np.multiply(w, np.subtract.outer(totals[k], totals[j]), out=w))
-        coeff += (pos[k] * (w @ neg[j])).sum(0) - (neg[k] * (w @ pos[j])).sum(0)
+    for lo in range(0, n, rows):
+        w = np.subtract.outer(totals[lo : lo + rows], totals)
+        w *= alpha  # alpha[j]; alpha[k] joins the indicator, sparing an N x N product
+        coeff += (alpha[lo : lo + rows, None] * pos[lo : lo + rows] * (w @ ~pos)).sum(0)
     coeff *= 1.0 - trace.slopes.min(initial=1.0)
     return np.outer(g * params.att * coeff, trace.h_aug_target)
 

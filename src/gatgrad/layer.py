@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _finite, _index, _numbers, _reading, _write_json
+from .graph import Graph, _finite, _index, _node_id, _numbers, _reading, _write_json
 
 __all__ = [
     "LayerParams",
@@ -201,7 +201,7 @@ def _propagate(theta_r, theta_l, att, bias, slope, h_aug_targets, h_aug_sources)
 
 
 def _augmented(params: LayerParams, graph: Graph, features: np.ndarray, ids) -> np.ndarray:
-    """Read-only augmented rows [1, h] of the nodes `ids`, a list or a slice.
+    """Read-only augmented rows [1, h] of the nodes `ids`, an index array or a slice.
 
     The feature matrix is checked first: one row per graph node, of
     params.feature_dim columns. A slice's rows are a view, copied once into the
@@ -239,7 +239,9 @@ def forward_with_trace(
     Pure function of its arguments: repeated calls produce bit-identical
     traces, equal to the node's row of forward_graph.
     """
-    rows = _augmented(params, graph, features, [node, *graph.neighbors(node)])
+    i = _node_id(node, graph.num_nodes)
+    ids = np.concatenate(([i], graph.sources[graph.offsets[i] : graph.offsets[i + 1]]))
+    rows = _augmented(params, graph, features, ids)
     return _propagate(
         params.theta_r, params.theta_l, params.att, params.bias,
         params.negative_slope, rows[0], rows[1:],

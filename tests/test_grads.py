@@ -449,6 +449,20 @@ class TestPairBlocks:
             # For N <= 1 the bound is 0: an exact zero matrix.
             check_against_pair_loop(trace, params, rng.standard_normal(d))
 
+    def test_block_record_rejected(self):
+        """A block's record, of one target or many, is refused before any
+        product, with its shape named: the pair form takes one node's trace."""
+        graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 1), (4, 2)))
+        feats = np.random.default_rng(3).standard_normal((5, 2))
+        params = generate_instance(5, 2, 3, seed=3)[2]
+        shapes = set()
+        for nodes, _, block in layer._graph_chunks(params, graph, feats):
+            message = rf"alpha \({len(nodes)}, {block.num_neighbors}\).*grad_theta_r_sum takes blocks"
+            with pytest.raises(ValueError, match=message):
+                grad_theta_r_pairwise(block, params, np.ones(3))
+            shapes.add(block.alpha.shape)
+        assert shapes == {(4, 1), (1, 3)}
+
     def test_memory_stays_within_the_block_bound(self):
         """A hub of 2,000 neighbors at D = 4: its full pair triangle would
         take 32 MB, one block at most one (EDGE_BUDGET, D) float64 array."""
@@ -709,3 +723,19 @@ class TestGradientSetArrays:
             assert not np.shares_memory(block, frozen)
         blocks[0][0, 0] = 1.0
         assert grads.theta_r[0, 0] == 0.0
+
+    @pytest.mark.parametrize("field", ["theta_r", "theta_l", "att", "bias"])
+    @pytest.mark.parametrize("bad", ["1.5", True, np.ones(2, dtype=bool), None],
+                             ids=["str", "bool", "bool-array", "None"])
+    def test_malformed_block_rejected(self, field, bad):
+        """Malformed blocks are rejected, never coerced, as LayerParams rejects them."""
+        blocks = dict(theta_r=np.zeros((2, 3)), theta_l=np.zeros((2, 3)), att=np.zeros(2),
+                      bias=np.zeros(2))
+        blocks[field] = bad
+        with pytest.raises(TypeError, match=f"{field} must hold integers or floats"):
+            GradientSet(**blocks)
+
+    def test_integer_blocks_accepted(self):
+        grads = GradientSet([[1, 2]], np.array([[3, 4]], dtype=np.uint8), [5], np.float32([6]))
+        assert all(block.dtype == np.float64 for block in grads.as_dict().values())
+        assert grads.theta_l.tolist() == [[3.0, 4.0]]

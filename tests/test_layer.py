@@ -345,6 +345,15 @@ class TestForwardWithTrace:
                 assert got.shape == want.shape, field.name
                 assert np.array_equal(got, want), field.name
 
+    def test_node_out_of_range(self):
+        """-1 would slice the CSR arrays from the end: it is refused first."""
+        params, graph, feats = self.hand_instance()
+        for node in (-1, 3, np.int64(3)):
+            with pytest.raises(IndexError, match=f"node {node} out of range for 3 nodes"):
+                forward_with_trace(params, graph, feats, node)
+        trace = forward_with_trace(params, graph, feats, np.int64(0))
+        assert trace.h_aug_sources[:, 1].tolist() == [2.0, 4.0]
+
     def test_feature_dim_mismatch(self):
         g, feats, params = generate_instance(4, 2, 2, seed=3)
         with pytest.raises(ValueError, match="feature dim"):
