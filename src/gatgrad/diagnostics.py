@@ -92,6 +92,7 @@ def diagnose(
     report; a few requested nodes cost that full pass.
     Isolated nodes, if explicitly requested, are a block of degree 0: their
     rows are vacuously dead, with uniformity 1, zero entropy and zero gap.
+    A requested node's non-finite gap (a gradient overflows) raises ValueError.
     Tuples, not arrays, as perfbench/spans.py's _count_diagnose reads their fields.
     """
     degrees = np.diff(graph.offsets)
@@ -103,15 +104,18 @@ def diagnose(
     bias_scale = abs(g).max()  # every node's b block, in every node's gap
     dead = np.empty((graph.num_nodes, params.out_dim), dtype=bool)
     entropy, gap = np.empty(graph.num_nodes), np.empty(graph.num_nodes)
-    for nodes, _, block in _graph_chunks(params, graph, features):
-        alpha = block.alpha
-        # A row is dead where every edge of the target has its first edge's slope.
-        dead[nodes] = ~(_terms(block)[0] != 0.0).any(axis=1)
-        # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.
-        entropy[nodes] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
-        closed = [form(block, params, g) for form in (grad_theta_r_sum, grad_theta_l)]
-        gap[nodes] = _segment_gap(closed, _segment_chain(block, params, g)[:2], bias_scale)
-    _terms.cache_clear()  # the last block's record need not outlive the pass
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score or gap is rejected
+        for nodes, _, block in _graph_chunks(params, graph, features):
+            alpha = block.alpha
+            # A row is dead where every edge of the target has its first edge's slope.
+            dead[nodes] = ~(_terms(block)[0] != 0.0).any(axis=1)
+            # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.
+            entropy[nodes] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
+            closed = [form(block, params, g) for form in (grad_theta_r_sum, grad_theta_l)]
+            gap[nodes] = _segment_gap(closed, _segment_chain(block, params, g)[:2], bias_scale)
+    overflow = ~np.isfinite(gap[ids])
+    if overflow.any():
+        raise ValueError(f"non-finite closed_form_gap at node {ids[overflow.argmax()]}")
     dead, counts = dead[ids], degrees[ids].tolist()
     single = [count <= 1 for count in counts]
     return tuple(map(NodeDiagnosis, ids.tolist(), counts, single, map(tuple, dead.tolist()),

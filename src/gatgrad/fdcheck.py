@@ -63,7 +63,9 @@ class FdGradient:
     resolution: float | np.ndarray
 
     def node(self, i: int) -> FdGradient:
-        """Node i's slice of a window's result."""
+        """Node i's slice of a window's result; ValueError for a single node's."""
+        if np.ndim(self.resolution) != 1:
+            raise ValueError("node(i) takes a window's result, not a single node's")
         grads = GradientSet(*(block[i] for block in self.grads.as_dict().values()))
         flags = {key: mask[i] for key, mask in self.kink_flags.items()}
         return FdGradient(grads, flags, float(self.resolution[i]))
@@ -106,7 +108,8 @@ def fd_gradient(
                 stacked = [*blocks[:pos], stack.reshape(-1, *block.shape), *blocks[pos + 1 :]]
                 for i in nodes:
                     copies = _propagate(*stacked, *args[i])
-                    loss = (copies.h_out[:, None, :] @ gs[i])[:, 0]  # each copy's own dot product
+                    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
+                        loss = (copies.h_out[:, None, :] @ gs[i])[:, 0]  # each copy's own dot product
                     if not np.isfinite(loss).all():
                         raise ValueError("non-finite loss at a perturbed point")
                     grads[pos][i].flat[idx] = loss.imag / COMPLEX_STEP
@@ -114,8 +117,9 @@ def fd_gradient(
                     del copies  # freed, so the next call's arrays reuse their memory
     # One evaluation rounds on the scale of the loss taken on absolute values, which
     # can overflow where the loss cancels: an infinite resolution would confirm every entry.
-    abs_h_outs = [np.abs(params.bias) + t.alpha @ np.abs(t.source_proj) for t in traces]
-    abs_losses = [float(np.abs(g) @ abs_h_out) for g, abs_h_out in zip(gs, abs_h_outs)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_h_outs = [np.abs(params.bias) + t.alpha @ np.abs(t.source_proj) for t in traces]
+        abs_losses = [float(np.abs(g) @ abs_h_out) for g, abs_h_out in zip(gs, abs_h_outs)]
     if not all(map(math.isfinite, abs_losses)):
         raise ValueError("non-finite loss scale")
     resolution = RESOLUTION_ULPS * np.finfo(np.float64).eps * np.maximum(1.0, abs_losses)
@@ -153,6 +157,8 @@ def compare_gradients(
     """
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if np.ndim(numeric.resolution):
+        raise ValueError("compare_gradients takes one node's result: a window's FdGradient.node(i)")
     analytic_sets, numeric_sets = analytic.as_dict(), numeric.grads.as_dict()
     checks = {}
     for key in keys:

@@ -17,7 +17,7 @@ one matrix product per target for the (D, H+1) blocks), so a target's
 gradients are the same in any block. They read a layer.ForwardTrace, a
 node's or a block's of layer._graph_chunks, by field name, the LeakyReLU
 regime from its slopes, and the two terms they share beyond it from _terms,
-which keeps them for the record's next route. grad_theta_r_sum and
+which keeps them while the record lives. grad_theta_r_sum and
 grad_theta_l take either record; diagnostics.diagnose calls them on the
 blocks of the whole graph. grad_theta_r_pairwise stays per node, as the
 independent cross-check that sums the neighbor pairs straddling the kink,
@@ -32,14 +32,14 @@ Gradients are per target node; summing over nodes is left to callers.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import layer
 from .graph import _finite
-from .layer import BLOCKS, ForwardTrace, LayerParams, _dot
+from .layer import BLOCKS, ForwardTrace, LayerParams, _block, _dot
 
 __all__ = [
     "GradientSet",
@@ -65,12 +65,7 @@ class GradientSet:
 
     def __post_init__(self) -> None:
         for name in BLOCKS.values():
-            arr = np.asarray(getattr(self, name))
-            if arr.dtype.kind not in "iuf":
-                raise TypeError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
-            arr = np.array(arr, dtype=np.float64)
-            arr.setflags(False)  # write=False, positional: the keyword costs more
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _block(getattr(self, name), name))
 
     def as_dict(self) -> dict[str, np.ndarray]:
         """The blocks by their file keys, in file order."""
@@ -90,13 +85,18 @@ def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
 # of degree n with any leading axes: the spread of the slopes from each
 # target's first edge (..., n, D) (grad_theta_r_sum says why), and both
 # closed forms' weights: alpha times the centered projection total, (..., n).
-# Kept for the record's next route, a node's or a block's; keyed on the record.
-@lru_cache(maxsize=1)
+# Kept for the record's next route, a node's or a block's, while it lives.
+_TERMS = weakref.WeakKeyDictionary()
+
+
 def _terms(trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
     """(spread, weights) of a node's or a block's ForwardTrace, from its slopes."""
-    totals = trace.source_proj.sum(axis=-1)
-    weights = trace.alpha * (totals - _dot(trace.alpha, totals[..., None]))
-    return trace.slopes - trace.slopes[..., :1, :], weights
+    terms = _TERMS.get(trace)
+    if terms is None:
+        totals = trace.source_proj.sum(axis=-1)
+        weights = trace.alpha * (totals - _dot(trace.alpha, totals[..., None]))
+        terms = _TERMS[trace] = trace.slopes - trace.slopes[..., :1, :], weights
+    return terms
 
 
 def _segment_chain(block, params: LayerParams, upstream: np.ndarray) -> tuple:

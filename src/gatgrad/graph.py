@@ -169,10 +169,10 @@ class Graph:
     """Immutable directed graph on nodes 0..num_nodes-1.
 
     `edges`, (i, j) pairs or an integer (E, 2) array (even when empty), is
-    kept as a read-only (E, 2) int64 array in the given order, which equality
-    includes. Counts and ids must be integers, never bools, floats or strings.
-    Duplicate edges would be aggregated twice and are rejected; self-loops are
-    honored only if listed. `sources` and `offsets` are the read-only int64 CSR view.
+    kept as a read-only (E, 2) int64 array in the given order. Counts and ids
+    must be integers, never bools, floats or strings. Duplicate edges would be
+    aggregated twice and are rejected; self-loops are honored only if listed.
+    `sources` and `offsets` are the read-only int64 CSR view. Hashed by identity.
     """
 
     num_nodes: int
@@ -191,18 +191,6 @@ class Graph:
         for name, arr in (("edges", edges), ("sources", sources), ("offsets", offsets)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def __eq__(self, other) -> bool:
-        same = isinstance(other, Graph) and self.num_nodes == other.num_nodes
-        return same and self.edges.tobytes() == other.edges.tobytes()
-
-    def __hash__(self) -> int:
-        return hash((self.num_nodes, self.edges.tobytes()))
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Message sources of node i in edge order; TypeError or IndexError for a bad i."""
-        i = _node_id(i, self.num_nodes)
-        return tuple(self.sources[self.offsets[i] : self.offsets[i + 1]].tolist())
 
 
 def load_graph(path) -> tuple[Graph, np.ndarray]:
@@ -267,36 +255,34 @@ def _write_json(path, payload: dict) -> None:
     json.dump with an indent runs the pure-Python encoder, value by value; here
     the numbers go in bulk through one compact C encoder,
     json.JSONEncoder(separators=(",", ":")), whose output is split on its commas.
-    A numeric leaf (a non-empty list of ints, floats and bools) enters it whole
-    and a scalar number on its own; once _BULK_NUMBERS are waiting, one call
-    encodes them all, its output is split back into one text per leaf and one
-    per scalar, and the text finished so far is written out, so memory stays
-    bounded on any payload. The rows of a non-empty 2-D array of bools or
-    numbers, and each run of a table's records whose leaves have equal lengths,
-    go a block of about _BULK_NUMBERS numbers at a time: one encoder call per
+    A numeric leaf (a non-empty list of ints, floats and bools) enters it whole,
+    and a scalar number as a leaf of one; once _BULK_NUMBERS are waiting, one
+    call encodes them all, its output is split back into one text per leaf,
+    and the text finished so far is written out, so memory stays bounded on
+    any payload. The rows of a non-empty 2-D array of bools or numbers, and
+    each run of a table's records whose leaves have equal lengths, go a
+    block of about _BULK_NUMBERS numbers at a time: one encoder call per
     column, whose texts go by strided slice assignment into one row's layout,
     repeated (a run's is json.dumps of a one-record template). A run of no
     more records than keys, or with no number, goes value by value, as its
     layout would cost more than it saves. Strings, keys (strings only) and the
     layout are written here.
     """
-    parts: list = []  # output strings; a number holds its place until encoded
-    leaves, leaf_at, scalars, scalar_at = [], [], [], []
-    waiting = 0  # numbers in leaves and scalars
+    parts: list = []  # output strings; a leaf's depth (None: a scalar's) holds its place
+    leaves, leaf_at = [], []
+    waiting = 0  # numbers in leaves
     encode = json.JSONEncoder(separators=(",", ":")).encode
 
     def flush() -> None:
         nonlocal waiting
-        # Numbers never hold a comma or a bracket, so the splits are
-        # unambiguous; the scalars ride along as the last list.
-        *texts, scalar_text = encode([*leaves, scalars])[2:-2].split("],[")
-        for at, text in zip(scalar_at, scalar_text.split(",")):
+        # Numbers never hold a comma or a bracket, so the split is unambiguous.
+        for at, text in zip(leaf_at, encode(leaves)[2:-2].split("],[")):
+            if parts[at] is not None:
+                inner = "\n" + "  " * (parts[at] + 1)
+                text = "[" + inner + text.replace(",", "," + inner) + "\n" + "  " * parts[at] + "]"
             parts[at] = text
-        for at, text in zip(leaf_at, texts):
-            inner = "\n" + "  " * (parts[at] + 1)
-            parts[at] = "[" + inner + text.replace(",", "," + inner) + "\n" + "  " * parts[at] + "]"
         fh.write("".join(parts))
-        for pending in (parts, leaves, leaf_at, scalars, scalar_at):
+        for pending in (parts, leaves, leaf_at):
             pending.clear()
         waiting = 0
 
@@ -362,16 +348,14 @@ def _write_json(path, payload: dict) -> None:
             parts.append(encode_basestring_ascii(value))
         elif value is None:
             parts.append("null")
-        elif isinstance(value, (int, float)):
-            scalar_at.append(len(parts))
-            parts.append(None)
-            scalars.append(value)
-            waiting += 1
-        elif isinstance(value, (list, tuple)) and value and set(map(type, value)) <= _NUMBERS:
+        elif isinstance(value, (int, float)) or (
+            isinstance(value, (list, tuple)) and value and set(map(type, value)) <= _NUMBERS
+        ):
+            leaf = value if isinstance(value, (list, tuple)) else (value,)
             leaf_at.append(len(parts))
-            parts.append(depth)
-            leaves.append(value)
-            waiting += len(value)
+            parts.append(depth if leaf is value else None)
+            leaves.append(leaf)
+            waiting += len(leaf)
         elif isinstance(value, (list, tuple, dict, np.ndarray, _Table)):
             is_dict = isinstance(value, dict)
             if not len(value):

@@ -54,6 +54,16 @@ __all__ = [
 BLOCKS = {"theta_R": "theta_r", "theta_L": "theta_l", "a": "att", "b": "bias"}
 
 
+def _block(value, name: str) -> np.ndarray:
+    """A block as a read-only float64 copy; TypeError unless it holds integers or floats."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
+    arr = np.array(arr, dtype=np.float64)
+    arr.setflags(False)  # write=False, positional: the keyword costs more
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class LayerParams:
     """Trainable layer parameters.
@@ -74,12 +84,7 @@ class LayerParams:
 
     def __post_init__(self) -> None:
         for name in BLOCKS.values():
-            arr = np.asarray(getattr(self, name))
-            if arr.dtype.kind not in "iuf":
-                raise TypeError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
-            arr = _finite(np.array(arr, dtype=np.float64), name)
-            arr.setflags(False)  # write=False, positional: the keyword costs more
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _finite(_block(getattr(self, name), name), name))
         if self.theta_r.ndim != 2 or self.theta_r.shape[1] < 1:
             raise ValueError("theta_r must be a matrix with at least one column")
         if self.theta_l.shape != self.theta_r.shape:

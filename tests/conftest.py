@@ -26,6 +26,15 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _strict(path):
+    """The report at path, parsed; a NaN, Infinity or -Infinity, which strict JSON lacks, fails."""
+
+    def reject(name):
+        raise ValueError(f"{path} holds {name}, which is not strict JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class CiInstances:
     """The one registry of the files the CLI tests read, and cli, the one
     function they run every verb through. Each instance is a graph file and a
@@ -101,15 +110,16 @@ class CiInstances:
         """Run `verb` in process, as `gatgrad verb flags`, writing into a fresh
         directory: gen its --graph graph.json and --params params.json, any
         other verb its --out out.json. Flags may be any values; each is
-        passed as its str(). Return the exit code and the parsed report, None
-        when the verb wrote none (gen never does); self.last is the directory.
+        passed as its str(). Return the exit code and the report, parsed as
+        strict JSON, None when the verb wrote none (gen never does); self.last
+        is the directory.
         argparse's SystemExit propagates."""
         directory = self._fresh()
         outs = ("graph", "params") if verb == "gen" else ("out",)
         argv = [verb, *flags, *(arg for out in outs for arg in (f"--{out}", directory / f"{out}.json"))]
         code = main([str(arg) for arg in argv])
         report = directory / "out.json"
-        return code, json.loads(report.read_text()) if report.exists() else None
+        return code, _strict(report) if report.exists() else None
 
     def files(self, name):
         """The shared graph and params files of the instance, written the first
@@ -164,14 +174,14 @@ class CiInstances:
         }[mode]
 
     def run(self, verb, name, mode, *flags):
-        """cli's cached form: the exit code and a fresh parse of the report of
+        """cli's cached form: the exit code and a fresh strict parse of the report of
         `verb` on the instance under the upstream mode, run the first time it
         is asked for. Call it with no gatgrad name patched, or the patch is
         what is kept."""
         key = (verb, name, mode, flags)
         if key in self._reports:
             code, out = self._reports[key]
-            return code, json.loads(out.read_text())
+            return code, _strict(out)
         code, report = self.cli(verb, *self.io(name), *flags, *self.upstream(mode))
         self._reports[key] = code, self.last / "out.json"
         self._seal(self.last / "out.json")

@@ -403,7 +403,6 @@ class TestFdGradient:
             assert not mask.any(), key
             assert np.array_equal(numeric.grads.as_dict()[key], clean.grads.as_dict()[key])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_rejected(self):
         # h_out is finite but the dot with a huge loss vector overflows.
         params = LayerParams([[0.1, 0.1]], [[0.1, 0.1]], [1.0], [1e200])
@@ -413,7 +412,6 @@ class TestFdGradient:
         with pytest.raises(ValueError, match="non-finite loss at a perturbed point"):
             fd_gradient(trace, params, np.array([1e200]))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_mid_chunk_rejected(self):
         """One copy in the middle of a chunk overflows and the rest do not.
 
@@ -431,7 +429,6 @@ class TestFdGradient:
         with pytest.raises(ValueError, match="non-finite loss at a perturbed point"):
             fd_gradient(trace, params, np.array([1e100]))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_loss_scale_rejected(self):
         """Bias terms that cancel in the loss but overflow by magnitude."""
         theta = [[0.1, 0.1], [0.1, 0.1]]
@@ -535,6 +532,25 @@ class TestCompareGradients:
         )
         with pytest.raises(ValueError):
             compare_gradients(self.chain, exact(other))
+
+    @pytest.mark.parametrize("k", [4, 3])
+    def test_window_result_rejected(self, k):
+        """A window's resolution is (k,), which at k = D = H + 1 = 4 broadcasts
+        along the blocks' last axis: compare_gradients takes a node's result."""
+        graph, feats, params = generate_instance(6, 3, 4, seed=1)
+        traces = [forward_with_trace(params, graph, feats, node) for node in range(k)]
+        window = fd_gradient(traces, params, np.ones((k, 4)))
+        chains = [backward_chain(trace, params, np.ones(4)).as_dict() for trace in traces]
+        stacked = GradientSet(*(np.stack([chain[key] for chain in chains]) for key in chains[0]))
+        with pytest.raises(ValueError, match=r"a window's FdGradient\.node\(i\)"):
+            compare_gradients(stacked, window)
+        for i, chain in enumerate(chains):
+            assert passed(compare_gradients(GradientSet(*chain.values()), window.node(i)))
+
+    def test_node_of_a_single_nodes_result_rejected(self):
+        numeric = fd_gradient(self.trace, self.params, np.ones(3))
+        with pytest.raises(ValueError, match="takes a window's result, not a single node's"):
+            numeric.node(0)
 
     def test_report_json_layout(self):
         """Each block's verdict in the report's key order; the run keys around

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gatgrad import (
     Graph,
     LayerParams,
+    diagnose,
     forward_with_trace,
     generate_instance,
     load_params,
@@ -41,7 +42,7 @@ def update_node(params, alpha, source_proj):
 
 def forward_per_neighbor(params, graph, features, node):
     """Reference trace: augmented rows [1, *h] built one neighbor at a time."""
-    nbrs = graph.neighbors(node)
+    nbrs = graph.sources[graph.offsets[node] : graph.offsets[node + 1]].tolist()
     h_aug_target = np.array([1.0, *features[node]])
     if nbrs:
         h_aug_sources = np.stack([np.array([1.0, *features[j]]) for j in nbrs])
@@ -274,8 +275,9 @@ class TestForwardWithTrace:
     def test_scores_match_pairwise_scoring(self):
         g, feats, params = generate_instance(5, 3, 4, seed=42)
         trace = forward_with_trace(params, g, feats, 0)
-        assert trace.num_neighbors == len(g.neighbors(0))
-        for k, j in enumerate(g.neighbors(0)):
+        nbrs = g.sources[g.offsets[0] : g.offsets[1]].tolist()
+        assert trace.num_neighbors == len(nbrs)
+        for k, j in enumerate(nbrs):
             expect = attention_score(
                 params, np.array([1.0, *feats[0]]), np.array([1.0, *feats[j]])
             )
@@ -335,11 +337,12 @@ class TestForwardWithTrace:
     def test_gathered_rows_match_per_neighbor_reference(self, seed):
         """Every trace field equals the one-neighbor-at-a-time build, bit for bit."""
         graph, feats, params = isolated_and_self_loop(seed)
-        assert graph.neighbors(0) == () and 1 in graph.neighbors(1)
+        s, o = graph.sources, graph.offsets
+        assert s[o[0] : o[1]].tolist() == [] and 1 in s[o[1] : o[2]]
         for node in range(graph.num_nodes):
             trace = forward_with_trace(params, graph, feats, node)
             expect = forward_per_neighbor(params, graph, feats, node)
-            assert trace.num_neighbors == expect.num_neighbors == len(graph.neighbors(node))
+            assert trace.num_neighbors == expect.num_neighbors == len(s[o[node] : o[node + 1]])
             for field in dataclasses.fields(ForwardTrace):
                 got, want = getattr(trace, field.name), getattr(expect, field.name)
                 assert got.shape == want.shape, field.name
@@ -521,11 +524,11 @@ class TestRecord:
             node = [forward_with_trace(params, graph, features, i) for _ in "ab"]
             args = (params.theta_r, stack, params.att, params.bias, params.negative_slope,
                     node[0].h_aug_target, node[0].h_aug_sources)
-            degree = len(graph.neighbors(i))
+            degree = len(graph.sources[graph.offsets[i] : graph.offsets[i + 1]])
             evaluations += [(degree, *node), (degree, *(_propagate(*args) for _ in "ab"))]
         chunks = (_graph_chunks(params, graph, features) for _ in "ab")
         for (nodes, _, block), (_, _, again) in zip(*chunks):
-            (degree,) = {len(graph.neighbors(i)) for i in nodes.tolist()}
+            (degree,) = {len(graph.sources[graph.offsets[i] : graph.offsets[i + 1]]) for i in nodes}
             evaluations.append((degree, block, again))
         return params, evaluations
 
@@ -557,3 +560,16 @@ class TestRecord:
             for got, want in ((record.slopes, slopes), (record.post_act, post_act)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    def test_shared_terms_live_as_long_as_the_record(self):
+        """grads._terms keeps a record's terms for its next route and drops
+        them with the record, so no pass leaves a record's arrays behind."""
+        graph, features, params = generate_instance(6, 3, 4, seed=3)
+        kept = len(grads._TERMS)
+        record = forward_with_trace(params, graph, features, 0)
+        terms = grads._terms(record)
+        assert grads._terms(record) is terms and len(grads._TERMS) == kept + 1
+        del record
+        assert len(grads._TERMS) == kept
+        diagnose(params, graph, features)
+        assert len(grads._TERMS) == kept
