@@ -171,11 +171,10 @@ def cmd_gradcheck(args) -> int:
     graph, features, params = _load(args)
     mode, path = args.upstream
     nodes = _select_nodes(args, graph)
-    upstreams = _upstream_vector(mode, path, (max(nodes) + 1, params.out_dim), args.seed)
+    upstreams = _upstream_vector(mode, path, (graph.num_nodes, params.out_dim), args.seed)
     entries = []
     for node, trace, upstream, numeric in _by_window(params, graph, features, nodes, upstreams):
         chain = backward_chain(trace, params, upstream)
-        checks = compare_gradients(chain, numeric, args.tol)
         closed = GradientSet(
             theta_r=grad_theta_r_sum(trace, params, upstream),
             theta_l=grad_theta_l(trace, params, upstream),
@@ -183,10 +182,15 @@ def cmd_gradcheck(args) -> int:
             bias=grad_bias(upstream),
         )
         closed_form = {}  # the closed forms are exact under a uniform upstream only
-        if mode == "uniform":
-            closed_form["closed_form"] = compare_gradients(
-                closed, numeric, args.tol, keys=("theta_R", "theta_L", "b")
-            )
+        try:  # a gradient entry or gap beyond the float range
+            checks = compare_gradients(chain, numeric, args.tol)
+            if mode == "uniform":
+                closed_form["closed_form"] = compare_gradients(
+                    closed, numeric, args.tol, keys=("theta_R", "theta_L", "b")
+                )
+            gap = closed_form_gap(closed, chain)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at node {node}") from None
         verdicts = (checks, *closed_form.values())
         entry = {
             "node": node,
@@ -200,38 +204,30 @@ def cmd_gradcheck(args) -> int:
             "seed": args.seed,
             "pass": all(c["pass"] for blocks in verdicts for c in blocks.values()),
             **closed_form,
-            "closed_form_gap": closed_form_gap(closed, chain),
+            "closed_form_gap": gap,
             "gradients": _gradients_json(chain, node, trace.num_neighbors, mode),
         }
         entries.append(entry)
     all_passed = all(entry["pass"] for entry in entries)
-    if args.node is not None:
-        payload = entries[0]
-    else:
-        payload = {
-            "nodes": entries,
-            "step": COMPLEX_STEP,
-            "tolerance": args.tol,
-            "seed": args.seed,
-            "pass": all_passed,
-        }
-    _write_json(args.out, payload)
+    run = {"step": COMPLEX_STEP, "tolerance": args.tol, "seed": args.seed, "pass": all_passed}
+    _write_json(args.out, entries[0] if args.node is not None else {"nodes": entries, **run})
     return 0 if all_passed else 1
 
 
 def cmd_diagnose(args) -> int:
-    """One upstream for every node; under random, gradcheck's node-0 row of the same seed.
-    Writes the nodes as a table: a column per NodeDiagnosis field, dead_theta_r (k, D)."""
+    """Writes the nodes as a table: a column per NodeDiagnosis field, dead_theta_r (k, D);
+    and row 0 of the upstream rows, with the seed that drew them under random."""
     graph, features, params = _load(args)
     mode, path = args.upstream
-    upstream = _upstream_vector(mode, path, (params.out_dim,), args.seed)
+    upstream = _upstream_vector(mode, path, (graph.num_nodes, params.out_dim), args.seed)
     # By default, every node with at least one neighbor.
     nodes = _select_nodes(args, graph) if args.node is not None or args.all_nodes else None
     report = diagnose(params, graph, features, nodes, upstream)
     cols = dict(zip(NodeDiagnosis._fields, zip(*report)))
     cols["dead_theta_r"] = np.array(cols.get("dead_theta_r", ()), bool).reshape(-1, params.out_dim)
-    payload = {"upstream_mode": mode, "upstream": upstream.tolist(), "nodes": _Table(cols)}
-    _write_json(args.out, payload)
+    seed = {"seed": args.seed} if mode == "random" else {}
+    _write_json(args.out, {"upstream_mode": mode, "upstream": upstream[0].tolist(), **seed,
+                           "nodes": _Table(cols)})
     return 0
 
 
@@ -281,7 +277,8 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        with _collector_paused():
+        # An overflow or invalid value is rejected where its result is checked, with one line.
+        with _collector_paused(), np.errstate(over="ignore", invalid="ignore"):
             # Looked up at call time, so a patched cmd_<verb> is the one that runs.
             return globals()[f"cmd_{args.command}"](args)
     except (ValueError, IndexError, OSError, MemoryError) as exc:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .grads import REL_ERR_FLOOR, GradientSet, _check_upstream, _segment_chain, _terms
 from .grads import grad_theta_l, grad_theta_r_sum
-from .graph import Graph, _node_id
+from .graph import Graph, _finite, _node_id
 from .layer import LayerParams, _graph_chunks
 
 # perfbench/spans.py wraps these by this module's name; nothing here calls them.
@@ -51,13 +51,14 @@ class NodeDiagnosis(NamedTuple):
     closed_form_gap: float
 
 
-def _segment_gap(closed, chain, bias_scale: float):
+def _segment_gap(closed, chain, upstream: np.ndarray):
     """closed_form_gap of every target, (...), from the closed forms' and the
-    chain's (theta_R, theta_L) blocks (..., D, H+1). The b blocks are the
-    upstream on both sides: no difference, and bias_scale, max |upstream|, in the scale."""
+    chain's (theta_R, theta_L) blocks (..., D, H+1) under upstream rows (..., D).
+    The b blocks are the upstream on both sides: no difference, and its max in the scale."""
     closed, chain = np.concatenate(closed, axis=-1), np.concatenate(chain, axis=-1)
-    scale = np.maximum(abs(closed), abs(chain)).max(axis=(-2, -1), initial=bias_scale)
-    return np.abs(closed - chain).max(axis=(-2, -1)) / np.maximum(scale, REL_ERR_FLOOR)
+    scale = np.maximum(abs(closed), abs(chain)).max(axis=(-2, -1), initial=0.0)
+    scale = np.maximum(np.maximum(scale, abs(upstream).max(axis=-1)), REL_ERR_FLOOR)
+    return np.abs(closed - chain).max(axis=(-2, -1)) / scale
 
 
 def closed_form_gap(closed: GradientSet, chain: GradientSet) -> float:
@@ -67,10 +68,13 @@ def closed_form_gap(closed: GradientSet, chain: GradientSet) -> float:
     relative to the largest |entry| of either side over all three blocks
     (floored at REL_ERR_FLOOR): one scale per node, so rounding residues of
     small entries do not count as drift. Both routes give the upstream as b:
-    chain.bias enters the scale only. An isolated node's gap is 0 (empty sums).
+    chain.bias enters the scale only. An isolated node's gap is 0 (empty sums);
+    a gap that is not finite (a gradient overflows) raises ValueError.
     """
     blocks = [(grads.theta_r, grads.theta_l) for grads in (closed, chain)]
-    return float(_segment_gap(*blocks, abs(chain.bias).max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is rejected
+        gap = _segment_gap(*blocks, chain.bias)
+    return float(_finite(gap, "closed_form_gap"))
 
 
 def diagnose(
@@ -82,11 +86,10 @@ def diagnose(
 ) -> tuple[NodeDiagnosis, ...]:
     """Diagnose a set of target nodes; defaults to every node with neighbors.
 
-    upstream is the gradient entering closed_form_gap (all ones when
-    omitted), one vector for every node: `gradcheck --upstream random` gives
-    node i row i of its draw, `diagnose` row 0, so their gaps agree at node
-    0 only. Nodes come out in the order given, repeats included; a bool,
-    float or string id raises TypeError and one outside the graph IndexError.
+    upstream enters closed_form_gap as row i of rows (num_nodes, D) at node
+    i; a vector (D,) stands for equal rows, all ones when omitted. Nodes
+    come out in the order given, repeats included; a bool, float or string
+    id raises TypeError and one outside the graph IndexError.
     Every indicator comes from one block-by-block pass over the whole graph,
     whichever nodes are requested, so a node's entry is the same in every
     report; a few requested nodes cost that full pass.
@@ -100,10 +103,10 @@ def diagnose(
         ids = np.flatnonzero(degrees)
     else:
         ids = np.array([_node_id(i, graph.num_nodes) for i in nodes], dtype=np.int64)
-    g = _check_upstream(np.ones(params.out_dim) if upstream is None else upstream, params.out_dim)
-    bias_scale = abs(g).max()  # every node's b block, in every node's gap
     dead = np.empty((graph.num_nodes, params.out_dim), dtype=bool)
     entropy, gap = np.empty(graph.num_nodes), np.empty(graph.num_nodes)
+    g = np.ones(params.out_dim) if upstream is None else upstream
+    g = np.broadcast_to(_check_upstream(g, params.out_dim, dead.shape[:1]), dead.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score or gap is rejected
         for nodes, _, block in _graph_chunks(params, graph, features):
             alpha = block.alpha
@@ -111,8 +114,9 @@ def diagnose(
             dead[nodes] = ~(_terms(block)[0] != 0.0).any(axis=1)
             # Summing alpha * -log(alpha) gives +0.0, not -0.0, where every weight is 0 or 1.
             entropy[nodes] = (alpha * -np.log(np.where(alpha > 0.0, alpha, 1.0))).sum(axis=1)
-            closed = [form(block, params, g) for form in (grad_theta_r_sum, grad_theta_l)]
-            gap[nodes] = _segment_gap(closed, _segment_chain(block, params, g)[:2], bias_scale)
+            rows = g[nodes]
+            closed = [form(block, params, rows) for form in (grad_theta_r_sum, grad_theta_l)]
+            gap[nodes] = _segment_gap(closed, _segment_chain(block, params, rows)[:2], rows)
     overflow = ~np.isfinite(gap[ids])
     if overflow.any():
         raise ValueError(f"non-finite closed_form_gap at node {ids[overflow.argmax()]}")

@@ -110,9 +110,9 @@ def fd_gradient(
                     copies = _propagate(*stacked, *args[i])
                     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
                         loss = (copies.h_out[:, None, :] @ gs[i])[:, 0]  # each copy's own dot product
+                        grads[pos][i].flat[idx] = loss.imag / COMPLEX_STEP
                     if not np.isfinite(loss).all():
                         raise ValueError("non-finite loss at a perturbed point")
-                    grads[pos][i].flat[idx] = loss.imag / COMPLEX_STEP
                     flags[pos][i].flat[idx] = (copies.slopes != traces[i].slopes).any((-2, -1))
                     del copies  # freed, so the next call's arrays reuse their memory
     # One evaluation rounds on the scale of the loss taken on absolute values, which
@@ -150,7 +150,7 @@ def compare_gradients(
     its disagreement sits within the oracle resolution: both values then
     agree to within the rounding of one evaluation. Entries whose oracle
     pass changed a LeakyReLU branch (kink_flags) are excluded from the
-    verdict and listed. The tolerance must be positive and finite.
+    verdict and listed. The tolerance and every entry must be finite, the tolerance positive.
 
     Each key maps to its block's verdict as the report writes it: max_rel_err,
     pass, kink_flagged and worst_entry (None where no entry is judged).
@@ -165,6 +165,8 @@ def compare_gradients(
         x, y = analytic_sets[key], numeric_sets[key]
         if x.shape != y.shape:
             raise ValueError(f"{key}: analytic shape {x.shape} != numeric {y.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"non-finite {key} gradient")
         flag = numeric.kink_flags[key]
         rel = _relative_error(x, y)
         below_res = np.abs(x - y) <= numeric.resolution

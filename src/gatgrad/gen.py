@@ -13,6 +13,9 @@ from .layer import LayerParams
 
 __all__ = ["generate_instance"]
 
+# The most edges a request may expect: its time, memory and graph file grow with them.
+MAX_EDGES = 10**7
+
 
 def generate_instance(
     num_nodes: int,
@@ -25,6 +28,7 @@ def generate_instance(
 
     Every node receives between min_degree and num_nodes - 1 distinct
     neighbors, never itself. Neighbor order within a node is the draw order.
+    A request expecting more than MAX_EDGES edges raises ValueError before any draw.
     """
     if num_nodes < 1 or feature_dim < 1 or out_dim < 1:
         raise ValueError("num_nodes, feature_dim and out_dim must be positive")
@@ -34,6 +38,9 @@ def generate_instance(
         raise ValueError(
             f"min_degree {min_degree} impossible with {num_nodes} nodes"
         )
+    if (expected := num_nodes * (min_degree + num_nodes - 1) // 2) > MAX_EDGES:
+        raise ValueError(f"{num_nodes} nodes of degree {min_degree} to {num_nodes - 1} expect "
+                         f"{expected:,} edges, over the cap of {MAX_EDGES:,}")
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((num_nodes, feature_dim))
     others = num_nodes - 1

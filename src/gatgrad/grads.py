@@ -12,20 +12,21 @@ diagnostics.closed_form_gap reports how far the two differ.
 
 Each formula is one function, written over any leading axes before a
 target's neighbor arrays (..., n, .): a node has none, a block of k targets
-of one degree one. Each product and sum is taken per target (layer._dot, and
-one matrix product per target for the (D, H+1) blocks), so a target's
+of one degree one. Its upstream is a row per target (..., D); a vector (D,)
+stands for equal rows. Each product and sum is taken per target (layer._dot,
+and one matrix product per target for the (D, H+1) blocks), so a target's
 gradients are the same in any block. They read a layer.ForwardTrace, a
 node's or a block's of layer._graph_chunks, by field name, the LeakyReLU
 regime from its slopes, and the two terms they share beyond it from _terms,
-which keeps them while the record lives. grad_theta_r_sum and
-grad_theta_l take either record; diagnostics.diagnose calls them on the
-blocks of the whole graph. grad_theta_r_pairwise stays per node, as the
-independent cross-check that sums the neighbor pairs straddling the kink,
-one product per row block bounded by layer.EDGE_BUDGET. backward_chain
-keeps a private raw form, _segment_chain: a GradientSet per block would copy
-and freeze every block and form the att product, which diagnose does not use.
-An isolated node is a block of degree 0: its neighbor sums are empty, so its
-attention gradients are zeros, signed as a single-neighbor node's are.
+which keeps them while the record lives; diagnostics.diagnose calls
+grad_theta_r_sum and grad_theta_l on the blocks of the whole graph.
+grad_theta_r_pairwise stays per node, as the independent cross-check that
+sums the neighbor pairs straddling the kink, one product per row block
+bounded by layer.EDGE_BUDGET. backward_chain keeps a private raw form,
+_segment_chain: a GradientSet per block would copy and freeze every block
+and form the att product, which diagnose does not use. An isolated node is
+a block of degree 0: its neighbor sums are empty, so its attention
+gradients are zeros, signed as a single-neighbor node's are.
 
 Gradients are per target node; summing over nodes is left to callers.
 """
@@ -72,12 +73,13 @@ class GradientSet:
         return {key: getattr(self, name) for key, name in BLOCKS.items()}
 
 
-def _check_upstream(upstream: np.ndarray, out_dim: int | None) -> np.ndarray:
-    """The upstream gradient as a finite float64 vector, of length out_dim unless None."""
+def _check_upstream(upstream: np.ndarray, out_dim: int | None, lead: tuple = ()) -> np.ndarray:
+    """The upstream as finite float64, (out_dim,) (any length if None) or (*lead, out_dim)."""
     g = np.asarray(upstream, dtype=np.float64)
-    if g.ndim != 1 or out_dim not in (None, len(g)):
+    if g.ndim == 0 or g.shape[:-1] not in ((), lead) or out_dim not in (None, g.shape[-1]):
         want = "D" if out_dim is None else out_dim
-        raise ValueError(f"upstream gradient shape {g.shape}, expected ({want},)")
+        rows = f" or ({', '.join(map(str, lead))}, {want})" if lead else ""
+        raise ValueError(f"upstream gradient shape {g.shape}, expected ({want},){rows}")
     return _finite(g, "upstream gradient")
 
 
@@ -107,13 +109,13 @@ def _segment_chain(block, params: LayerParams, upstream: np.ndarray) -> tuple:
     # d_alpha[..., k] contracts the upstream with the projected source feature.
     # The softmax backward is shift invariant in d_alpha, so it is centered on
     # the target's first edge: identical neighbors then yield exact zeros.
-    d_alpha = block.source_proj @ upstream
+    d_alpha = (block.source_proj @ upstream[..., :, None])[..., 0]
     d_alpha = d_alpha - d_alpha[..., :1]
     d_score = alpha * (d_alpha - _dot(alpha, d_alpha[..., None]))
     d_pre = d_score[..., None] * params.att * block.slopes
     # Source side: score path plus the direct aggregation path.
     d_theta_l = d_pre.swapaxes(-1, -2) @ block.h_aug_sources
-    d_theta_l += upstream[:, None] * _dot(alpha, block.h_aug_sources)[..., None, :]
+    d_theta_l += upstream[..., :, None] * _dot(alpha, block.h_aug_sources)[..., None, :]
     d_target = params.att * _dot(d_score, _terms(block)[0])
     d_theta_r = d_target[..., None] * block.h_aug_target[..., None, :]
     return d_theta_r, d_theta_l, d_score
@@ -123,7 +125,7 @@ def grad_theta_r_sum(
     trace: ForwardTrace, params: LayerParams, upstream: np.ndarray
 ) -> np.ndarray:
     """Target-side weight gradient, summation form: (D, H+1) for a node's
-    trace, (k, D, H+1) for a block's of k targets, one matrix per target.
+    trace, (k, D, H+1) for a block's of k targets under upstream rows (k, D).
 
     Row t is upstream[t] * att[t] * sum_k slope[k, t] * alpha[k] * S_k times
     the augmented target feature, where S_k is the centered projection total.
@@ -134,7 +136,7 @@ def grad_theta_r_sum(
     Zero matrix for N <= 1, its zeros signed as upstream * att * h_aug.
     The slopes are the trace's, so the trace must come from `params`.
     """
-    g = _check_upstream(upstream, params.out_dim)
+    g = _check_upstream(upstream, params.out_dim, trace.alpha.shape[:-1])
     spread, weights = _terms(trace)
     coeff = _dot(weights, spread)
     return (g * params.att * coeff)[..., None] * trace.h_aug_target[..., None, :]
@@ -176,16 +178,16 @@ def grad_theta_l(
     trace: ForwardTrace, params: LayerParams, upstream: np.ndarray
 ) -> np.ndarray:
     """Source-side weight gradient: (D, H+1) for a node's trace, (k, D, H+1)
-    for a block's of k targets, one matrix per target.
+    for a block's of k targets under upstream rows (k, D).
 
     Row t sums, over neighbors k, the score-path term
     att[t] * slope[k, t] * alpha[k] * S_k plus the direct aggregation term
     alpha[k], each multiplied by the neighbor's augmented feature. The bias
     column is the same bracket against the constant-1 feature entry.
     """
-    g = _check_upstream(upstream, params.out_dim)
+    g = _check_upstream(upstream, params.out_dim, trace.alpha.shape[:-1])
     bracket = params.att * trace.slopes * _terms(trace)[1][..., None] + trace.alpha[..., None]
-    return g[:, None] * (bracket.swapaxes(-1, -2) @ trace.h_aug_sources)
+    return g[..., :, None] * (bracket.swapaxes(-1, -2) @ trace.h_aug_sources)
 
 
 def grad_bias(upstream: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gatgrad.cli
 import gatgrad.graph
@@ -47,6 +49,41 @@ JSON_EDITS = {
 }
 # Node 0's one neighbor is node 1, which has none.
 TWO_NODES = {"num_nodes": 2, "feature_dim": 1, "features": [[0.5], [1.5]], "edges": [[0, 1]]}
+# Inputs whose finite products overflow, as (graph, params, upstream): under the upstream
+# [1e10], node 0's theta_L gradient on both routes; under [1e300], upstream * att in the
+# closed theta_R form, whose zero sum then makes it NaN; the attention scores, with any upstream.
+OVERFLOWING = {
+    "big_theta_l": (
+        {"num_nodes": 2, "feature_dim": 1, "edges": [[1, 0], [0, 1]],
+         "features": [[1.0], [1e300]]},
+        {"D": 1, "H": 1, "negative_slope": 0.2, "theta_R": [[0.1, 0.2]],
+         "theta_L": [[0.3, 1e-300]], "a": [1.0], "b": [0.0]},
+        [1e10],
+    ),
+    "big_att": (
+        {"num_nodes": 1, "feature_dim": 1, "edges": [[0, 0]], "features": [[0.5]]},
+        {"D": 1, "H": 1, "negative_slope": 0.2, "theta_R": [[0.5, 0.5]],
+         "theta_L": [[0.5, 0.5]], "a": [1e10], "b": [0.0]},
+        [1e300],
+    ),
+    "big_scores": (
+        {"num_nodes": 2, "feature_dim": 1, "edges": [[0, 1], [0, 0]],
+         "features": [[1e300], [-1e300]]},
+        {"D": 2, "H": 1, "negative_slope": 0.2, "theta_R": [[0.0, 1e10], [0.0, 0.0]],
+         "theta_L": [[0.0, 1.0], [0.0, 1.0]], "a": [1.0, 1.0], "b": [0.0, 0.0]},
+        [1.0, 1.0],
+    ),
+}
+
+
+def one_error_line(ci, capsys, code_and_report, message=None):
+    """Assert exit 2 with no report, nothing in the run's directory and exactly one
+    stderr line, an error (the given message, if any); return that line."""
+    assert code_and_report == (2, None) and not any(ci.last.iterdir())
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert message is None or err == f"error: {message}\n"
+    return err
 
 
 def inject_theta_l_defect(monkeypatch, entry):
@@ -107,10 +144,36 @@ class TestGen:
         assert err.value.code == 2 and not any(ci.last.iterdir())
         assert f"argument {flag}: expected {want}, got {value!r}" in capsys.readouterr().err
 
+    def test_request_over_the_edge_cap_exits_2_before_any_draw(self, ci, capsys, monkeypatch):
+        """Degrees are uniform on [min_degree, n - 1], so n nodes expect
+        n (min_degree + n - 1) / 2 edges. The check reads that count alone: the
+        largest request under the cap reaches the generator, here one that
+        refuses to start, and the smallest request over it, 50000 nodes and
+        the 1e12 of the unallocatable request exit 2 naming the count, before
+        the generator is made."""
+
+        class DrawStarted(Exception):
+            pass
+
+        def refuse(seed):
+            raise DrawStarted
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert gatgrad.gen.MAX_EDGES == 10**7
+        flags = ("--feature-dim", 1000, "--out-dim", 1, "--min-degree", 2)
+        with pytest.raises(DrawStarted):
+            ci.cli("gen", "--nodes", 4471, *flags)  # expects 9,997,156 edges
+        for nodes, expect in ((4472, "10,001,628"), (50_000, "1,250,025,000"),
+                              (10**12, "500,000,000,000,500,000,000,000")):
+            message = f"{nodes} nodes of degree 2 to {nodes - 1} expect {expect} edges"
+            code = ci.cli("gen", "--nodes", nodes, *flags)
+            one_error_line(ci, capsys, code, f"{message}, over the cap of 10,000,000")
+
     def test_unallocatable_instance_exits_2_writing_nothing(self, ci, capsys):
         """Exit 1 means a failed gradient check only: numpy refuses the
-        7 PiB feature matrix before touching memory, an input error."""
-        flags = ("--nodes", 10**12, "--feature-dim", 1000, "--out-dim", 1, "--seed", 42)
+        7 PiB feature matrix before touching memory, an input error. The
+        request expects 500,500 edges, under the cap."""
+        flags = ("--nodes", 1000, "--feature-dim", 10**12, "--out-dim", 1, "--seed", 42)
         assert ci.cli("gen", *flags)[0] == 2 and not any(ci.last.iterdir())
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
@@ -551,17 +614,38 @@ class TestGradcheck:
         ("gradcheck", ("--all-nodes",), "non-finite loss at a perturbed point"),
         ("diagnose", (), "non-finite closed_form_gap at node 0"),
         ("diagnose", ("--node", 3), "non-finite closed_form_gap at node 3"),
+        ("gradcheck", ("--all-nodes", "big_theta_l"), "non-finite theta_L gradient at node 0"),
+        ("diagnose", ("big_theta_l",), "non-finite closed_form_gap at node 0"),
+        ("gradcheck", ("--node", 0, "big_att"), "non-finite closed_form_gap at node 0"),
+        ("diagnose", ("big_att",), "non-finite closed_form_gap at node 0"),
+        ("forward", ("big_scores",), "non-finite attention score"),
+        ("gradcheck", ("--all-nodes", "big_scores"), "non-finite attention score"),
+        ("diagnose", ("big_scores",), "non-finite attention score"),
     ])
     def test_overflowing_upstream_file(self, tmp_path, ci, capsys, verb, flags, message):
-        """A finite upstream whose products overflow exits 2 with one error line,
-        no numpy warning and no report; diagnose names the first such node."""
+        """A finite input whose products overflow exits 2 with one error line,
+        no numpy warning and no report. On the readme instance, the upstream
+        [1e308, -1e308, 1e308, 1] overflows the oracle's loss and each node's
+        gap, and diagnose names the first such node. A last flag names an
+        OVERFLOWING input instead: gradcheck names the block and the node of
+        a gradient beyond the float range, both verbs the node of a gap that
+        is not finite, and every verb rejects big_scores' scores with the same
+        line, forward too."""
+        *flags, name = flags if flags[-1:] and flags[-1] in OVERFLOWING else (*flags, "readme")
+        io, upstream = ci.io(name), [1e308, -1e308, 1e308, 1]
+        if name != "readme":
+            graph, params, upstream = OVERFLOWING[name]
+            io = ["--graph", tmp_path / "graph.json", "--params", tmp_path / "params.json"]
+            io[1].write_text(json.dumps(graph))
+            io[3].write_text(json.dumps(params))
         vec_path = tmp_path / "upstream.json"
-        vec_path.write_text("[1e308, -1e308, 1e308, 1]")
+        vec_path.write_text(json.dumps(upstream))
+        if verb != "forward":
+            flags += ["--upstream", f"file:{vec_path}"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = ci.cli(verb, *ci.io("readme"), *flags, "--upstream", f"file:{vec_path}")
-        assert code == (2, None) and not any(ci.last.iterdir())
-        assert capsys.readouterr().err == f"error: {message}\n"
+            code = ci.cli(verb, *io, *flags)
+        one_error_line(ci, capsys, code, message)
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
     def test_non_finite_tolerance_is_exit_2(self, ci, capsys, tol):
@@ -632,6 +716,7 @@ class TestDiagnoseCommand:
         [
             *((seed, upstream) for upstream in ("uniform", "file", "random") for seed in range(3)),
             ("iso", "uniform"),
+            ("iso", "random"),
             ("hub", "uniform"),
             ("hub", "file"),
             ("hub", "random"),
@@ -643,10 +728,10 @@ class TestDiagnoseCommand:
         give every node the same closed_form_gap, bit for bit: gradcheck takes
         it from the node alone, diagnose from the node's block of the
         whole-graph pass. Under the uniform upstream the gaps are rounding
-        residues; under a non-constant file: upstream the closed forms drift
-        from the chain, and the gaps are far above them. Under random
-        --seed 7, gradcheck gives node i row i of one draw and diagnose every
-        node that row 0, so only node 0 shares its upstream and its gap.
+        residues; under a non-constant file: upstream or random --seed 7,
+        where both give node i row i of one draw, the closed forms drift from
+        the chain, and the gaps are far above them. diagnose writes row 0 as
+        its upstream, and the seed under random.
         A seed is small's instance at that seed, under a file of its own
         draw; a named instance is a graph with isolated nodes, one of degrees
         20 and more, or one of width 40. Its gradcheck passes at 1e-12, or on
@@ -666,15 +751,17 @@ class TestDiagnoseCommand:
         assert [code for code, _ in runs] == [0, 0]
         reports = [report for _, report in runs]
         gaps = [[e["closed_form_gap"] for e in report["nodes"]] for report in reports]
+        assert reports[1]["upstream"] == reports[0]["nodes"][0]["upstream"]
         if upstream == "random":
-            assert reports[1]["upstream"] == reports[0]["nodes"][0]["upstream"]
-            assert gaps[0][0] == gaps[1][0]
-            return
+            rows = np.random.default_rng(7).standard_normal((len(gaps[0]), 16))
+            assert [e["upstream"] for e in reports[0]["nodes"]] == rows.tolist()
+        assert reports[1].get("seed") == (7 if upstream == "random" else None)
         assert gaps[0] == gaps[1]
         if upstream == "uniform":
             assert max(gaps[0]) <= 1e-12
-        else:
-            assert min(gaps[0]) >= 1e-6
+        else:  # a node of at most one neighbor has no attention path to drift: its gap is 0
+            degrees = [e["num_neighbors"] for e in reports[0]["nodes"]]
+            assert min(gap for gap, n in zip(gaps[0], degrees) if n > 1) >= 1e-6
 
     def test_all_positive_instance_reports_dead_rows(self, tmp_path, ci):
         g, feats, params = generate_instance(4, 2, 2, seed=5)
@@ -707,6 +794,45 @@ class TestDiagnoseCommand:
         code, payload = ci.cli("diagnose", *ci.io("four"), "--upstream", "random", "--seed", 3)
         assert code == 0
         assert payload["upstream"] == np.random.default_rng(3).standard_normal(3).tolist()
+
+
+class TestExtremeScales:
+    @settings(deadline=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_strict_json_report_or_one_error_line(self, tmp_path_factory, ci, capsys, data):
+        """Features, parameter blocks and the upstream each take a scale up to
+        1e300, on a graph of up to 4 nodes, self-loops and isolated nodes
+        included. Every verb then exits 0 with a strict-JSON report (gradcheck
+        1 too, a failed check), or 2 with one error line and no report, and
+        never lets a numpy warning through."""
+        n, h, d = (data.draw(st.integers(1, top), label=key) for key, top in zip("nhd", (4, 2, 2)))
+        scale = {part: 10.0 ** data.draw(st.integers(0, 300), label=part)
+                 for part in ("features", "theta_R", "theta_L", "a", "b", "upstream")}
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        draw = lambda part, *shape: (rng.standard_normal(shape) * scale[part]).tolist()
+        directory = tmp_path_factory.mktemp("scales")
+        files = {
+            "graph": {"num_nodes": n, "feature_dim": h, "features": draw("features", n, h),
+                      "edges": np.argwhere(rng.random((n, n)) < 0.6).tolist()},
+            "params": {"D": d, "H": h, "negative_slope": 0.2, "a": draw("a", d), "b": draw("b", d),
+                       **{key: draw(key, d, h + 1) for key in ("theta_R", "theta_L")}},
+            "upstream": draw("upstream", d),
+        }
+        for name, content in files.items():
+            (directory / f"{name}.json").write_text(json.dumps(content))
+        io = ["--graph", directory / "graph.json", "--params", directory / "params.json"]
+        upstream = data.draw(st.sampled_from([["--upstream", f"file:{directory / 'upstream.json'}"],
+                                              []]), label="upstream file or uniform")
+        for verb, flags in (("forward", []), ("gradcheck", upstream), ("diagnose", upstream)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, report = ci.cli(verb, *io, "--all-nodes", *flags)
+            if code == 2:
+                one_error_line(ci, capsys, (code, report))
+            else:  # the report parsed as strict JSON
+                assert code in ((0, 1) if verb == "gradcheck" else (0,)) and report is not None
+                assert capsys.readouterr().err == ""
 
 
 class TestUsage:

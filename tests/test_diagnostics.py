@@ -141,6 +141,18 @@ class TestClosedFormGap:
                 gaps.append(closed_form_gap(*gradient_sets(trace, params, upstream)))
         assert max(gaps) > 1e-3
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_gap_rejected(self, value):
+        """A closed-form entry beyond the float range, or the NaN of inf * 0, gives
+        no gap to report: closed_form_gap raises, as diagnose does for the node."""
+        g, feats, params = generate_instance(5, 3, 4, seed=23)
+        closed, chain = gradient_sets(forward_with_trace(params, g, feats, 0), params, np.ones(4))
+        theta_r = closed.theta_r.copy()
+        theta_r[1, 2] = value
+        broken = GradientSet(theta_r, closed.theta_l, closed.att, closed.bias)
+        with pytest.raises(ValueError, match="^non-finite closed_form_gap$"):
+            closed_form_gap(broken, chain)
+
     def test_reported_via_diagnose_spec(self):
         g, feats, params = generate_instance(5, 3, 4, seed=23)
         upstream = np.array([1.0, -1.0, 2.0, 0.5])

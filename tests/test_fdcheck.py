@@ -429,6 +429,20 @@ class TestFdGradient:
         with pytest.raises(ValueError, match="non-finite loss at a perturbed point"):
             fd_gradient(trace, params, np.array([1e100]))
 
+    def test_derivative_beyond_the_float_range_is_inf(self):
+        """Node 0's one neighbor has the feature 1e300, so the loss is finite
+        under the upstream 1e10 but its theta_L[0, 1] derivative, 1e310, is
+        not: that entry comes out inf, with no warning, for compare_gradients
+        to reject, naming the block."""
+        graph = Graph(2, ((1, 0), (0, 1)))
+        feats = np.array([[1.0], [1e300]])
+        params = LayerParams([[0.1, 0.2]], [[0.3, 1e-300]], [1.0], [0.0])
+        trace = forward_with_trace(params, graph, feats, 0)
+        numeric = fd_gradient(trace, params, np.array([1e10]))
+        assert numeric.grads.theta_l.tolist() == [[1e10, np.inf]]
+        with pytest.raises(ValueError, match="^non-finite theta_L gradient$"):
+            compare_gradients(numeric.grads, numeric)
+
     def test_overflowing_loss_scale_rejected(self):
         """Bias terms that cancel in the loss but overflow by magnitude."""
         theta = [[0.1, 0.1], [0.1, 0.1]]
@@ -525,6 +539,17 @@ class TestCompareGradients:
         failing = [k for k, c in checks.items() if not c["pass"]]
         assert failing == ["theta_L"]
         assert checks["theta_L"]["worst_entry"] == tuple(int(v) for v in worst)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("side", ["analytic", "oracle"])
+    def test_non_finite_entry_rejected_naming_the_block(self, side, value):
+        """A non-finite entry on either side raises ValueError, never a NaN verdict."""
+        bad = self.chain.theta_l.copy()
+        bad[1, 2] = value
+        corrupted = GradientSet(self.chain.theta_r, bad, self.chain.att, self.chain.bias)
+        sides = {"analytic": self.chain, "oracle": self.chain, side: corrupted}
+        with pytest.raises(ValueError, match="^non-finite theta_L gradient$"):
+            compare_gradients(sides["analytic"], exact(sides["oracle"]))
 
     def test_shape_mismatch_rejected(self):
         other = GradientSet(

@@ -131,9 +131,10 @@ def check_diagnose(graph, features, params, nodes, upstream):
     """
     report = diagnose(params, graph, features, nodes, upstream)
     assert [e.node for e in report] == list(nodes)
+    rows = np.broadcast_to(upstream, (graph.num_nodes, params.out_dim))  # node i's is row i
     for entry in report:
         trace, dead, entropy, gap = reference_diagnosis(
-            params, graph, features, entry.node, upstream
+            params, graph, features, entry.node, rows[entry.node]
         )
         assert entry.num_neighbors == trace.num_neighbors
         assert entry.single_neighbor == (trace.num_neighbors <= 1)
@@ -267,11 +268,13 @@ class TestDiagnoseGraphPass:
     @settings(deadline=None, max_examples=150)
     @given(instances(), budgets, st.data())
     def test_matches_per_node_reference(self, instance, budget, data):
+        """Under the uniform upstream, one vector for every node, or a row per node."""
         graph, features, params = instance
         nodes = data.draw(requested_nodes(graph.num_nodes))
-        uniform = data.draw(st.booleans())
+        shape = data.draw(st.sampled_from([None, (), (graph.num_nodes,)]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        upstream = np.ones(params.out_dim) if uniform else rng.standard_normal(params.out_dim)
+        upstream = (np.ones(params.out_dim) if shape is None
+                    else rng.standard_normal((*shape, params.out_dim)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(layer, "EDGE_BUDGET", budget)
             check_diagnose(graph, features, params, nodes, upstream)
@@ -298,13 +301,14 @@ class TestDiagnoseGraphPass:
     @given(instances(), budgets, st.data())
     def test_requested_entries_are_rows_of_the_full_report(self, instance, budget, data):
         """Each entry of diagnose(..., nodes) is, bit for bit, its node's entry of
-        diagnose(..., None), whether requested with others or alone; an
-        isolated node keeps its vacuous values."""
+        diagnose(..., None), whether requested with others or alone, under any
+        upstream; an isolated node keeps its vacuous values."""
         graph, features, params = instance
         nodes = data.draw(requested_nodes(graph.num_nodes))
-        uniform = data.draw(st.booleans())
+        shape = data.draw(st.sampled_from([None, (), (graph.num_nodes,)]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        upstream = np.ones(params.out_dim) if uniform else rng.standard_normal(params.out_dim)
+        upstream = (np.ones(params.out_dim) if shape is None
+                    else rng.standard_normal((*shape, params.out_dim)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(layer, "EDGE_BUDGET", budget)
             report = [
